@@ -6,93 +6,16 @@ NLI service, adaptively keeps, skips, or decomposes each sentence based
 on how neutral the evidence is, soft-clusters the surviving units into
 semantic themes, and aggregates unit uncertainties with theme-mass
 weights into one score per prompt.
+
+The package root exports only the entry points a driver needs to load a
+dataset and configure a run; everything else is imported from its module
+(`agsc.pipeline`, `agsc.providers`, `agsc.scoring`, ...).
 """
 
-from .aggregation import (
-    ClusterSummary,
-    FinalScore,
-    aggregate_global,
-    aggregate_literal,
-    aggregate_uniform,
-    all_skip_fallback,
-)
-from .clustering import (
-    ClusteringConfig,
-    GmmFit,
-    GmmParams,
-    SelectionResult,
-    bic,
-    fit_gmm,
-    kmeans_hard,
-    kmeanspp_init,
-    reduce_embeddings,
-    select_k,
-)
-from .config import (
-    ConfigError,
-    PipelineConfig,
-    ProviderSpec,
-    default_config,
-    load_config,
-    parse_config_text,
-)
-from .corpus import (
-    DatasetError,
-    SampleSet,
-    Sentence,
-    TextUnit,
-    load_dataset,
-    segment_sentences,
-    split_sentences,
-)
-from .evaluation import (
-    VARIANTS,
-    CorrelationReport,
-    MethodVariant,
-    UndefinedCorrelationError,
-    apply_variant,
-    compare,
-    comparison_table,
-    pearson,
-    run_variant,
-    run_variant_reports,
-    spearman,
-)
-from .pipeline import (
-    CorpusSummary,
-    PromptFailure,
-    PromptReport,
-    ProviderBundle,
-    TimingBreakdown,
-    build_providers,
-    report_from_dict,
-    report_to_dict,
-    run_corpus,
-    run_many,
-    run_prompt,
-)
-from .routing import (
-    SKIPPED,
-    GranularityConfig,
-    RoutingDecision,
-    RoutingSignal,
-    apply_granularity,
-    route,
-    route_ablation,
-)
-from .scoring import (
-    Chunk,
-    NliDistribution,
-    ReferenceSet,
-    ScoringConfig,
-    SupportScore,
-    avg_distribution,
-    binary_entail,
-    make_chunks,
-    pair_entail,
-    reference_distribution,
-    support,
-    three_class_softmax,
-)
+from .config import default_config
+from .corpus import SampleSet, load_dataset
+from .evaluation import apply_variant
+
+__all__ = ["SampleSet", "apply_variant", "default_config", "load_dataset"]
 
 __version__ = "0.1.0"

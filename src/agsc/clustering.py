@@ -37,7 +37,6 @@ class ClusteringConfig:
     n_init: int = 3
     seed: int = 0
     target_dim: int = 32
-    unit_source: str = "units"    # cluster post-granularity units or sentences
 
     def __post_init__(self) -> None:
         if self.k_limit < 2:
@@ -48,8 +47,6 @@ class ClusteringConfig:
         for name in ("em_max_iter", "n_init", "target_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.unit_source not in ("units", "sentences"):
-            raise ValueError(f"unknown unit_source {self.unit_source!r}")
 
 
 @dataclass

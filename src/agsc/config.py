@@ -40,7 +40,7 @@ class ProviderSpec:
     transport: ProviderConfig = field(default_factory=ProviderConfig)
     mock_seed: int = 0
     mock_dim: int = 64
-    mock_latency_ms: float = 0.0
+    mock_latency_ms: float = 0.0  # decomposer mocks only
 
     def __post_init__(self) -> None:
         if self.kind not in ("mock", "http"):
@@ -128,7 +128,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "clustering.em_max_iter": (("clustering", "em_max_iter"), "int"),
     "clustering.n_init": (("clustering", "n_init"), "int"),
     "clustering.target_dim": (("clustering", "target_dim"), "int"),
-    "clustering.unit_source": (("clustering", "unit_source"), "str"),
     "scoring.chunk_budget_chars": (("scoring", "chunk_budget_chars"), "int"),
     "scoring.chunk_stride_chars": (("scoring", "chunk_stride_chars"), "int"),
     "scoring.nli_direction": (("scoring", "nli_direction"), "str"),
@@ -149,7 +148,8 @@ for _prov in ("nli", "embed", "decompose"):
     _KEYS[f"providers.{_prov}.retry.base_backoff_ms"] = ((_prov, "transport", "retry", "base_backoff_ms"), "int")
     _KEYS[f"providers.{_prov}.mock_seed"] = ((_prov, "mock_seed"), "int")
     _KEYS[f"providers.{_prov}.mock_dim"] = ((_prov, "mock_dim"), "int")
-    _KEYS[f"providers.{_prov}.mock_latency_ms"] = ((_prov, "mock_latency_ms"), "float")
+
+_KEYS["providers.decompose.mock_latency_ms"] = (("decompose", "mock_latency_ms"), "float")
 
 _PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}
 

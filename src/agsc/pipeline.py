@@ -14,11 +14,14 @@ report files can be re-ingested), and collect failures without stopping.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import operator
 import re
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -118,15 +121,17 @@ class UnitRecord:
 
 @dataclass(frozen=True)
 class PromptReport:
+    """The result of one prompt; field order is the key order of its report line."""
+
     prompt_id: str
     variant: str
     final: FinalScore
+    decomposer_fallback: bool
+    selected_k: int
     sentences: tuple[SentenceRecord, ...]
     units: tuple[UnitRecord, ...]
     clusters: tuple[ClusterSummary, ...]
-    selected_k: int
     timing: TimingBreakdown
-    decomposer_fallback: bool
     meta: tuple[tuple[str, object], ...] = (("generation_time_included", False),)
 
     @property
@@ -144,14 +149,32 @@ class PromptFailure:
     error: str
 
 
-class _Stopwatch:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._totals: dict[str, float] = {}
+@dataclass
+class ProviderBundle:
+    nli: NliProvider
+    embedder: EmbeddingProvider
+    decomposer: DecomposerProvider
+
+
+class _Meter:
+    """Per-prompt provider facade: bills each call to its stage and counts
+    the work requested.
+
+    It offers all three provider methods, so scoring, routing and
+    clustering call it in place of the bundle. Stage totals stay zero when
+    timing is off; the counts are kept either way.
+    """
+
+    def __init__(self, providers: ProviderBundle, timed: bool):
+        self._providers = providers
+        self.timed = timed
+        self.stage_ms: dict[str, float] = {}
+        self.nli_pairs = 0
+        self.embed_calls = 0
 
     @contextmanager
     def stage(self, name: str):
-        if not self.enabled:
+        if not self.timed:
             yield
             return
         t0 = time.perf_counter()
@@ -159,53 +182,21 @@ class _Stopwatch:
             yield
         finally:
             elapsed = (time.perf_counter() - t0) * 1000.0
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-
-    def total(self, name: str) -> float:
-        return self._totals.get(name, 0.0)
-
-
-class _InstrumentedNli:
-    def __init__(self, inner: NliProvider, watch: _Stopwatch, counters: dict):
-        self._inner = inner
-        self._watch = watch
-        self._counters = counters
+            self.stage_ms[name] = self.stage_ms.get(name, 0.0) + elapsed
 
     def nli_batch(self, pairs):
-        self._counters["nli_pairs"] += len(pairs)
-        with self._watch.stage("nli"):
-            return self._inner.nli_batch(pairs)
-
-
-class _InstrumentedEmbedding:
-    def __init__(self, inner: EmbeddingProvider, watch: _Stopwatch, counters: dict):
-        self._inner = inner
-        self._watch = watch
-        self._counters = counters
+        self.nli_pairs += len(pairs)
+        with self.stage("nli"):
+            return self._providers.nli.nli_batch(pairs)
 
     def embed_batch(self, texts):
-        self._counters["embed_calls"] += len(texts)
-        with self._watch.stage("embed"):
-            return self._inner.embed_batch(texts)
-
-
-class _TimedDecomposer:
-    """ResilientDecomposer facade whose calls are billed to the atom stage."""
-
-    def __init__(self, inner: ResilientDecomposer, watch: _Stopwatch):
-        self._inner = inner
-        self._watch = watch
+        self.embed_calls += len(texts)
+        with self.stage("embed"):
+            return self._providers.embedder.embed_batch(texts)
 
     def decompose(self, sentence: str, prompt_context: str):
-        with self._watch.stage("atom"):
-            return self._inner.decompose(sentence, prompt_context)
-
-
-@dataclass
-class ProviderBundle:
-    nli: NliProvider
-    embedder: EmbeddingProvider
-    decomposer: DecomposerProvider
+        with self.stage("atom"):
+            return self._providers.decomposer.decompose(sentence, prompt_context)
 
 
 def build_providers(config: PipelineConfig) -> ProviderBundle:
@@ -262,13 +253,8 @@ def run_prompt(
     bit-identical across runs. Provider failures propagate as
     ProviderError; the corpus runner turns them into failure records.
     """
-    watch = _Stopwatch(config.timing == TIMING_WALL)
-    counters = {"nli_pairs": 0, "embed_calls": 0}
-    nli = _InstrumentedNli(providers.nli, watch, counters)
-    embedder = _InstrumentedEmbedding(providers.embedder, watch, counters)
-    decomposer = _TimedDecomposer(ResilientDecomposer(providers.decomposer), watch)
-
-    t0 = time.perf_counter() if watch.enabled else 0.0
+    meter = _Meter(providers, timed=config.timing == TIMING_WALL)
+    t0 = time.perf_counter() if meter.timed else 0.0
 
     anchor_sentences = segment_sentences(sample.anchor, response_index=0)
     if not anchor_sentences:
@@ -278,12 +264,12 @@ def run_prompt(
         for i, text in enumerate(sample.references)
     ]
     refset = ReferenceSet(
-        sample.references, config.scoring, nli, first_reference_index=1
+        sample.references, config.scoring, meter, first_reference_index=1
     )
     gran = apply_granularity(
         anchor_sentences,
         refset,
-        decomposer,
+        ResilientDecomposer(meter),
         config.granularity,
         prompt_context=sample.prompt,
     )
@@ -298,19 +284,19 @@ def run_prompt(
         final = aggregate_uniform([su.uncertainty for su in gran.units])
     else:
         final, summaries, memberships, selected_k = _cluster_and_aggregate(
-            sample, config, embedder, watch, gran, ref_sentences, debug_sink
+            sample, config, meter, gran, ref_sentences, debug_sink
         )
 
-    total_ms = (time.perf_counter() - t0) * 1000.0 if watch.enabled else 0.0
+    total_ms = (time.perf_counter() - t0) * 1000.0 if meter.timed else 0.0
     timing = TimingBreakdown(
-        t_nli_ms=watch.total("nli"),
-        t_atom_ms=watch.total("atom"),
-        t_embed_ms=watch.total("embed"),
-        t_cluster_ms=watch.total("cluster"),
+        t_nli_ms=meter.stage_ms.get("nli", 0.0),
+        t_atom_ms=meter.stage_ms.get("atom", 0.0),
+        t_embed_ms=meter.stage_ms.get("embed", 0.0),
+        t_cluster_ms=meter.stage_ms.get("cluster", 0.0),
         t_total_ms=total_ms,
         decomposer_calls=gran.decomposer_calls,
-        nli_pairs=counters["nli_pairs"],
-        embed_calls=counters["embed_calls"],
+        nli_pairs=meter.nli_pairs,
+        embed_calls=meter.embed_calls,
     )
     return PromptReport(
         prompt_id=sample.prompt_id,
@@ -335,20 +321,15 @@ def run_prompt(
     )
 
 
-def _cluster_and_aggregate(
-    sample, config, embedder, watch, gran, ref_sentences, debug_sink
-):
+def _cluster_and_aggregate(sample, config, meter, gran, ref_sentences, debug_sink):
     cluster_cfg = config.clustering
-    if cluster_cfg.unit_source == "sentences":
-        anchor_texts = [su.unit.origin.text for su in gran.units]
-    else:
-        anchor_texts = [su.unit.text for su in gran.units]
+    anchor_texts = [su.unit.text for su in gran.units]
     ref_texts = [s.text for sents in ref_sentences for s in sents]
-    vectors = embedder.embed_batch(anchor_texts + ref_texts)
+    vectors = meter.embed_batch(anchor_texts + ref_texts)
     data = np.array([v.values for v in vectors], dtype=np.float64)
 
     seed = prompt_seed(config.seed, sample.prompt_id)
-    with watch.stage("cluster"):
+    with meter.stage("cluster"):
         reduced = reduce_embeddings(data, cluster_cfg.target_dim)
         selection = select_k(
             reduced, dataclasses.replace(cluster_cfg, seed=seed)
@@ -403,6 +384,57 @@ def _sentence_record(decision) -> SentenceRecord:
 
 # -- report (de)serialization --
 
+# Report-line keys that hold the flattened FinalScore, with its attribute names.
+_FINAL_KEYS = (
+    ("u_final", "u_final"),
+    ("aggregation_mode", "mode"),
+    ("fallback_used", "fallback_used"),
+)
+
+
+@functools.cache
+def _fields(cls: type):
+    """How to walk a report dataclass, worked out once per class.
+
+    Returns the field names in order, a getter for all of them, the
+    tuple-typed fields and the dataclass-typed fields. Each of the last two
+    is a list of (name, nested dataclass or None for plain items).
+    """
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    tuples, records = [], []
+    for name in names:
+        tp = hints[name]
+        if typing.get_origin(tp) is tuple:
+            item = typing.get_args(tp)[0]
+            tuples.append((name, item if dataclasses.is_dataclass(item) else None))
+        elif dataclasses.is_dataclass(tp):
+            records.append((name, tp))
+    return names, operator.attrgetter(*names), tuples, records
+
+
+def _to_json(record) -> dict:
+    """A dataclass as a dict in field order; tuples become lists."""
+    names, get, tuples, records = _fields(type(record))
+    out = dict(zip(names, get(record)))
+    for name, sub in tuples:
+        out[name] = [_to_json(v) for v in out[name]] if sub else list(out[name])
+    for name, _ in records:
+        out[name] = _to_json(out[name])
+    return out
+
+
+def _from_json(cls: type, data: dict):
+    """Inverse of _to_json."""
+    names, _, tuples, records = _fields(cls)
+    kwargs = {name: data[name] for name in names}
+    for name, sub in tuples:
+        items = kwargs[name]
+        kwargs[name] = tuple(_from_json(sub, v) for v in items) if sub else tuple(items)
+    for name, sub in records:
+        kwargs[name] = _from_json(sub, kwargs[name])
+    return cls(**kwargs)
+
 
 def report_to_dict(report: PromptReport, sample: SampleSet) -> dict:
     """One report line: the ingestion fields plus all result fields."""
@@ -413,91 +445,21 @@ def report_to_dict(report: PromptReport, sample: SampleSet) -> dict:
     }
     if sample.factuality is not None:
         line["factuality"] = sample.factuality
-    line.update(
-        {
-            "variant": report.variant,
-            "u_final": report.final.u_final,
-            "aggregation_mode": report.final.mode,
-            "fallback_used": report.final.fallback_used,
-            "decomposer_fallback": report.decomposer_fallback,
-            "selected_k": report.selected_k,
-            "sentences": [
-                {
-                    "sentence_index": s.sentence_index,
-                    "text": s.text,
-                    "dominant": s.dominant,
-                    "gap": s.gap,
-                    "decision": s.decision,
-                    "units": list(s.units),
-                    "u_adaptive": s.u_adaptive,
-                }
-                for s in report.sentences
-            ],
-            "units": [
-                {
-                    "unit_id": u.unit_id,
-                    "text": u.text,
-                    "role": u.role,
-                    "sentence_index": u.sentence_index,
-                    "uncertainty": u.uncertainty,
-                    "memberships": list(u.memberships),
-                }
-                for u in report.units
-            ],
-            "clusters": [dataclasses.asdict(c) for c in report.clusters],
-            "timing": dataclasses.asdict(report.timing),
-            "meta": dict(report.meta),
-        }
-    )
+    for name, value in _to_json(report).items():
+        if name == "final":
+            line.update((key, value[attr]) for key, attr in _FINAL_KEYS)
+        elif name == "meta":
+            line[name] = dict(value)
+        elif name != "prompt_id":  # already written from the sample
+            line[name] = value
     return line
 
 
 def report_from_dict(line: dict) -> PromptReport:
     """Inverse of report_to_dict (the sample fields ride along untouched)."""
-    return PromptReport(
-        prompt_id=line["prompt_id"],
-        variant=line["variant"],
-        final=FinalScore(
-            u_final=line["u_final"],
-            mode=line["aggregation_mode"],
-            fallback_used=line["fallback_used"],
-        ),
-        sentences=tuple(
-            SentenceRecord(
-                sentence_index=s["sentence_index"],
-                text=s["text"],
-                dominant=s["dominant"],
-                gap=s["gap"],
-                decision=s["decision"],
-                units=tuple(s["units"]),
-                u_adaptive=s["u_adaptive"],
-            )
-            for s in line["sentences"]
-        ),
-        units=tuple(
-            UnitRecord(
-                unit_id=u["unit_id"],
-                text=u["text"],
-                role=u["role"],
-                sentence_index=u["sentence_index"],
-                uncertainty=u["uncertainty"],
-                memberships=tuple(u["memberships"]),
-            )
-            for u in line["units"]
-        ),
-        clusters=tuple(
-            ClusterSummary(
-                k=c["k"],
-                mass=c["mass"],
-                uncertainty=c["uncertainty"],
-                weight=c["weight"],
-            )
-            for c in line["clusters"]
-        ),
-        selected_k=line["selected_k"],
-        timing=TimingBreakdown(**line["timing"]),
-        decomposer_fallback=line["decomposer_fallback"],
-        meta=tuple(line["meta"].items()),
+    final = {attr: line[key] for key, attr in _FINAL_KEYS}
+    return _from_json(
+        PromptReport, dict(line, final=final, meta=list(line["meta"].items()))
     )
 
 
@@ -537,14 +499,10 @@ def run_many(
 
 def _sum_timing(reports: Sequence[PromptReport]) -> TimingBreakdown:
     return TimingBreakdown(
-        t_nli_ms=sum(r.timing.t_nli_ms for r in reports),
-        t_atom_ms=sum(r.timing.t_atom_ms for r in reports),
-        t_embed_ms=sum(r.timing.t_embed_ms for r in reports),
-        t_cluster_ms=sum(r.timing.t_cluster_ms for r in reports),
-        t_total_ms=sum(r.timing.t_total_ms for r in reports),
-        decomposer_calls=sum(r.timing.decomposer_calls for r in reports),
-        nli_pairs=sum(r.timing.nli_pairs for r in reports),
-        embed_calls=sum(r.timing.embed_calls for r in reports),
+        **{
+            name: sum(getattr(r.timing, name) for r in reports)
+            for name in _fields(TimingBreakdown)[0]
+        }
     )
 
 
@@ -597,9 +555,9 @@ def run_corpus(
     summary_dict = {
         "n_prompts": summary.n_prompts,
         "n_failed": summary.n_failed,
-        "failures": [dataclasses.asdict(x) for x in failures],
+        "failures": [_to_json(x) for x in failures],
         "scores": summary.scores,
-        "timing_totals": dataclasses.asdict(summary.timing_totals),
+        "timing_totals": _to_json(summary.timing_totals),
         "variant": config.variant,
     }
     (report_dir / "summary.json").write_text(

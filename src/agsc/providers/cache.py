@@ -2,25 +2,25 @@
 
 One cache file per provider, line-delimited JSON, loaded fully at open.
 Caching is transparent: wrapped providers return exactly what the inner
-provider would, they just skip repeated calls.
+provider would, they just skip repeated calls. A file whose last line was
+torn by a kill mid-append still opens: the fragment is skipped, logged,
+and cut off before the next record is appended.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import threading
 import unicodedata
 from pathlib import Path
 from typing import Sequence
 
-from .base import (
-    DecomposerProvider,
-    EmbeddingProvider,
-    EmbeddingVector,
-    NliLogits,
-    NliProvider,
-)
+from .base import EmbeddingVector, NliLogits
+
+logger = logging.getLogger(__name__)
 
 _SEP = "\x1f"
 
@@ -32,19 +32,40 @@ def content_key(*parts: str) -> str:
 
 
 class ResponseCache:
-    """Persistent key -> JSON value store with an append-only file backend."""
+    """Persistent key -> JSON value store with an append-only file backend.
+
+    A kill during put() can leave the file ending in a partial line. An
+    unparsable last line is skipped with a warning and cut off before the
+    next put(), so the new record starts on a fresh line; an unparsable
+    line anywhere else still raises.
+    """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._lock = threading.Lock()
         self._data: dict[str, object] = {}
+        self._torn_at: int | None = None  # byte offset of a torn last line
+        self._unterminated = False  # the last line parsed but lacks its newline
         if self._path.exists():
-            with open(self._path, encoding="utf-8") as f:
+            bad: ValueError | None = None
+            line, end = b"\n", 0
+            with open(self._path, "rb") as f:
                 for line in f:
+                    start, end = end, end + len(line)
                     if not line.strip():
                         continue
-                    rec = json.loads(line)
+                    if bad is not None:
+                        raise bad
+                    try:
+                        rec = json.loads(line)
+                    except ValueError as e:  # bad JSON or a cut UTF-8 sequence
+                        bad, self._torn_at = e, start
+                        continue
                     self._data[rec["k"]] = rec["v"]
+            if bad is not None:
+                logger.warning("%s: skipped unparsable last line (%s)", self._path, bad)
+            else:
+                self._unterminated = not line.endswith(b"\n")
         else:
             self._path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -58,77 +79,79 @@ class ResponseCache:
             if key in self._data:
                 return
             self._data[key] = value
+            if self._torn_at is not None:
+                os.truncate(self._path, self._torn_at)
             with open(self._path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
+                f.write(("\n" if self._unterminated else "") + line + "\n")
+            self._torn_at, self._unterminated = None, False
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
 
 
-class CachedNli:
+class _CachedProvider:
+    """Base of the caching wrappers: serves hits from the cache and sends
+    only the misses to the inner provider."""
+
+    def __init__(self, inner, cache: ResponseCache):
+        self._inner = inner
+        self._cache = cache
+
+    def _through(self, keys: Sequence[str], fetch, encode, decode) -> list:
+        """Results for `keys`, in order.
+
+        Each key is looked up once; fetch(indices) returns the inner
+        provider's results for the missed indices in one call, and each is
+        stored as encode(result). Hits are rebuilt with decode(value).
+        """
+        results: list = [None] * len(keys)
+        missing: list[int] = []
+        for i, key in enumerate(keys):
+            hit = self._cache.get(key)
+            if hit is None:
+                missing.append(i)
+            else:
+                results[i] = decode(hit)
+        if missing:
+            for i, value in zip(missing, fetch(missing)):
+                self._cache.put(keys[i], encode(value))
+                results[i] = value
+        return results
+
+
+class CachedNli(_CachedProvider):
     """NLI provider wrapper that serves repeated pairs from the cache."""
 
-    def __init__(self, inner: NliProvider, cache: ResponseCache):
-        self._inner = inner
-        self._cache = cache
-
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliLogits]:
-        results: list[NliLogits | None] = [None] * len(pairs)
-        missing: list[int] = []
-        for i, (premise, hypothesis) in enumerate(pairs):
-            hit = self._cache.get(content_key("nli", premise, hypothesis))
-            if hit is None:
-                missing.append(i)
-            else:
-                results[i] = NliLogits(*hit)
-        if missing:
-            fetched = self._inner.nli_batch([pairs[i] for i in missing])
-            for i, logits in zip(missing, fetched):
-                premise, hypothesis = pairs[i]
-                self._cache.put(
-                    content_key("nli", premise, hypothesis), list(logits.as_tuple())
-                )
-                results[i] = logits
-        return results  # type: ignore[return-value]
+        return self._through(
+            [content_key("nli", p, h) for p, h in pairs],
+            lambda missing: self._inner.nli_batch([pairs[i] for i in missing]),
+            lambda logits: list(logits.as_tuple()),
+            lambda hit: NliLogits(*hit),
+        )
 
 
-class CachedEmbedding:
+class CachedEmbedding(_CachedProvider):
     """Embedding provider wrapper that serves repeated texts from the cache."""
 
-    def __init__(self, inner: EmbeddingProvider, cache: ResponseCache):
-        self._inner = inner
-        self._cache = cache
-
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        results: list[EmbeddingVector | None] = [None] * len(texts)
-        missing: list[int] = []
-        for i, text in enumerate(texts):
-            hit = self._cache.get(content_key("embed", text))
-            if hit is None:
-                missing.append(i)
-            else:
-                results[i] = EmbeddingVector(tuple(hit))
-        if missing:
-            fetched = self._inner.embed_batch([texts[i] for i in missing])
-            for i, vec in zip(missing, fetched):
-                self._cache.put(content_key("embed", texts[i]), list(vec.values))
-                results[i] = vec
-        return results  # type: ignore[return-value]
+        return self._through(
+            [content_key("embed", t) for t in texts],
+            lambda missing: self._inner.embed_batch([texts[i] for i in missing]),
+            lambda vec: list(vec.values),
+            lambda hit: EmbeddingVector(tuple(hit)),
+        )
 
 
-class CachedDecomposer:
+class CachedDecomposer(_CachedProvider):
     """Decomposer wrapper that serves repeated sentences from the cache."""
 
-    def __init__(self, inner: DecomposerProvider, cache: ResponseCache):
-        self._inner = inner
-        self._cache = cache
-
     def decompose(self, sentence: str, prompt_context: str) -> list[str]:
-        key = content_key("decompose", sentence, prompt_context)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return list(hit)
-        facts = self._inner.decompose(sentence, prompt_context)
-        self._cache.put(key, list(facts))
+        (facts,) = self._through(
+            [content_key("decompose", sentence, prompt_context)],
+            lambda missing: [self._inner.decompose(sentence, prompt_context)],
+            list,
+            list,
+        )
         return facts

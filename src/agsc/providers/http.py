@@ -9,11 +9,14 @@ Wire contract (all bodies UTF-8 JSON):
     POST {endpoint}/chat   {"messages": [{"role": r, "content": s}, ...]}
                         -> {"text": s}   # one fact per line, "- " bullets
 
-Non-2xx responses and transport failures are retried with exponential
-backoff; after max_attempts the call raises ProviderError carrying the
-attempt count. Requests are chunked to batch_size and at most
-max_in_flight chunks are posted concurrently; outputs are reassembled in
-request order.
+Transport failures and 5xx, 408 and 429 responses are retried with
+exponential backoff; after max_attempts the call raises ProviderError
+carrying the attempt count. Any other 4xx fails at once, since a retry
+cannot fix it. A 2xx body that is not a JSON object, or whose fields do
+not parse into finite numbers of the right shape, raises ProtocolError,
+so one bad response fails one prompt, never a corpus run. Requests are
+chunked to batch_size and at most max_in_flight chunks are posted
+concurrently; outputs are reassembled in request order.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Sequence
 
 import requests
@@ -34,6 +38,17 @@ from .base import (
     ProviderError,
 )
 from .decompose import build_decompose_messages, parse_fact_lines
+
+_RETRYABLE_4XX = (408, 429)
+
+
+@contextmanager
+def _malformed(what: str):
+    """Turn a parse or validation failure of a response into ProtocolError."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ProtocolError(f"{what} response malformed: {e}") from e
 
 
 class _HttpClient:
@@ -61,11 +76,21 @@ class _HttpClient:
                 resp = self._session.post(
                     url, json=body, headers=self._headers(), timeout=timeout_s
                 )
-                if 200 <= resp.status_code < 300:
-                    return resp.json()
-                last_error = f"HTTP {resp.status_code}"
             except requests.RequestException as e:
                 last_error = str(e)
+            else:
+                status = resp.status_code
+                if 200 <= status < 300:
+                    with _malformed(f"POST {url}"):
+                        data = resp.json()
+                    if not isinstance(data, dict):
+                        raise ProtocolError(f"POST {url}: response is not a JSON object")
+                    return data
+                last_error = f"HTTP {status}"
+                if 400 <= status < 500 and status not in _RETRYABLE_4XX:
+                    raise ProviderError(
+                        f"POST {url} failed: {last_error}", attempts=attempt
+                    )
             if attempt < retry.max_attempts:
                 time.sleep(retry.base_backoff_ms * (2 ** (attempt - 1)) / 1000.0)
         raise ProviderError(
@@ -111,7 +136,8 @@ class HttpNliProvider(_HttpClient):
         for row in logits:
             if not isinstance(row, list) or len(row) != 3:
                 raise ProtocolError(f"NLI logits row malformed: {row!r}")
-            out.append(NliLogits(float(row[0]), float(row[1]), float(row[2])))
+            with _malformed("NLI"):
+                out.append(NliLogits(float(row[0]), float(row[1]), float(row[2])))
         return out
 
 
@@ -135,21 +161,22 @@ class HttpEmbeddingProvider(_HttpClient):
             raise ProtocolError(
                 f"embed response arity mismatch: sent {len(chunk)} texts, got {got}"
             )
-        dim = data.get("dim", len(vectors[0]) if vectors else 0)
-        with self._dim_lock:
-            if self._dim is None:
-                self._dim = dim
-            elif dim != self._dim:
-                raise ProtocolError(
-                    f"embedding dimension drift: expected {self._dim}, got {dim}"
-                )
-        out = []
-        for vec in vectors:
-            if len(vec) != dim:
-                raise ProtocolError(
-                    f"embedding vector length {len(vec)} != reported dim {dim}"
-                )
-            out.append(EmbeddingVector(tuple(float(v) for v in vec)))
+        with _malformed("embed"):
+            dim = data.get("dim", len(vectors[0]) if vectors else 0)
+            with self._dim_lock:
+                if self._dim is None:
+                    self._dim = dim
+                elif dim != self._dim:
+                    raise ProtocolError(
+                        f"embedding dimension drift: expected {self._dim}, got {dim}"
+                    )
+            out = []
+            for vec in vectors:
+                if len(vec) != dim:
+                    raise ProtocolError(
+                        f"embedding vector length {len(vec)} != reported dim {dim}"
+                    )
+                out.append(EmbeddingVector(tuple(float(v) for v in vec)))
         return out
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import TextUnit, split_sentences
+from .corpus import split_sentences
 from .providers import NliLogits, NliProvider
 
 REFERENCE_PREMISE = "reference_premise"
@@ -88,19 +88,6 @@ class NliDistribution:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_entail, self.p_contradict, self.p_neutral)
-
-
-@dataclass(frozen=True)
-class SupportScore:
-    """Entailment support of one unit: per-reference scores and their mean."""
-
-    unit_id: str
-    support: float
-    per_reference: tuple[float, ...]
-
-    @property
-    def uncertainty(self) -> float:
-        return 1.0 - self.support
 
 
 def make_chunks(
@@ -197,17 +184,6 @@ def _pair(unit_text: str, chunk_text: str, direction: str) -> tuple[str, str]:
     return (unit_text, chunk_text)
 
 
-def chunk_logits(
-    unit_text: str,
-    chunks: Sequence[Chunk],
-    config: ScoringConfig,
-    nli: NliProvider,
-) -> list[NliLogits]:
-    """Fetch NLI logits of one unit against every chunk, order-aligned."""
-    pairs = [_pair(unit_text, c.text, config.nli_direction) for c in chunks]
-    return nli.nli_batch(pairs)
-
-
 def max_binary_entail(logits_per_chunk: Sequence[NliLogits]) -> float:
     """Best binary-normalized entailment across a reference's chunks."""
     if not logits_per_chunk:
@@ -238,60 +214,6 @@ def routing_distribution(
         if key(d) > key(best):
             best = d
     return best
-
-
-def pair_entail(
-    unit: TextUnit, reference: str, config: ScoringConfig, nli: NliProvider
-) -> float:
-    """Entailment of one unit by one reference: best chunk wins."""
-    chunks = make_chunks(reference, config)
-    return max_binary_entail(chunk_logits(unit.text, chunks, config, nli))
-
-
-def support(
-    unit: TextUnit,
-    references: Sequence[str],
-    config: ScoringConfig,
-    nli: NliProvider,
-) -> SupportScore:
-    """Mean entailment of one unit across all references."""
-    if not references:
-        raise ValueError("support requires at least one reference")
-    per_ref = tuple(pair_entail(unit, r, config, nli) for r in references)
-    return SupportScore(
-        unit_id=unit.unit_id,
-        support=math.fsum(per_ref) / len(per_ref),
-        per_reference=per_ref,
-    )
-
-
-def unit_uncertainty(score: SupportScore) -> float:
-    """Uncertainty of a unit: one minus its entailment support."""
-    return 1.0 - score.support
-
-
-def reference_distribution(
-    unit_text: str, reference: str, config: ScoringConfig, nli: NliProvider
-) -> NliDistribution:
-    """Three-class distribution of one unit against one reference."""
-    chunks = make_chunks(reference, config)
-    logits = chunk_logits(unit_text, chunks, config, nli)
-    return routing_distribution(logits, config.routing_chunk_agg)
-
-
-def avg_distribution(
-    sentence_text: str,
-    references: Sequence[str],
-    config: ScoringConfig,
-    nli: NliProvider,
-) -> NliDistribution:
-    """Per-reference distributions averaged component-wise."""
-    if not references:
-        raise ValueError("avg_distribution requires at least one reference")
-    dists = [
-        reference_distribution(sentence_text, r, config, nli) for r in references
-    ]
-    return mean_distribution(dists)
 
 
 @dataclass(frozen=True)
@@ -379,10 +301,3 @@ class ReferenceSet:
                 )
             )
         return out
-
-    @property
-    def n_references(self) -> int:
-        return len(self.chunks)
-
-    def pairs_per_unit(self) -> int:
-        return sum(len(c) for c in self.chunks)

@@ -11,6 +11,8 @@ from agsc.config import (
     load_config,
     parse_config_text,
 )
+from agsc.pipeline import build_providers
+from agsc.providers import FixedLatencyDecomposer, RuleBasedDecomposer
 
 
 class TestDefaults:
@@ -75,6 +77,28 @@ class TestOverrides:
             parse_config_text("clustering.mode = none\n")
         cfg = parse_config_text("clustering.mode = none\naggregation.mode = uniform\n")
         assert cfg.clustering_mode == "none"
+
+
+class TestProviderKeys:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "providers.nli.mock_latency_ms",
+            "providers.embed.mock_latency_ms",
+            "clustering.unit_source",
+        ],
+    )
+    def test_keys_no_code_reads_are_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = 5\n")
+
+    def test_decomposer_mock_latency_wraps_decomposer(self):
+        plain = build_providers(default_config())
+        assert isinstance(plain.decomposer, RuleBasedDecomposer)
+        cfg = parse_config_text("providers.decompose.mock_latency_ms = 5\n")
+        decomposer = build_providers(cfg).decomposer
+        assert isinstance(decomposer, FixedLatencyDecomposer)
+        assert decomposer.latency_ms == 5.0
 
 
 class TestRoundTrip:

@@ -8,6 +8,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import marker_nli_rule, marker_providers, marker_sample
+from agsc import default_config
+from agsc.evaluation import apply_variant
+from agsc.pipeline import PromptFailure, PromptReport, run_many
 from agsc.providers import (
     HttpDecomposerProvider,
     HttpEmbeddingProvider,
@@ -39,11 +43,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
             if state["fail_next"] > 0:
                 state["fail_next"] -= 1
-                self.send_response(500)
+                self.send_response(state["fail_status"])
                 self.end_headers()
                 return
             response = state["respond"](self.path, body)
-        payload = json.dumps(response).encode("utf-8")
+        payload = response if isinstance(response, bytes) else json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -76,9 +80,12 @@ def server():
         "lock": threading.Lock(),
         "requests": [],
         "fail_next": 0,
+        "fail_status": 500,
         "respond": _echo_nli,
     }
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield srv
@@ -130,6 +137,39 @@ class TestHttpNli:
             client.nli_batch([("aa", "b")])
         assert exc.value.attempts == 3
         assert not isinstance(exc.value, ProtocolError)
+
+    def test_unfixable_4xx_fails_fast(self, server):
+        server.state["fail_next"] = 99
+        server.state["fail_status"] = 401
+        client = HttpNliProvider(_config(server))
+        with pytest.raises(ProviderError, match="HTTP 401") as exc:
+            client.nli_batch([("aa", "b")])
+        assert exc.value.attempts == 1
+        assert len(server.state["requests"]) == 1
+
+    def test_rate_limit_is_retried(self, server):
+        server.state["fail_next"] = 1
+        server.state["fail_status"] = 429
+        client = HttpNliProvider(_config(server))
+        assert client.nli_batch([("aa", "b")])[0].entail == 2.0
+        assert len(server.state["requests"]) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<html>upstream error</html>",  # not JSON
+            b"[1, 2, 3]",  # JSON, not an object
+            b'{"logits": [[NaN, 0.0, 0.0]]}',
+            b'{"logits": [["high", 0.0, 0.0]]}',
+            b'{"logits": [[null, 0.0, 0.0]]}',
+        ],
+    )
+    def test_bad_payload_is_protocol_error(self, server, body):
+        server.state["respond"] = lambda path, req: body
+        client = HttpNliProvider(_config(server))
+        with pytest.raises(ProtocolError):
+            client.nli_batch([("a", "b")])
+        assert len(server.state["requests"]) == 1
 
     def test_arity_mismatch_is_protocol_error(self, server):
         server.state["respond"] = lambda path, body: {"logits": [[1.0, 0.0, 0.0]]}
@@ -185,6 +225,21 @@ class TestHttpEmbedding:
             client.embed_batch(["abc"])
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"vectors": [[1.0, NaN, 0.0]], "dim": 3}',
+            b'{"vectors": [[1.0, "x", 0.0]], "dim": 3}',
+            b'{"vectors": [7], "dim": 1}',
+        ],
+    )
+    def test_bad_vector_is_protocol_error(self, server, body):
+        server.state["respond"] = lambda path, req: body
+        client = HttpEmbeddingProvider(_config(server))
+        with pytest.raises(ProtocolError):
+            client.embed_batch(["abc"])
+
+
 class TestHttpDecomposer:
     def test_parses_fact_lines(self, server):
         client = HttpDecomposerProvider(_config(server))
@@ -201,3 +256,29 @@ class TestHttpDecomposer:
         client = HttpDecomposerProvider(_config(server))
         with pytest.raises(ProtocolError):
             client.decompose("Sentence.", "topic")
+
+
+def test_bad_response_fails_one_prompt_not_the_run(server):
+    """A NaN logit for one prompt's pairs yields a PromptFailure for that
+    prompt only; the other prompt is still scored."""
+
+    def respond(path, body):
+        rows = []
+        for pair in body["pairs"]:
+            if "poisoned" in pair["premise"] + pair["hypothesis"]:
+                rows.append([float("nan"), 0.0, 0.0])
+            else:
+                rows.append(list(marker_nli_rule(pair["premise"], pair["hypothesis"])))
+        return {"logits": rows}
+
+    server.state["respond"] = respond
+    good = marker_sample("good", ["alpha", "omega"])
+    bad = marker_sample("bad", ["alpha", "poisoned alpha"], topic_index=1)
+    providers = marker_providers()
+    providers.nli = HttpNliProvider(_config(server))
+    config = apply_variant(default_config(), "luq_sentence")
+    results = run_many([good, bad], config, providers)
+    assert isinstance(results[0], PromptReport)
+    assert isinstance(results[1], PromptFailure)
+    assert results[1].prompt_id == "bad"
+    assert "malformed" in results[1].error

@@ -7,25 +7,28 @@ import random
 
 import pytest
 
-from agsc.corpus import Sentence, TextUnit
 from agsc.providers import NliLogits, ScriptedNliProvider
 from agsc.scoring import (
     ReferenceSet,
     ScoringConfig,
-    avg_distribution,
     binary_entail,
     make_chunks,
-    pair_entail,
-    reference_distribution,
-    support,
+    mean_distribution,
+    routing_distribution,
     three_class_softmax,
     weighted_neutral_entail,
 )
 
 
-def unit(text: str) -> TextUnit:
-    origin = Sentence(response_index=0, sentence_index=0, text=text)
-    return TextUnit(unit_id="u0", origin=origin, role="sentence", text=text)
+def score_one(text: str, references: list[str], config: ScoringConfig, nli):
+    """Scores of one unit against `references`, through ReferenceSet."""
+    (scores,) = ReferenceSet(references, config, nli).score_units([text])
+    return scores
+
+
+def chunk_logits(text: str, reference: str, config: ScoringConfig, nli) -> list[NliLogits]:
+    """Logits of one unit against each chunk of `reference` (chunk as premise)."""
+    return nli.nli_batch([(c.text, text) for c in make_chunks(reference, config)])
 
 
 def logits_for_binary(score: float) -> tuple[float, float, float]:
@@ -177,44 +180,43 @@ def scripted_for_chunks(
 
 
 class TestPairEntail:
-    # Three sentences short enough that budget 40 puts each in its own chunk.
+    # Three sentences short enough that budget 30 puts each in its own chunk.
     SENTS = ["First chunk fact here.", "Second chunk fact here.", "Third chunk fact."]
     CFG = ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
+
+    def entail(self, ref, config, nli) -> float:
+        return score_one("The claim.", [ref], config, nli).per_reference[0]
 
     def test_max_over_chunks(self):
         ref = " ".join(self.SENTS)
         chunks = make_chunks(ref, self.CFG)
         assert len(chunks) == 3
-        u = unit("The claim.")
         nli = scripted_for_chunks(
             "The claim.",
             [c.text for c in chunks],
             [logits_for_binary(0.3), logits_for_binary(0.9), logits_for_binary(0.5)],
         )
-        assert abs(pair_entail(u, ref, self.CFG, nli) - 0.9) < 1e-12
+        assert abs(self.entail(ref, self.CFG, nli) - 0.9) < 1e-12
 
     def test_single_chunk_identity(self):
         ref = "Only one sentence here."
-        u = unit("The claim.")
         nli = ScriptedNliProvider(script={(ref, "The claim."): (1.5, -0.5, 0.2)})
-        got = pair_entail(u, ref, ScoringConfig(), nli)
+        got = self.entail(ref, ScoringConfig(), nli)
         assert got == binary_entail(NliLogits(1.5, -0.5, 0.2))
 
     def test_specific_chunk_supports(self):
         ref = " ".join(self.SENTS)
         chunks = make_chunks(ref, self.CFG)
-        u = unit("The claim.")
         nli = scripted_for_chunks(
             "The claim.",
             [c.text for c in chunks],
             [logits_for_binary(0.1), logits_for_binary(0.97), logits_for_binary(0.2)],
         )
-        got = pair_entail(u, ref, self.CFG, nli)
+        got = self.entail(ref, self.CFG, nli)
         assert abs(got - 0.97) < 1e-12
 
     def test_direction_switch(self):
         ref = "Only one sentence here."
-        u = unit("The claim.")
         nli = ScriptedNliProvider(
             script={
                 (ref, "The claim."): logits_for_binary(0.9),
@@ -222,30 +224,29 @@ class TestPairEntail:
             },
             default=(0.0, 0.0, 0.0),
         )
-        fwd = pair_entail(u, ref, ScoringConfig(nli_direction="reference_premise"), nli)
-        rev = pair_entail(u, ref, ScoringConfig(nli_direction="unit_premise"), nli)
+        fwd = self.entail(ref, ScoringConfig(nli_direction="reference_premise"), nli)
+        rev = self.entail(ref, ScoringConfig(nli_direction="unit_premise"), nli)
         assert abs(fwd - 0.9) < 1e-12
         assert abs(rev - 0.2) < 1e-12
 
     def test_monotone_in_any_chunk_entail_logit(self):
         ref = " ".join(self.SENTS)
         chunks = make_chunks(ref, self.CFG)
-        u = unit("The claim.")
         rng = random.Random(21)
         for _ in range(50):
             triples = [
                 tuple(rng.uniform(-4, 4) for _ in range(3)) for _ in chunks
             ]
-            base = pair_entail(
-                u, ref, self.CFG,
+            base = self.entail(
+                ref, self.CFG,
                 scripted_for_chunks("The claim.", [c.text for c in chunks], triples),
             )
             j = rng.randrange(len(chunks))
             bumped = list(triples)
             le, lc, ln = bumped[j]
             bumped[j] = (le + rng.uniform(0.1, 2.0), lc, ln)
-            higher = pair_entail(
-                u, ref, self.CFG,
+            higher = self.entail(
+                ref, self.CFG,
                 scripted_for_chunks("The claim.", [c.text for c in chunks], bumped),
             )
             assert higher >= base - 1e-15
@@ -260,14 +261,14 @@ class TestSupport:
     def test_all_supported(self):
         refs = [f"Ref number {i} sentence." for i in range(4)]
         nli = self._nli_per_reference("Claim.", refs, [1.0, 1.0, 1.0, 1.0])
-        s = support(unit("Claim."), refs, ScoringConfig(), nli)
+        s = score_one("Claim.", refs, ScoringConfig(), nli)
         assert s.support == 1.0
         assert s.uncertainty == 0.0
 
     def test_mixed_scores(self):
         refs = [f"Ref number {i} sentence." for i in range(4)]
         nli = self._nli_per_reference("Claim.", refs, [0.8, 0.6, 1.0, 0.6])
-        s = support(unit("Claim."), refs, ScoringConfig(), nli)
+        s = score_one("Claim.", refs, ScoringConfig(), nli)
         assert abs(s.support - 0.75) < 1e-12
         assert abs(s.uncertainty - 0.25) < 1e-12
         assert len(s.per_reference) == 4
@@ -275,7 +276,7 @@ class TestSupport:
     def test_fully_contradicted(self):
         refs = ["Ref zero sentence.", "Ref one sentence."]
         nli = self._nli_per_reference("Claim.", refs, [0.0, 0.0])
-        s = support(unit("Claim."), refs, ScoringConfig(), nli)
+        s = score_one("Claim.", refs, ScoringConfig(), nli)
         assert s.support == 0.0
         assert s.uncertainty == 1.0
 
@@ -283,21 +284,21 @@ class TestSupport:
         refs = [f"Ref number {i} sentence." for i in range(5)]
         scores = [0.1, 0.9, 0.4, 0.7, 0.3]
         nli = self._nli_per_reference("Claim.", refs, scores)
-        s1 = support(unit("Claim."), refs, ScoringConfig(), nli)
+        s1 = score_one("Claim.", refs, ScoringConfig(), nli)
         shuffled = [refs[i] for i in (3, 0, 4, 1, 2)]
-        s2 = support(unit("Claim."), shuffled, ScoringConfig(), nli)
+        s2 = score_one("Claim.", shuffled, ScoringConfig(), nli)
         assert abs(s1.support - s2.support) < 1e-12
 
     def test_zero_references_rejected(self):
         with pytest.raises(ValueError):
-            support(unit("Claim."), [], ScoringConfig(), ScriptedNliProvider())
+            ReferenceSet([], ScoringConfig(), ScriptedNliProvider())
 
 
 class TestReferenceDistribution:
     def test_flat_logits(self):
         ref = "Only one sentence here."
         nli = ScriptedNliProvider(script={(ref, "Claim."): (1.0, 1.0, 1.0)})
-        d = reference_distribution("Claim.", ref, ScoringConfig(), nli)
+        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution
         assert abs(d.p_entail - 1 / 3) < 1e-12
 
     def test_most_polarized_chunk_wins(self):
@@ -309,7 +310,7 @@ class TestReferenceDistribution:
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(0.0, 0.0, 3.0), (0.0, 3.0, 0.0)]
         )
-        d = reference_distribution("Claim.", ref, cfg, nli)
+        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
         expected = three_class_softmax(NliLogits(0.0, 3.0, 0.0))
         assert d == expected
 
@@ -320,13 +321,13 @@ class TestReferenceDistribution:
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(3.0, 0.0, 0.0), (0.0, 3.0, 0.0)]
         )
-        d = reference_distribution("Claim.", ref, cfg, nli)
+        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
         assert d == three_class_softmax(NliLogits(3.0, 0.0, 0.0))
 
     def test_softmax_example(self):
         ref = "Only one sentence here."
         nli = ScriptedNliProvider(script={(ref, "Claim."): (2.0, 0.0, 0.0)})
-        d = reference_distribution("Claim.", ref, ScoringConfig(), nli)
+        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution
         assert abs(d.p_entail - 0.7870) < 5e-5
         assert abs(d.p_contradict - 0.1065) < 5e-5
 
@@ -339,7 +340,7 @@ class TestReferenceDistribution:
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(1000.0, 0.0, 0.0), (0.0, 1000.0, 0.0)]
         )
-        d = reference_distribution("Claim.", ref, cfg, nli)
+        d = score_one("Claim.", [ref], cfg, nli).distribution
         assert abs(d.p_entail - 0.5) < 1e-9
         assert abs(d.p_contradict - 0.5) < 1e-9
 
@@ -353,16 +354,20 @@ class TestAvgDistribution:
                 (refs[1], "Claim."): (0.0, 0.0, 1000.0),
             }
         )
-        d = avg_distribution("Claim.", refs, ScoringConfig(), nli)
+        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution
         assert abs(d.p_entail - 0.5) < 1e-9
         assert d.p_contradict < 1e-12
         assert abs(d.p_neutral - 0.5) < 1e-9
 
     def test_single_reference_identity(self):
+        # The mean over one reference reproduces that reference's routing
+        # distribution exactly for this triple (not for every triple: the
+        # renormalization in mean_distribution can move the last ulp).
         ref = "Ref zero sentence."
+        cfg = ScoringConfig()
         nli = ScriptedNliProvider(script={(ref, "Claim."): (0.3, -0.8, 1.1)})
-        d1 = avg_distribution("Claim.", [ref], ScoringConfig(), nli)
-        d2 = reference_distribution("Claim.", ref, ScoringConfig(), nli)
+        d1 = score_one("Claim.", [ref], cfg, nli).distribution
+        d2 = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
         assert d1 == d2
 
     def test_four_reference_mean(self):
@@ -371,7 +376,7 @@ class TestAvgDistribution:
         nli = ScriptedNliProvider(
             script={(r, "Claim."): t for r, t in zip(refs, triples)}
         )
-        d = avg_distribution("Claim.", refs, ScoringConfig(), nli)
+        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution
         per_ref = [three_class_softmax(NliLogits(*t)) for t in triples]
         for got, idx in zip(d.as_tuple(), range(3)):
             expected = sum(p.as_tuple()[idx] for p in per_ref) / 4.0
@@ -390,11 +395,18 @@ class TestReferenceSet:
         refset = ReferenceSet(refs, cfg, nli)
         batch = refset.score_units(texts)
         for text, scores in zip(texts, batch):
-            s = support(unit(text), refs, cfg, nli)
-            d = avg_distribution(text, refs, cfg, nli)
-            assert abs(scores.support - s.support) < 1e-12
-            assert scores.per_reference == s.per_reference
-            assert scores.distribution == d
+            # Independent reference: best chunk per reference, mean over
+            # references; the most polarized chunk (earliest on ties) per
+            # reference, averaged.
+            per_ref, dists = [], []
+            for r in refs:
+                logits = chunk_logits(text, r, cfg, nli)
+                per_ref.append(max(binary_entail(l) for l in logits))
+                soft = [three_class_softmax(l) for l in logits]
+                dists.append(max(soft, key=lambda d: d.p_entail + d.p_contradict))
+            assert abs(scores.support - math.fsum(per_ref) / len(per_ref)) < 1e-12
+            assert scores.per_reference == tuple(per_ref)
+            assert scores.distribution == mean_distribution(dists)
 
     def test_empty_unit_list(self):
         refs = ["Ref zero sentence."]
