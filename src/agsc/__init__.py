@@ -10,7 +10,19 @@ weights into one score per prompt.
 The package root exports only the entry points a driver needs to load a
 dataset and configure a run; everything else is imported from its module
 (`agsc.pipeline`, `agsc.providers`, `agsc.scoring`, ...).
+
+Importing the package pins OpenBLAS and MKL to one thread unless the
+caller already set `OPENBLAS_NUM_THREADS` or `MKL_NUM_THREADS`. The
+library's matrices are tiny (tens of points in 32 dimensions), so a BLAS
+thread pool only spins; and numpy and scipy each start their own. The pin
+works only if numpy is not yet imported when `agsc` is. `OMP_NUM_THREADS`
+belongs to the host process and is left alone.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .config import default_config
 from .corpus import SampleSet, load_dataset

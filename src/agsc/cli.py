@@ -1,6 +1,7 @@
 """Command-line surface: score a dataset, evaluate reports, inspect routing.
 
-Exit codes: 0 success, 2 configuration error, 3 dataset or report error.
+Exit codes: 0 success, 2 configuration error, 3 dataset, cache or report
+error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .evaluation import (
     comparison_table,
 )
 from .pipeline import build_providers, report_from_dict, run_corpus
+from .providers import CacheCorruptError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +59,9 @@ def _cmd_score(args) -> int:
         config = dataclasses.replace(config, report_dir=args.out)
         config = apply_variant(config, config.variant)
         providers = build_providers(config)
+    except CacheCorruptError as e:
+        print(f"cache error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -65,7 +70,10 @@ def _cmd_score(args) -> int:
     except (DatasetError, OSError) as e:
         print(f"dataset error: {e}", file=sys.stderr)
         return EXIT_DATA
-    reports, summary = run_corpus(samples, config, providers)
+    try:
+        reports, summary = run_corpus(samples, config, providers)
+    finally:
+        providers.close()
     print(
         f"scored {len(reports)}/{summary.n_prompts} prompts "
         f"({summary.n_failed} failed) -> {args.out}"

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 _EMPTY_COMPONENT_MASS = 1e-10
 
@@ -128,6 +127,8 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     d2 = np.sum((data - centers[0]) ** 2, axis=1)
     for i in range(1, k):
         total = d2.sum()
+        if not math.isfinite(total):
+            raise NumericalError("non-finite squared distance in k-means++")
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
@@ -138,21 +139,32 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _log_gaussian_prob(data: np.ndarray, params: GmmParams) -> np.ndarray:
-    """log N(x | mu_k, Sigma_k) for every point and component, via Cholesky."""
+    """log N(x | mu_k, Sigma_k) for every point and component, via Cholesky.
+
+    All K covariances are factored in one stacked call; the log-determinants
+    come from the stacked factor diagonals.
+    """
     n, dim = data.shape
     k = params.n_components
+    try:
+        chol = np.linalg.cholesky(params.covariances)
+    except np.linalg.LinAlgError:
+        # Only the error path factors the components one by one to name j.
+        for j, cov in enumerate(params.covariances):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError as e:
+                raise NumericalError(f"component {j} covariance not PD") from e
+        raise
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     log_prob = np.empty((n, k), dtype=np.float64)
     const = dim * math.log(2.0 * math.pi)
     for j in range(k):
-        try:
-            chol = np.linalg.cholesky(params.covariances[j])
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(f"component {j} covariance not PD") from e
         dev = data - params.means[j]
-        sol = solve_triangular(chol, dev.T, lower=True)
+        # fit_gmm and select_k reject non-finite data at entry.
+        sol = solve_triangular(chol[j], dev.T, lower=True, check_finite=False)
         maha = np.sum(sol * sol, axis=0)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        log_prob[:, j] = -0.5 * (const + log_det + maha)
+        log_prob[:, j] = -0.5 * (const + log_det[j] + maha)
     return log_prob
 
 
@@ -160,7 +172,16 @@ def _e_step(
     data: np.ndarray, params: GmmParams
 ) -> tuple[np.ndarray, float, np.ndarray]:
     weighted = _log_gaussian_prob(data, params) + np.log(params.weights)
-    point_ll = logsumexp(weighted, axis=1)
+    # Row-wise log-sum-exp with scipy.special.logsumexp's arithmetic: the
+    # row maxima leave the sum and come back through log1p and the log of
+    # their count, so each value is bit-identical to scipy's.
+    top = weighted.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():  # the shift below would turn it into NaN
+        raise NumericalError("non-finite log-likelihood in E-step")
+    at_top = weighted == top
+    ties = at_top.sum(axis=1, dtype=np.float64)
+    rest = np.exp(np.where(at_top, -np.inf, weighted - top)).sum(axis=1)
+    point_ll = np.log1p(rest / ties) + np.log(ties) + top[:, 0]
     log_likelihood = float(point_ll.sum())
     if not math.isfinite(log_likelihood):
         raise NumericalError("non-finite log-likelihood in E-step")
@@ -189,10 +210,9 @@ def _m_step(
 
     weights = mass / mass.sum()
     means = (gamma.T @ data) / mass[:, None]
-    covariances = np.empty((gamma.shape[1], dim, dim), dtype=np.float64)
-    for j in range(gamma.shape[1]):
-        dev = data - means[j]
-        covariances[j] = (gamma[:, j, None] * dev).T @ dev / mass[j] + reg
+    devs = data[None, :, :] - means[:, None, :]  # (K, N, D)
+    weighted_devs = gamma.T[:, :, None] * devs
+    covariances = weighted_devs.transpose(0, 2, 1) @ devs / mass[:, None, None] + reg
     return GmmParams(weights=weights, means=means, covariances=covariances)
 
 
@@ -231,6 +251,13 @@ def _fit_single(
     )
 
 
+def _finite_points(data) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise NumericalError("data contains a non-finite value")
+    return data
+
+
 def _fit_k1(data: np.ndarray, cov_reg: float) -> GmmFit:
     n, dim = data.shape
     mean = data.mean(axis=0)
@@ -262,7 +289,7 @@ def fit_gmm(
     cov_reg to every covariance diagonal and stops once the mean
     per-point log-likelihood gain drops below em_tol. K=1 is closed form.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _finite_points(data)
     n = data.shape[0]
     if k > n:
         raise ValueError(f"cannot fit {k} components on {n} points")
@@ -307,7 +334,7 @@ def select_k(data: np.ndarray, config: ClusteringConfig) -> SelectionResult:
     otherwise it stops. Two points or fewer get the trivial single
     cluster with unit responsibilities.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _finite_points(data)
     n = data.shape[0]
     if n <= 2:
         fit = _fit_k1(data, config.cov_reg)

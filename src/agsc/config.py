@@ -38,8 +38,8 @@ class ProviderSpec:
 
     kind: str = "mock"  # "mock" | "http"
     transport: ProviderConfig = field(default_factory=ProviderConfig)
-    mock_seed: int = 0
-    mock_dim: int = 64
+    mock_seed: int = 0  # NLI mocks only
+    mock_dim: int = 64  # embedding mocks only
     mock_latency_ms: float = 0.0  # decomposer mocks only
 
     def __post_init__(self) -> None:
@@ -146,9 +146,10 @@ for _prov in ("nli", "embed", "decompose"):
     _KEYS[f"providers.{_prov}.timeout_ms"] = ((_prov, "transport", "timeout_ms"), "int")
     _KEYS[f"providers.{_prov}.retry.max_attempts"] = ((_prov, "transport", "retry", "max_attempts"), "int")
     _KEYS[f"providers.{_prov}.retry.base_backoff_ms"] = ((_prov, "transport", "retry", "base_backoff_ms"), "int")
-    _KEYS[f"providers.{_prov}.mock_seed"] = ((_prov, "mock_seed"), "int")
-    _KEYS[f"providers.{_prov}.mock_dim"] = ((_prov, "mock_dim"), "int")
 
+# Mock settings only where _build_nli, _build_embedder and _build_decomposer read them.
+_KEYS["providers.nli.mock_seed"] = (("nli", "mock_seed"), "int")
+_KEYS["providers.embed.mock_dim"] = (("embed", "mock_dim"), "int")
 _KEYS["providers.decompose.mock_latency_ms"] = (("decompose", "mock_latency_ms"), "float")
 
 _PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}

@@ -41,7 +41,7 @@ from .aggregation import (
     aggregate_uniform,
     all_skip_fallback,
 )
-from .clustering import kmeans_hard, reduce_embeddings, select_k
+from .clustering import NumericalError, kmeans_hard, reduce_embeddings, select_k
 from .config import (
     CLUSTER_KMEANS,
     CLUSTER_NONE,
@@ -154,6 +154,12 @@ class ProviderBundle:
     nli: NliProvider
     embedder: EmbeddingProvider
     decomposer: DecomposerProvider
+    caches: tuple[ResponseCache, ...] = ()  # opened by build_providers
+
+    def close(self) -> None:
+        """Release the append handles of the bundle's response caches."""
+        for cache in self.caches:
+            cache.close()
 
 
 class _Meter:
@@ -204,14 +210,18 @@ def build_providers(config: PipelineConfig) -> ProviderBundle:
     nli = _build_nli(config.nli)
     embedder = _build_embedder(config.embed)
     decomposer = _build_decomposer(config.decompose)
-    if config.cache_dir:
-        cache_dir = Path(config.cache_dir)
-        nli = CachedNli(nli, ResponseCache(cache_dir / "nli.jsonl"))
-        embedder = CachedEmbedding(embedder, ResponseCache(cache_dir / "embed.jsonl"))
-        decomposer = CachedDecomposer(
-            decomposer, ResponseCache(cache_dir / "decompose.jsonl")
-        )
-    return ProviderBundle(nli=nli, embedder=embedder, decomposer=decomposer)
+    if not config.cache_dir:
+        return ProviderBundle(nli=nli, embedder=embedder, decomposer=decomposer)
+    caches = tuple(
+        ResponseCache(Path(config.cache_dir) / name)
+        for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
+    )
+    return ProviderBundle(
+        nli=CachedNli(nli, caches[0]),
+        embedder=CachedEmbedding(embedder, caches[1]),
+        decomposer=CachedDecomposer(decomposer, caches[2]),
+        caches=caches,
+    )
 
 
 def _build_nli(spec: ProviderSpec) -> NliProvider:
@@ -250,8 +260,9 @@ def run_prompt(
     """Score one sample set end to end.
 
     With identical config, seed, and provider outputs the report is
-    bit-identical across runs. Provider failures propagate as
-    ProviderError; the corpus runner turns them into failure records.
+    bit-identical across runs. Failures propagate as ProviderError,
+    PipelineError or NumericalError; run_many turns them into failure
+    records.
     """
     meter = _Meter(providers, timed=config.timing == TIMING_WALL)
     t0 = time.perf_counter() if meter.timed else 0.0
@@ -481,12 +492,16 @@ def run_many(
     providers: ProviderBundle,
     debug_sink=None,
 ) -> list[PromptReport | PromptFailure]:
-    """Score prompts over a bounded worker pool, preserving dataset order."""
+    """Score prompts over a bounded worker pool, preserving dataset order.
+
+    A prompt that fails with a provider, pipeline or numerical error
+    becomes a PromptFailure; the other prompts still run.
+    """
 
     def one(sample: SampleSet):
         try:
             return run_prompt(sample, config, providers, debug_sink=debug_sink)
-        except ProviderError as e:
+        except (ProviderError, PipelineError, NumericalError) as e:
             logger.warning("prompt %s failed: %s", sample.prompt_id, e)
             return PromptFailure(prompt_id=sample.prompt_id, error=str(e))
 

@@ -12,6 +12,7 @@ from .base import (
     RetryPolicy,
 )
 from .cache import (
+    CacheCorruptError,
     CachedDecomposer,
     CachedEmbedding,
     CachedNli,
@@ -35,6 +36,7 @@ from .mocks import (
 )
 
 __all__ = [
+    "CacheCorruptError",
     "CachedDecomposer",
     "CachedEmbedding",
     "CachedNli",

@@ -25,6 +25,10 @@ logger = logging.getLogger(__name__)
 _SEP = "\x1f"
 
 
+class CacheCorruptError(ValueError):
+    """A cache file holds an unparsable record before its last line."""
+
+
 def content_key(*parts: str) -> str:
     """Hash of NFC-canonicalized text parts; the cache lookup key."""
     joined = _SEP.join(unicodedata.normalize("NFC", p) for p in parts)
@@ -37,33 +41,39 @@ class ResponseCache:
     A kill during put() can leave the file ending in a partial line. An
     unparsable last line is skipped with a warning and cut off before the
     next put(), so the new record starts on a fresh line; an unparsable
-    line anywhere else still raises.
+    line anywhere else raises CacheCorruptError naming the file and line.
+
+    Records go through one append handle, opened at the first put() and
+    released by close(); a put() after close() opens it again.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._lock = threading.Lock()
         self._data: dict[str, object] = {}
+        self._file = None  # the append handle, once a record is written
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._unterminated = False  # the last line parsed but lacks its newline
         if self._path.exists():
-            bad: ValueError | None = None
+            bad: tuple[int, ValueError] | None = None
             line, end = b"\n", 0
             with open(self._path, "rb") as f:
-                for line in f:
+                for lineno, line in enumerate(f, start=1):
                     start, end = end, end + len(line)
                     if not line.strip():
                         continue
                     if bad is not None:
-                        raise bad
+                        raise CacheCorruptError(
+                            f"{self._path}:{bad[0]}: unparsable cache record ({bad[1]})"
+                        )
                     try:
                         rec = json.loads(line)
                     except ValueError as e:  # bad JSON or a cut UTF-8 sequence
-                        bad, self._torn_at = e, start
+                        bad, self._torn_at = (lineno, e), start
                         continue
                     self._data[rec["k"]] = rec["v"]
             if bad is not None:
-                logger.warning("%s: skipped unparsable last line (%s)", self._path, bad)
+                logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
             else:
                 self._unterminated = not line.endswith(b"\n")
         else:
@@ -73,17 +83,35 @@ class ResponseCache:
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value, flush: bool = True) -> None:
+        """Store a record. With flush=False it may stay in the handle's
+        buffer until the next flush(), flushing put() or close()."""
         line = json.dumps({"k": key, "v": value}, ensure_ascii=False)
         with self._lock:
             if key in self._data:
                 return
             self._data[key] = value
-            if self._torn_at is not None:
-                os.truncate(self._path, self._torn_at)
-            with open(self._path, "a", encoding="utf-8") as f:
-                f.write(("\n" if self._unterminated else "") + line + "\n")
-            self._torn_at, self._unterminated = None, False
+            if self._file is None:
+                if self._torn_at is not None:
+                    os.truncate(self._path, self._torn_at)
+                self._file = open(self._path, "a", encoding="utf-8")
+                if self._unterminated:
+                    self._file.write("\n")
+                self._torn_at, self._unterminated = None, False
+            self._file.write(line + "\n")
+            if flush:
+                self._file.flush()
+
+    def flush(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -115,8 +143,10 @@ class _CachedProvider:
                 results[i] = decode(hit)
         if missing:
             for i, value in zip(missing, fetch(missing)):
-                self._cache.put(keys[i], encode(value))
+                self._cache.put(keys[i], encode(value), flush=False)
                 results[i] = value
+            # One flush per batch, before any result is returned.
+            self._cache.flush()
         return results
 
 

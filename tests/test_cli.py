@@ -95,6 +95,21 @@ class TestScore:
         code = main(["score", "--dataset", str(tmp_path / "nope.jsonl"), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_corrupt_cache_line_exit_3(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        cache = tmp_path / "cache"
+        config = write_config(tmp_path / "run.cfg", extra=f"cache_dir = {cache}\n")
+        args = ["score", "--dataset", str(dataset), "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "first")]) == 0
+        nli = cache / "nli.jsonl"
+        first, rest = nli.read_text(encoding="utf-8").split("\n", 1)
+        nli.write_text(first + "\ngarbage\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "second")]) == 3
+        err = capsys.readouterr().err
+        assert "cache error" in err
+        assert f"{nli}:2:" in err
+
 
 class TestEval:
     def _scored_dir(self, tmp_path, variant: str) -> Path:

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
+import agsc
 from agsc.clustering import (
     ClusteringConfig,
     GmmParams,
+    NumericalError,
+    _e_step,
+    _log_gaussian_prob,
+    _m_step,
     bic,
     fit_gmm,
     kmeans_hard,
@@ -99,6 +110,12 @@ class TestKmeansppInit:
         assert idx == [5, 3, 1]
         np.testing.assert_array_equal(centers, kmeanspp_init(self.PTS, 3, seed=7))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_distances_raise_numerical_error(self):
+        pts = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]])
+        with pytest.raises(NumericalError, match="k-means"):
+            kmeanspp_init(pts, 2, seed=0)
+
 
 class TestFitGmm:
     def test_k1_closed_form(self):
@@ -165,6 +182,125 @@ class TestFitGmm:
         b = fit_gmm(data, 2, CFG, seed=9)
         np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
         assert a.log_likelihood == b.log_likelihood
+
+
+def _reference_log_gaussian_prob(data, params):
+    """The per-component loop that the stacked Cholesky replaced."""
+    n, dim = data.shape
+    log_prob = np.empty((n, params.n_components))
+    const = dim * math.log(2.0 * math.pi)
+    for j in range(params.n_components):
+        chol = np.linalg.cholesky(params.covariances[j])
+        dev = data - params.means[j]
+        sol = solve_triangular(chol, dev.T, lower=True)
+        maha = np.sum(sol * sol, axis=0)
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        log_prob[:, j] = -0.5 * (const + log_det + maha)
+    return log_prob
+
+
+def _reference_m_step(data, gamma, point_ll, cov_reg):
+    """The per-component M-step that the stacked matmul replaced."""
+    n, dim = data.shape
+    mass = gamma.sum(axis=0)
+    reg = cov_reg * np.eye(dim)
+    empty = np.flatnonzero(mass < 1e-10)
+    if empty.size:
+        gamma = gamma.copy()
+        order = np.argsort(point_ll, kind="stable")
+        for rank, j in enumerate(empty):
+            target = int(order[rank % n])
+            gamma[target, :] = 0.0
+            gamma[target, j] = 1.0
+        mass = np.maximum(gamma.sum(axis=0), 1e-10)
+    weights = mass / mass.sum()
+    means = (gamma.T @ data) / mass[:, None]
+    covariances = np.empty((gamma.shape[1], dim, dim))
+    for j in range(gamma.shape[1]):
+        dev = data - means[j]
+        covariances[j] = (gamma[:, j, None] * dev).T @ dev / mass[j] + reg
+    return GmmParams(weights=weights, means=means, covariances=covariances)
+
+
+def _pipeline_like_data(seed, n=64):
+    # Roughly the pipeline's regime: 64-D hashed embeddings reduced to 32-D.
+    rng = np.random.default_rng(seed)
+    return reduce_embeddings(rng.normal(size=(n, 64)), target_dim=32)
+
+
+class TestStackedEmMatchesLoops:
+    """The stacked E- and M-step arithmetic is bit-identical to the loops."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_log_gaussian_prob(self, k):
+        data = _pipeline_like_data(k)
+        params = fit_gmm(data, k, CFG, seed=k).params
+        np.testing.assert_array_equal(
+            _log_gaussian_prob(data, params), _reference_log_gaussian_prob(data, params)
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_m_step_soft_and_fitted_responsibilities(self, k):
+        data = _pipeline_like_data(10 + k)
+        rng = np.random.default_rng(k)
+        soft = rng.dirichlet(np.ones(k), size=len(data))
+        fitted = fit_gmm(data, k, CFG, seed=k).responsibilities
+        point_ll = rng.normal(size=len(data))
+        for gamma in (soft, fitted):
+            got = _m_step(data, gamma, point_ll, CFG.cov_reg)
+            want = _reference_m_step(data, gamma, point_ll, CFG.cov_reg)
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.means, want.means)
+            np.testing.assert_array_equal(got.covariances, want.covariances)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_m_step_reseeds_empty_component(self, k):
+        data = _pipeline_like_data(20 + k)
+        rng = np.random.default_rng(k)
+        gamma = rng.dirichlet(np.ones(k), size=len(data))
+        gamma[:, 0] = 0.0
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        point_ll = rng.normal(size=len(data))
+        got = _m_step(data, gamma, point_ll, CFG.cov_reg)
+        want = _reference_m_step(data, gamma, point_ll, CFG.cov_reg)
+        np.testing.assert_array_equal(got.covariances, want.covariances)
+        np.testing.assert_array_equal(got.means, want.means)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_e_step_log_sum_exp_matches_scipy(self, k):
+        rng = np.random.default_rng(30 + k)
+        data = rng.normal(scale=3.0, size=(80, 4))
+        means = rng.normal(size=(k, 4))
+        means[1] = means[0]  # two identical components give exact ties
+        params = GmmParams(
+            weights=np.full(k, 1.0 / k),
+            means=means,
+            covariances=np.repeat(np.eye(4)[None], k, axis=0),
+        )
+        weighted = _log_gaussian_prob(data, params) + np.log(params.weights)
+        gamma, ll, point_ll = _e_step(data, params)
+        np.testing.assert_array_equal(point_ll, logsumexp(weighted, axis=1))
+        np.testing.assert_array_equal(gamma, np.exp(weighted - point_ll[:, None]))
+        assert ll == float(point_ll.sum())
+
+    def test_not_pd_error_names_the_component(self):
+        data = _pipeline_like_data(0, n=10)[:, :3]
+        covs = np.repeat(np.eye(3)[None], 3, axis=0)
+        covs[2] = -np.eye(3)
+        params = GmmParams(np.full(3, 1 / 3), np.zeros((3, 3)), covs)
+        with pytest.raises(NumericalError, match="component 2 covariance not PD"):
+            _log_gaussian_prob(data, params)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_gmm_and_select_k_reject(self, bad):
+        data = _pipeline_like_data(0, n=12)
+        data[3, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_gmm(data, 2, CFG)
+        with pytest.raises(NumericalError, match="non-finite"):
+            select_k(data, CFG)
 
 
 class TestBic:
@@ -274,3 +410,41 @@ class TestKmeansHard:
         gamma = kmeans_hard(data, 4, seed=1)
         np.testing.assert_array_equal(gamma.sum(axis=1), np.ones(15))
         assert set(np.unique(gamma)) <= {0.0, 1.0}
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(code: str, **env_extra) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(agsc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestBlasPin:
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").exists(), reason="needs /proc/self/task"
+    )
+    def test_clustering_runs_on_one_os_thread(self):
+        code = (
+            "import os, agsc, numpy as np\n"
+            "from agsc.clustering import ClusteringConfig, reduce_embeddings, select_k\n"
+            "data = np.random.default_rng(0).normal(size=(64, 64))\n"
+            "select_k(reduce_embeddings(data, 32), ClusteringConfig())\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        assert _python(code) == "1"
+
+    def test_user_setting_wins(self):
+        code = "import os, agsc; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_scipy_special_not_imported(self):
+        code = "import sys, agsc.cli; print('scipy.special' in sys.modules)"
+        assert _python(code) == "False"

@@ -12,7 +12,7 @@ from agsc.config import (
     parse_config_text,
 )
 from agsc.pipeline import build_providers
-from agsc.providers import FixedLatencyDecomposer, RuleBasedDecomposer
+from agsc.providers import FixedLatencyDecomposer, HashNliProvider, RuleBasedDecomposer
 
 
 class TestDefaults:
@@ -86,11 +86,23 @@ class TestProviderKeys:
             "providers.nli.mock_latency_ms",
             "providers.embed.mock_latency_ms",
             "clustering.unit_source",
+            "providers.nli.mock_dim",
+            "providers.embed.mock_seed",
+            "providers.decompose.mock_seed",
+            "providers.decompose.mock_dim",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(f"{key} = 5\n")
+
+    def test_mock_keys_reach_the_mocks_that_read_them(self):
+        cfg = parse_config_text("providers.nli.mock_seed = 7\nproviders.embed.mock_dim = 16\n")
+        bundle = build_providers(cfg)
+        pairs = [("The sky is blue.", "The sky is green.")]
+        assert bundle.nli.nli_batch(pairs) == HashNliProvider(seed=7).nli_batch(pairs)
+        assert bundle.nli.nli_batch(pairs) != HashNliProvider(seed=0).nli_batch(pairs)
+        assert bundle.embedder.dim == 16
 
     def test_decomposer_mock_latency_wraps_decomposer(self):
         plain = build_providers(default_config())

@@ -76,18 +76,17 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
         owner, attr = _resolve(target)
         monkeypatch.setattr(owner, attr, _counting(getattr(owner, attr), target, calls))
 
-    cache = tmp_path / "cache"
+    caches = tuple(
+        ResponseCache(tmp_path / "cache" / name)
+        for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
+    )
     providers = ProviderBundle(
-        nli=CachedNli(
-            ScriptedNliProvider(default=marker_nli_rule), ResponseCache(cache / "nli.jsonl")
-        ),
-        embedder=CachedEmbedding(
-            HashEmbeddingProvider(dim=32), ResponseCache(cache / "embed.jsonl")
-        ),
+        nli=CachedNli(ScriptedNliProvider(default=marker_nli_rule), caches[0]),
+        embedder=CachedEmbedding(HashEmbeddingProvider(dim=32), caches[1]),
         decomposer=CachedDecomposer(
-            ScriptedDecomposerProvider(default=marker_decomposer_rule),
-            ResponseCache(cache / "decompose.jsonl"),
+            ScriptedDecomposerProvider(default=marker_decomposer_rule), caches[2]
         ),
+        caches=caches,
     )
     samples = [
         marker_sample("mixed", ["alpha", "omega", "zeta", "theta", "alpha"]),
@@ -101,6 +100,7 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
             report_dir=str(tmp_path / variant),
         )
         run_corpus(samples, config, providers)
+    providers.close()
 
     assert [t for t in HOOK_TARGETS if calls[t] == 0] == []
 

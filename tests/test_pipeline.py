@@ -22,6 +22,7 @@ from agsc.config import PipelineConfig
 from agsc.evaluation import apply_variant
 from agsc.pipeline import (
     PromptFailure,
+    PromptReport,
     ProviderBundle,
     build_providers,
     report_from_dict,
@@ -31,6 +32,7 @@ from agsc.pipeline import (
     run_prompt,
 )
 from agsc.providers import (
+    EmbeddingVector,
     HashEmbeddingProvider,
     ProviderError,
     ScriptedDecomposerProvider,
@@ -166,6 +168,48 @@ class TestRunCorpus:
         parsed = [json.loads(line) for line in lines]
         assert [p["prompt_id"] for p in parsed] == ["p0", "p1", "p2"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_extreme_embeddings_fail_one_prompt_only(self, agsc_config, tmp_path):
+        class HugeForHarbor:
+            """Finite but extreme vectors (+-1e300) for prompt p1's texts."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def embed_batch(self, texts):
+                vectors = self.inner.embed_batch(texts)
+                if not any("harbor" in t for t in texts):
+                    return vectors
+                return [
+                    EmbeddingVector(tuple(1e300 if x > 0 else -1e300 for x in v.values))
+                    for v in vectors
+                ]
+
+        providers = marker_providers()
+        providers.embedder = HugeForHarbor(providers.embedder)
+        config = dataclasses.replace(agsc_config, report_dir=str(tmp_path / "out"))
+        reports, summary = run_corpus(self._samples(), config, providers)
+        assert [f.prompt_id for f in summary.failures] == ["p1"]
+        assert "non-finite" in summary.failures[0].error
+        lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
+        assert [json.loads(line)["prompt_id"] for line in lines] == ["p0", "p2"]
+
+    def test_pipeline_error_fails_one_prompt_only(self, agsc_config, monkeypatch):
+        # A valid SampleSet always segments into sentences, so stub the
+        # segmenter to find none in p0's anchor.
+        import agsc.pipeline as pipeline
+
+        real = pipeline.segment_sentences
+
+        def segment(text, response_index=0):
+            return [] if "river" in text and response_index == 0 else real(text, response_index)
+
+        monkeypatch.setattr(pipeline, "segment_sentences", segment)
+        results = run_many(self._samples(2), agsc_config, marker_providers())
+        assert isinstance(results[0], PromptFailure)
+        assert "no sentences" in results[0].error
+        assert isinstance(results[1], PromptReport)
+
     def test_empty_corpus(self, agsc_config, tmp_path):
         config = dataclasses.replace(agsc_config, report_dir=str(tmp_path / "out"))
         reports, summary = run_corpus([], config, marker_providers())
@@ -239,16 +283,18 @@ class TestRunCorpus:
             # network layer are observable.
             from agsc.providers import CachedDecomposer, CachedEmbedding, CachedNli, ResponseCache
 
+            caches = tuple(
+                ResponseCache(tmp_path / "cache" / name)
+                for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
+            )
             providers = ProviderBundle(
-                nli=CachedNli(inner_nli, ResponseCache(tmp_path / "cache" / "nli.jsonl")),
-                embedder=CachedEmbedding(
-                    inner_emb, ResponseCache(tmp_path / "cache" / "embed.jsonl")
-                ),
-                decomposer=CachedDecomposer(
-                    inner_dec, ResponseCache(tmp_path / "cache" / "decompose.jsonl")
-                ),
+                nli=CachedNli(inner_nli, caches[0]),
+                embedder=CachedEmbedding(inner_emb, caches[1]),
+                decomposer=CachedDecomposer(inner_dec, caches[2]),
+                caches=caches,
             )
             run_corpus(samples, config, providers)
+            providers.close()
             outputs.append((tmp_path / run / "reports.jsonl").read_bytes())
             counters.append((inner_nli.pairs_seen, inner_emb.texts_seen, inner_dec.calls))
         assert counters[0][0] > 0

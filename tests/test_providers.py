@@ -8,7 +8,9 @@ import math
 import pytest
 
 from conftest import CountingDecomposer, CountingEmbedder, CountingNli
+import agsc.providers.cache as cache_module
 from agsc.providers import (
+    CacheCorruptError,
     CachedDecomposer,
     CachedEmbedding,
     CachedNli,
@@ -121,63 +123,76 @@ class TestHashEmbedder:
         assert {v.dim for v in vecs} == {24}
 
 
+@pytest.fixture
+def new_cache(tmp_path):
+    """ResponseCache factory over tmp_path; closes what it made at teardown."""
+    made: list[ResponseCache] = []
+
+    def make(name: str) -> ResponseCache:
+        made.append(ResponseCache(tmp_path / name))
+        return made[-1]
+
+    yield make
+    for cache in made:
+        cache.close()
+
+
 class TestCache:
-    def test_nli_cache_hit_skips_inner(self, tmp_path):
+    def test_nli_cache_hit_skips_inner(self, new_cache):
         inner = CountingNli(ScriptedNliProvider(default=(1.0, 2.0, 3.0)))
-        cached = CachedNli(inner, ResponseCache(tmp_path / "nli.jsonl"))
+        cached = CachedNli(inner, new_cache("nli.jsonl"))
         first = cached.nli_batch([("p", "h")])
         second = cached.nli_batch([("p", "h")])
         assert first == second
         assert inner.pairs_seen == 1
 
-    def test_cache_persists_across_instances(self, tmp_path):
-        path = tmp_path / "nli.jsonl"
+    def test_cache_persists_across_instances(self, new_cache):
         inner1 = CountingNli(ScriptedNliProvider(default=(1.0, 0.0, 0.0)))
-        CachedNli(inner1, ResponseCache(path)).nli_batch([("p", "h"), ("q", "h")])
+        CachedNli(inner1, new_cache("nli.jsonl")).nli_batch([("p", "h"), ("q", "h")])
         inner2 = CountingNli(ScriptedNliProvider(default=(9.0, 9.0, 9.0)))
-        out = CachedNli(inner2, ResponseCache(path)).nli_batch([("p", "h"), ("q", "h")])
+        out = CachedNli(inner2, new_cache("nli.jsonl")).nli_batch([("p", "h"), ("q", "h")])
         assert inner2.pairs_seen == 0
         assert all(o.as_tuple() == (1.0, 0.0, 0.0) for o in out)
 
-    def test_cache_transparency(self, tmp_path):
+    def test_cache_transparency(self, new_cache):
         mock = ScriptedNliProvider(default=lambda p, h: (len(p), len(h), 1.0))
-        cached = CachedNli(mock, ResponseCache(tmp_path / "nli.jsonl"))
+        cached = CachedNli(mock, new_cache("nli.jsonl"))
         pairs = [("aa", "b"), ("c", "dd"), ("aa", "b")]
         assert cached.nli_batch(pairs) == mock.nli_batch(pairs)
 
-    def test_partial_hit_keeps_order(self, tmp_path):
+    def test_partial_hit_keeps_order(self, new_cache):
         inner = CountingNli(ScriptedNliProvider(default=lambda p, h: (len(p), 0.0, 0.0)))
-        cached = CachedNli(inner, ResponseCache(tmp_path / "nli.jsonl"))
+        cached = CachedNli(inner, new_cache("nli.jsonl"))
         cached.nli_batch([("aa", "h")])
         out = cached.nli_batch([("b", "h"), ("aa", "h"), ("cccc", "h")])
         assert [o.entail for o in out] == [1.0, 2.0, 4.0]
         assert inner.pairs_seen == 3  # 1 warm-up + 2 misses
 
-    def test_embedding_cache(self, tmp_path):
+    def test_embedding_cache(self, new_cache):
         inner = CountingEmbedder(HashEmbeddingProvider(dim=8))
-        cached = CachedEmbedding(inner, ResponseCache(tmp_path / "embed.jsonl"))
+        cached = CachedEmbedding(inner, new_cache("embed.jsonl"))
         v1 = cached.embed_batch(["hello there"])
         v2 = cached.embed_batch(["hello there"])
         assert v1 == v2
         assert inner.texts_seen == 1
 
-    def test_decomposer_cache(self, tmp_path):
+    def test_decomposer_cache(self, new_cache):
         inner = CountingDecomposer(ScriptedDecomposerProvider(script={"s": ["f1", "f2"]}))
-        cached = CachedDecomposer(inner, ResponseCache(tmp_path / "dec.jsonl"))
+        cached = CachedDecomposer(inner, new_cache("dec.jsonl"))
         assert cached.decompose("s", "ctx") == ["f1", "f2"]
         assert cached.decompose("s", "ctx") == ["f1", "f2"]
         assert inner.calls == 1
 
-    def test_cache_key_canonicalizes_unicode(self, tmp_path):
+    def test_cache_key_canonicalizes_unicode(self, new_cache):
         inner = CountingNli(ScriptedNliProvider(default=(1.0, 0.0, 0.0)))
-        cached = CachedNli(inner, ResponseCache(tmp_path / "nli.jsonl"))
+        cached = CachedNli(inner, new_cache("nli.jsonl"))
         cached.nli_batch([("Café", "h")])
         cached.nli_batch([("Café", "h")])
         assert inner.pairs_seen == 1
 
-    def test_cached_batching_invariance(self, tmp_path):
+    def test_cached_batching_invariance(self, new_cache):
         mock = ScriptedNliProvider(default=lambda p, h: (len(p), len(h), 0.0))
-        cached = CachedNli(mock, ResponseCache(tmp_path / "nli.jsonl"))
+        cached = CachedNli(mock, new_cache("nli.jsonl"))
         pairs = [(f"pp{i}", f"hh{i}") for i in range(6)] + [("pp0", "hh0")]
         whole = cached.nli_batch(pairs)
         parts = (
@@ -218,6 +233,43 @@ class TestCache:
         path.write_text('{"k": "a", "v": 1}\nnot json\n{"k": "b", "v": 2}\n', encoding="utf-8")
         with pytest.raises(ValueError):
             ResponseCache(path)
+
+    def test_unparsable_middle_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "nli.jsonl"
+        path.write_text('{"k": "a", "v": 1}\n\nnot json\n{"k": "b", "v": 2}\n', encoding="utf-8")
+        with pytest.raises(CacheCorruptError, match=r"nli\.jsonl:3: unparsable"):
+            ResponseCache(path)
+
+    def test_one_append_handle_per_cache(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[1] if len(args) > 1 else kwargs.get("mode", "r"))
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+        cache = ResponseCache(tmp_path / "nli.jsonl")
+        assert opened == []  # nothing to load, and no handle before a put
+        for i in range(5):
+            cache.put(f"k{i}", [float(i)])
+        assert opened == ["a"]
+        cache.close()
+        cache.close()
+        cache.put("k5", [5.0])  # a put after close() opens the handle again
+        assert opened == ["a", "a"]
+        cache.close()
+        assert len(ResponseCache(tmp_path / "nli.jsonl")) == 6
+
+    def test_fetched_batch_is_on_disk_when_returned(self, tmp_path, new_cache):
+        cached = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
+        cached.nli_batch([("p1", "h"), ("p2", "h"), ("p1", "h")])
+        # Read through another handle without closing the cache's own.
+        lines = (tmp_path / "nli.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        keys = [cache_module.content_key("nli", p, "h") for p in ("p1", "p2")]
+        assert lines == [
+            json.dumps({"k": k, "v": [1.0, 0.0, 0.5]}, ensure_ascii=False) + "\n"
+            for k in keys
+        ]
 
 
 class TestDecomposition:
