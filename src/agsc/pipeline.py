@@ -154,12 +154,13 @@ class ProviderBundle:
     nli: NliProvider
     embedder: EmbeddingProvider
     decomposer: DecomposerProvider
-    caches: tuple[ResponseCache, ...] = ()  # opened by build_providers
 
     def close(self) -> None:
-        """Release the append handles of the bundle's response caches."""
-        for cache in self.caches:
-            cache.close()
+        """Release what the providers hold open, such as cache handles."""
+        for provider in (self.nli, self.embedder, self.decomposer):
+            close = getattr(provider, "close", None)
+            if close is not None:
+                close()
 
 
 class _Meter:
@@ -210,18 +211,14 @@ def build_providers(config: PipelineConfig) -> ProviderBundle:
     nli = _build_nli(config.nli)
     embedder = _build_embedder(config.embed)
     decomposer = _build_decomposer(config.decompose)
-    if not config.cache_dir:
-        return ProviderBundle(nli=nli, embedder=embedder, decomposer=decomposer)
-    caches = tuple(
-        ResponseCache(Path(config.cache_dir) / name)
-        for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
-    )
-    return ProviderBundle(
-        nli=CachedNli(nli, caches[0]),
-        embedder=CachedEmbedding(embedder, caches[1]),
-        decomposer=CachedDecomposer(decomposer, caches[2]),
-        caches=caches,
-    )
+    if config.cache_dir:
+        cache_dir = Path(config.cache_dir)
+        nli = CachedNli(nli, ResponseCache(cache_dir / "nli.jsonl"))
+        embedder = CachedEmbedding(embedder, ResponseCache(cache_dir / "embed.jsonl"))
+        decomposer = CachedDecomposer(
+            decomposer, ResponseCache(cache_dir / "decompose.jsonl")
+        )
+    return ProviderBundle(nli=nli, embedder=embedder, decomposer=decomposer)
 
 
 def _build_nli(spec: ProviderSpec) -> NliProvider:

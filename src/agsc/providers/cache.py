@@ -83,14 +83,12 @@ class ResponseCache:
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key: str, value, flush: bool = True) -> None:
-        """Store a record. With flush=False it may stay in the handle's
-        buffer until the next flush(), flushing put() or close()."""
+    def put(self, key: str, value) -> None:
+        """Store a record; it is flushed to the file before put() returns."""
         line = json.dumps({"k": key, "v": value}, ensure_ascii=False)
         with self._lock:
             if key in self._data:
                 return
-            self._data[key] = value
             if self._file is None:
                 if self._torn_at is not None:
                     os.truncate(self._path, self._torn_at)
@@ -99,13 +97,8 @@ class ResponseCache:
                     self._file.write("\n")
                 self._torn_at, self._unterminated = None, False
             self._file.write(line + "\n")
-            if flush:
-                self._file.flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.flush()
+            self._file.flush()
+            self._data[key] = value
 
     def close(self) -> None:
         with self._lock:
@@ -143,11 +136,13 @@ class _CachedProvider:
                 results[i] = decode(hit)
         if missing:
             for i, value in zip(missing, fetch(missing)):
-                self._cache.put(keys[i], encode(value), flush=False)
+                self._cache.put(keys[i], encode(value))
                 results[i] = value
-            # One flush per batch, before any result is returned.
-            self._cache.flush()
         return results
+
+    def close(self) -> None:
+        """Release the cache's append handle."""
+        self._cache.close()
 
 
 class CachedNli(_CachedProvider):

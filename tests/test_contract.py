@@ -76,17 +76,18 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
         owner, attr = _resolve(target)
         monkeypatch.setattr(owner, attr, _counting(getattr(owner, attr), target, calls))
 
-    caches = tuple(
-        ResponseCache(tmp_path / "cache" / name)
-        for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
-    )
+    cache = tmp_path / "cache"
     providers = ProviderBundle(
-        nli=CachedNli(ScriptedNliProvider(default=marker_nli_rule), caches[0]),
-        embedder=CachedEmbedding(HashEmbeddingProvider(dim=32), caches[1]),
-        decomposer=CachedDecomposer(
-            ScriptedDecomposerProvider(default=marker_decomposer_rule), caches[2]
+        nli=CachedNli(
+            ScriptedNliProvider(default=marker_nli_rule), ResponseCache(cache / "nli.jsonl")
         ),
-        caches=caches,
+        embedder=CachedEmbedding(
+            HashEmbeddingProvider(dim=32), ResponseCache(cache / "embed.jsonl")
+        ),
+        decomposer=CachedDecomposer(
+            ScriptedDecomposerProvider(default=marker_decomposer_rule),
+            ResponseCache(cache / "decompose.jsonl"),
+        ),
     )
     samples = [
         marker_sample("mixed", ["alpha", "omega", "zeta", "theta", "alpha"]),

@@ -210,6 +210,26 @@ class TestRunCorpus:
         assert "no sentences" in results[0].error
         assert isinstance(results[1], PromptReport)
 
+    def test_close_releases_cache_handles(self, agsc_config, tmp_path, monkeypatch):
+        from agsc.providers import ResponseCache
+
+        closed = []
+        real_close = ResponseCache.close
+
+        def close(cache):
+            closed.append(cache)
+            real_close(cache)
+
+        monkeypatch.setattr(ResponseCache, "close", close)
+        config = dataclasses.replace(
+            agsc_config, cache_dir=str(tmp_path / "cache"), report_dir=str(tmp_path / "out")
+        )
+        providers = build_providers(config)
+        run_corpus(self._samples(1), config, providers)
+        providers.close()
+        assert len({id(cache) for cache in closed}) == len(closed) == 3
+        marker_providers().close()  # providers without handles close as a no-op
+
     def test_empty_corpus(self, agsc_config, tmp_path):
         config = dataclasses.replace(agsc_config, report_dir=str(tmp_path / "out"))
         reports, summary = run_corpus([], config, marker_providers())
@@ -283,15 +303,14 @@ class TestRunCorpus:
             # network layer are observable.
             from agsc.providers import CachedDecomposer, CachedEmbedding, CachedNli, ResponseCache
 
-            caches = tuple(
-                ResponseCache(tmp_path / "cache" / name)
-                for name in ("nli.jsonl", "embed.jsonl", "decompose.jsonl")
-            )
             providers = ProviderBundle(
-                nli=CachedNli(inner_nli, caches[0]),
-                embedder=CachedEmbedding(inner_emb, caches[1]),
-                decomposer=CachedDecomposer(inner_dec, caches[2]),
-                caches=caches,
+                nli=CachedNli(inner_nli, ResponseCache(tmp_path / "cache" / "nli.jsonl")),
+                embedder=CachedEmbedding(
+                    inner_emb, ResponseCache(tmp_path / "cache" / "embed.jsonl")
+                ),
+                decomposer=CachedDecomposer(
+                    inner_dec, ResponseCache(tmp_path / "cache" / "decompose.jsonl")
+                ),
             )
             run_corpus(samples, config, providers)
             providers.close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -270,6 +271,46 @@ class TestCache:
             json.dumps({"k": k, "v": [1.0, 0.0, 0.5]}, ensure_ascii=False) + "\n"
             for k in keys
         ]
+
+    def test_no_record_is_served_before_it_is_on_disk(self, tmp_path, new_cache):
+        # Thread A stores a fetched batch of two records; after its first
+        # put() it waits while thread B fetches. Every record B's lookups
+        # can be served must already be in the file.
+        path = tmp_path / "nli.jsonl"
+        cache = new_cache("nli.jsonl")
+        keys = [cache_module.content_key("nli", p, "h") for p in ("a1", "a2", "b")]
+        first_put, b_checked = threading.Event(), threading.Event()
+        real_put = cache.put
+
+        def put(key, value):
+            real_put(key, value)
+            if not first_put.is_set():
+                first_put.set()
+                b_checked.wait(timeout=10)
+
+        cache.put = put
+        seen = []
+
+        class Checking:
+            def nli_batch(self, pairs):
+                served = [k for k in keys if cache.get(k) is not None]
+                on_disk = path.read_text(encoding="utf-8") if path.exists() else ""
+                seen.append((served, [k for k in served if k not in on_disk]))
+                return [NliLogits(1.0, 0.0, 0.0)] * len(pairs)
+
+        cached = CachedNli(Checking(), cache)
+
+        def fetch_b():
+            first_put.wait(timeout=10)
+            cached.nli_batch([("b", "h")])
+            b_checked.set()
+
+        b = threading.Thread(target=fetch_b)
+        b.start()
+        cached.nli_batch([("a1", "h"), ("a2", "h")])
+        b.join()
+        assert seen[1] == ([keys[0]], [])  # B saw A's first record, on disk
+        assert len(ResponseCache(path)) == 3
 
 
 class TestDecomposition:
