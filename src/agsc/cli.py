@@ -14,12 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, default_config, load_config
 from .corpus import DatasetError, load_dataset
-from .evaluation import (
-    UndefinedCorrelationError,
-    apply_variant,
-    compare,
-    comparison_table,
-)
+from .evaluation import UndefinedCorrelationError, compare, comparison_table
 from .pipeline import build_providers, report_from_dict, run_corpus
 from .providers import CacheCorruptError
 
@@ -57,7 +52,6 @@ def _cmd_score(args) -> int:
     try:
         config = load_config(args.config) if args.config else default_config()
         config = dataclasses.replace(config, report_dir=args.out)
-        config = apply_variant(config, config.variant)
         providers = build_providers(config)
     except CacheCorruptError as e:
         print(f"cache error: {e}", file=sys.stderr)

@@ -4,12 +4,15 @@ Config files are plain text, one `section.key = value` entry per line,
 `#` comments allowed. Every tunable has a default matching the method's
 published operating point (gap threshold 0.1, covariance regularization
 1e-5, BIC improvement threshold 0.01, cluster cap 15, reduced dimension
-32), so an empty file is a valid config.
+32), so an empty file is a valid config. The method is chosen by the
+`variant` key alone; its row in VARIANTS fixes the granularity,
+clustering and aggregation modes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +20,14 @@ from pathlib import Path
 from .aggregation import MODE_GLOBAL, MODE_LITERAL, MODE_UNIFORM
 from .clustering import ClusteringConfig
 from .providers import ProviderConfig
-from .routing import GranularityConfig
+from .routing import (
+    MODE_ADAPTIVE,
+    MODE_ALL_ATOMIC,
+    MODE_NEUTRAL_GUESS,
+    MODE_NEUTRAL_WEIGHT,
+    MODE_OFF,
+    GranularityConfig,
+)
 from .scoring import ScoringConfig
 
 CLUSTER_GMM = "gmm"
@@ -33,6 +43,42 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class MethodVariant:
+    """A named method: its (granularity, clustering, aggregation) mode triple."""
+
+    name: str
+    granularity_mode: str
+    clustering_mode: str
+    aggregation_mode: str
+
+
+# PipelineConfig.variant names one row; nothing else chooses the method.
+#   agsc              adaptive routing, soft clustering, global masses
+#   agsc_literal      adaptive routing, soft clustering, anchor-only masses
+#   luq_sentence      sentence granularity everywhere, plain mean
+#   luq_atomic        decompose every sentence, plain mean
+#   ablate_no_adapt   routing disabled, clustering kept
+#   ablate_ng         skips replaced by a fixed 0.5 uncertainty
+#   ablate_nw         neutral mass folded into scoring at half weight
+#   ablate_no_cluster adaptive routing, plain mean (no clustering)
+#   ablate_kmeans     hard k-means instead of soft responsibilities
+VARIANTS: dict[str, MethodVariant] = {
+    v.name: v
+    for v in (
+        MethodVariant("agsc", MODE_ADAPTIVE, CLUSTER_GMM, MODE_GLOBAL),
+        MethodVariant("agsc_literal", MODE_ADAPTIVE, CLUSTER_GMM, MODE_LITERAL),
+        MethodVariant("luq_sentence", MODE_OFF, CLUSTER_NONE, MODE_UNIFORM),
+        MethodVariant("luq_atomic", MODE_ALL_ATOMIC, CLUSTER_NONE, MODE_UNIFORM),
+        MethodVariant("ablate_no_adapt", MODE_OFF, CLUSTER_GMM, MODE_GLOBAL),
+        MethodVariant("ablate_ng", MODE_NEUTRAL_GUESS, CLUSTER_GMM, MODE_GLOBAL),
+        MethodVariant("ablate_nw", MODE_NEUTRAL_WEIGHT, CLUSTER_GMM, MODE_GLOBAL),
+        MethodVariant("ablate_no_cluster", MODE_ADAPTIVE, CLUSTER_NONE, MODE_UNIFORM),
+        MethodVariant("ablate_kmeans", MODE_ADAPTIVE, CLUSTER_KMEANS, MODE_GLOBAL),
+    )
+}
+
+
+@dataclass(frozen=True)
 class ProviderSpec:
     """How to construct one provider: a mock or an HTTP client."""
 
@@ -45,6 +91,8 @@ class ProviderSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("mock", "http"):
             raise ConfigError(f"unknown provider kind {self.kind!r}")
+        if not 0.0 <= self.mock_latency_ms < math.inf:
+            raise ConfigError("mock_latency_ms must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -52,8 +100,6 @@ class PipelineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     granularity: GranularityConfig = field(default_factory=GranularityConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-    aggregation_mode: str = MODE_GLOBAL
-    clustering_mode: str = CLUSTER_GMM
     variant: str = "agsc"
     seed: int = 0
     workers: int = 0  # 0 = logical cores
@@ -66,18 +112,18 @@ class PipelineConfig:
     decompose: ProviderSpec = field(default_factory=ProviderSpec)
 
     def __post_init__(self) -> None:
-        if self.aggregation_mode not in (MODE_GLOBAL, MODE_LITERAL, MODE_UNIFORM):
-            raise ConfigError(f"unknown aggregation mode {self.aggregation_mode!r}")
-        if self.clustering_mode not in (CLUSTER_GMM, CLUSTER_KMEANS, CLUSTER_NONE):
-            raise ConfigError(f"unknown clustering mode {self.clustering_mode!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(
+                f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}"
+            )
         if self.timing not in (TIMING_WALL, TIMING_OFF):
             raise ConfigError(f"unknown timing mode {self.timing!r}")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
-        if self.clustering_mode == CLUSTER_NONE and self.aggregation_mode != MODE_UNIFORM:
-            raise ConfigError(
-                "clustering.mode = none requires aggregation.mode = uniform"
-            )
+
+    @property
+    def method(self) -> MethodVariant:
+        return VARIANTS[self.variant]
 
     def effective_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
@@ -105,9 +151,12 @@ def _parse_int(raw: str, key: str) -> int:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as e:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 # key -> (target path, parser). Paths are attribute chains on PipelineConfig.
@@ -119,8 +168,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "cache_dir": (("cache_dir",), "str"),
     "report_dir": (("report_dir",), "str"),
     "report.debug_clusters": (("debug_clusters",), "bool"),
-    "aggregation.mode": (("aggregation_mode",), "str"),
-    "clustering.mode": (("clustering_mode",), "str"),
     "clustering.k_limit": (("clustering", "k_limit"), "int"),
     "clustering.bic_epsilon": (("clustering", "bic_epsilon"), "float"),
     "clustering.cov_reg": (("clustering", "cov_reg"), "float"),
@@ -133,7 +180,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "scoring.nli_direction": (("scoring", "nli_direction"), "str"),
     "scoring.routing_chunk_agg": (("scoring", "routing_chunk_agg"), "str"),
     "granularity.tau": (("granularity", "tau"), "float"),
-    "granularity.mode": (("granularity", "mode"), "str"),
     "granularity.collapse_decomposed": (("granularity", "collapse_decomposed"), "bool"),
 }
 

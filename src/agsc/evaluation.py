@@ -1,17 +1,8 @@
 """Method variants, rank correlations, and the comparison table.
 
-Each variant name maps to a fixed (granularity mode, clustering mode,
-aggregation mode) triple:
-
-    agsc              adaptive routing, soft clustering, global masses
-    agsc_literal      adaptive routing, soft clustering, anchor-only masses
-    luq_sentence      sentence granularity everywhere, plain mean
-    luq_atomic        decompose every sentence, plain mean
-    ablate_no_adapt   routing disabled, clustering kept
-    ablate_ng         skips replaced by a fixed 0.5 uncertainty
-    ablate_nw         neutral mass folded into scoring at half weight
-    ablate_no_cluster adaptive routing, plain mean (no clustering)
-    ablate_kmeans     hard k-means instead of soft responsibilities
+The variants themselves (`VARIANTS`, `MethodVariant`) live in
+`agsc.config` and are re-exported here; `run_variant` scores a corpus
+with one of them.
 
 Correlations against factuality labels are reported as Pearson and
 Spearman coefficients; more negative is better (high uncertainty should
@@ -31,17 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import MODE_GLOBAL, MODE_LITERAL, MODE_UNIFORM
-from .config import CLUSTER_GMM, CLUSTER_KMEANS, CLUSTER_NONE, PipelineConfig
+from .config import VARIANTS, MethodVariant, PipelineConfig  # noqa: F401 (re-exported)
 from .corpus import SampleSet
 from .pipeline import PromptFailure, PromptReport, ProviderBundle, run_many
-from .routing import (
-    MODE_ADAPTIVE,
-    MODE_ALL_ATOMIC,
-    MODE_NEUTRAL_GUESS,
-    MODE_NEUTRAL_WEIGHT,
-    MODE_OFF,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -50,46 +33,13 @@ class UndefinedCorrelationError(Exception):
     """Correlation is undefined (constant input or too few points)."""
 
 
-@dataclass(frozen=True)
-class MethodVariant:
-    """A named pipeline configuration triple."""
-
-    name: str
-    granularity_mode: str
-    clustering_mode: str
-    aggregation_mode: str
-
-
-VARIANTS: dict[str, MethodVariant] = {
-    v.name: v
-    for v in (
-        MethodVariant("agsc", MODE_ADAPTIVE, CLUSTER_GMM, MODE_GLOBAL),
-        MethodVariant("agsc_literal", MODE_ADAPTIVE, CLUSTER_GMM, MODE_LITERAL),
-        MethodVariant("luq_sentence", MODE_OFF, CLUSTER_NONE, MODE_UNIFORM),
-        MethodVariant("luq_atomic", MODE_ALL_ATOMIC, CLUSTER_NONE, MODE_UNIFORM),
-        MethodVariant("ablate_no_adapt", MODE_OFF, CLUSTER_GMM, MODE_GLOBAL),
-        MethodVariant("ablate_ng", MODE_NEUTRAL_GUESS, CLUSTER_GMM, MODE_GLOBAL),
-        MethodVariant("ablate_nw", MODE_NEUTRAL_WEIGHT, CLUSTER_GMM, MODE_GLOBAL),
-        MethodVariant("ablate_no_cluster", MODE_ADAPTIVE, CLUSTER_NONE, MODE_UNIFORM),
-        MethodVariant("ablate_kmeans", MODE_ADAPTIVE, CLUSTER_KMEANS, MODE_GLOBAL),
-    )
-}
-
-
 def apply_variant(config: PipelineConfig, name: str) -> PipelineConfig:
-    """Pin the mode triple of `name` onto a base config."""
+    """`config` set to run the variant `name`; ValueError for an unknown name."""
     if name not in VARIANTS:
         raise ValueError(
             f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}"
         )
-    v = VARIANTS[name]
-    return dataclasses.replace(
-        config,
-        variant=v.name,
-        granularity=dataclasses.replace(config.granularity, mode=v.granularity_mode),
-        clustering_mode=v.clustering_mode,
-        aggregation_mode=v.aggregation_mode,
-    )
+    return dataclasses.replace(config, variant=name)
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:

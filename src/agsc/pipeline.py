@@ -32,7 +32,6 @@ import numpy as np
 
 from .aggregation import (
     MODE_LITERAL,
-    MODE_UNIFORM,
     ClusterSummary,
     DegenerateClusteringError,
     FinalScore,
@@ -68,7 +67,7 @@ from .providers import (
     ResponseCache,
     RuleBasedDecomposer,
 )
-from .routing import SKIPPED, apply_granularity
+from .routing import apply_granularity
 from .scoring import ReferenceSet
 
 logger = logging.getLogger(__name__)
@@ -261,6 +260,7 @@ def run_prompt(
     PipelineError or NumericalError; run_many turns them into failure
     records.
     """
+    method = config.method
     meter = _Meter(providers, timed=config.timing == TIMING_WALL)
     t0 = time.perf_counter() if meter.timed else 0.0
 
@@ -279,6 +279,7 @@ def run_prompt(
         refset,
         ResilientDecomposer(meter),
         config.granularity,
+        method.granularity_mode,
         prompt_context=sample.prompt,
     )
 
@@ -288,11 +289,11 @@ def run_prompt(
 
     if gran.all_skipped:
         final = all_skip_fallback(gran.sentence_uncertainties)
-    elif config.clustering_mode == CLUSTER_NONE:
+    elif method.clustering_mode == CLUSTER_NONE:
         final = aggregate_uniform([su.uncertainty for su in gran.units])
     else:
         final, summaries, memberships, selected_k = _cluster_and_aggregate(
-            sample, config, meter, gran, ref_sentences, debug_sink
+            sample, config, method, meter, gran, ref_sentences, debug_sink
         )
 
     total_ms = (time.perf_counter() - t0) * 1000.0 if meter.timed else 0.0
@@ -329,7 +330,7 @@ def run_prompt(
     )
 
 
-def _cluster_and_aggregate(sample, config, meter, gran, ref_sentences, debug_sink):
+def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences, debug_sink):
     cluster_cfg = config.clustering
     anchor_texts = [su.unit.text for su in gran.units]
     ref_texts = [s.text for sents in ref_sentences for s in sents]
@@ -343,7 +344,7 @@ def _cluster_and_aggregate(sample, config, meter, gran, ref_sentences, debug_sin
             reduced, dataclasses.replace(cluster_cfg, seed=seed)
         )
         k = selection.fit.params.n_components
-        if config.clustering_mode == CLUSTER_KMEANS:
+        if method.clustering_mode == CLUSTER_KMEANS:
             gamma = kmeans_hard(reduced, k, seed)
         else:
             gamma = selection.fit.responsibilities
@@ -351,10 +352,8 @@ def _cluster_and_aggregate(sample, config, meter, gran, ref_sentences, debug_sin
     n_anchor = len(gran.units)
     uncertainties = [su.uncertainty for su in gran.units]
     anchor_mask = [True] * n_anchor + [False] * len(ref_texts)
-    if config.aggregation_mode == MODE_LITERAL:
+    if method.aggregation_mode == MODE_LITERAL:
         final, summaries = aggregate_literal(gamma[:n_anchor], uncertainties)
-    elif config.aggregation_mode == MODE_UNIFORM:
-        final, summaries = aggregate_uniform(uncertainties), []
     else:
         try:
             final, summaries = aggregate_global(gamma, anchor_mask, uncertainties)
@@ -378,7 +377,6 @@ def _cluster_and_aggregate(sample, config, meter, gran, ref_sentences, debug_sin
 
 
 def _sentence_record(decision) -> SentenceRecord:
-    u = decision.adaptive_uncertainty
     return SentenceRecord(
         sentence_index=decision.signal.sentence.sentence_index,
         text=decision.signal.sentence.text,
@@ -386,7 +384,7 @@ def _sentence_record(decision) -> SentenceRecord:
         gap=decision.signal.gap,
         decision=decision.kind,
         units=tuple(unit.unit_id for unit in decision.resulting_units),
-        u_adaptive=None if u is SKIPPED else float(u),
+        u_adaptive=decision.adaptive_uncertainty,
     )
 
 

@@ -28,60 +28,30 @@ MODE_NEUTRAL_GUESS = "neutral_guess"
 MODE_NEUTRAL_WEIGHT = "neutral_weight"
 MODE_ALL_ATOMIC = "all_atomic"
 
-_MODES = (
-    MODE_ADAPTIVE,
-    MODE_OFF,
-    MODE_NEUTRAL_GUESS,
-    MODE_NEUTRAL_WEIGHT,
-    MODE_ALL_ATOMIC,
-)
-
 NEUTRAL_GUESS_UNCERTAINTY = 0.5
 NEUTRAL_WEIGHT = 0.5
 
 
-class _SkippedType:
-    """Distinguished marker for the adaptive uncertainty of skipped sentences."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SKIPPED"
-
-
-SKIPPED = _SkippedType()
-
-
 @dataclass(frozen=True)
 class GranularityConfig:
-    """Routing threshold and mode.
+    """Routing threshold.
 
     tau is the entailment-contradiction gap threshold separating
     irrelevance (skip) from uncertainty (decompose) among
-    neutral-dominated sentences. Modes other than "adaptive" realize
-    baseline and ablation behaviors: "off" keeps every sentence,
-    "neutral_guess" keeps would-be-skipped sentences at a fixed 0.5
-    uncertainty, "neutral_weight" keeps everything and folds the neutral
-    probability into unit scoring at half weight, "all_atomic" decomposes
-    every sentence. With collapse_decomposed, a decomposed sentence enters
-    aggregation as one unit carrying its facts' mean uncertainty instead
-    of the individual facts.
+    neutral-dominated sentences. With collapse_decomposed, a decomposed
+    sentence enters aggregation as one unit carrying its facts' mean
+    uncertainty instead of the individual facts.
+
+    The routing mode is not a setting: it belongs to the method variant
+    (agsc.config.VARIANTS) and is an argument of apply_granularity.
     """
 
     tau: float = 0.1
-    mode: str = MODE_ADAPTIVE
     collapse_decomposed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown granularity mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +103,7 @@ def route(signal: RoutingSignal, config: GranularityConfig) -> str:
 
 
 def route_ablation(
-    signal: RoutingSignal, config: GranularityConfig
+    signal: RoutingSignal, config: GranularityConfig, mode: str
 ) -> tuple[str, float | None]:
     """Routing under a non-adaptive mode.
 
@@ -142,11 +112,11 @@ def route_ablation(
     "neutral_guess" turns would-be skips into keeps pinned at 0.5;
     "all_atomic" decomposes unconditionally.
     """
-    if config.mode == MODE_ADAPTIVE:
+    if mode == MODE_ADAPTIVE:
         raise ValueError("route_ablation requires a non-adaptive mode")
-    if config.mode in (MODE_OFF, MODE_NEUTRAL_WEIGHT):
+    if mode in (MODE_OFF, MODE_NEUTRAL_WEIGHT):
         return KEEP, None
-    if config.mode == MODE_ALL_ATOMIC:
+    if mode == MODE_ALL_ATOMIC:
         return DECOMPOSE, None
     # neutral_guess: adaptive routing, but skips become fixed-score keeps.
     kind = route(signal, config)
@@ -170,7 +140,7 @@ class RoutingDecision:
     signal: RoutingSignal
     kind: str
     resulting_units: tuple[TextUnit, ...]
-    adaptive_uncertainty: float | _SkippedType
+    adaptive_uncertainty: float | None  # None for a skipped sentence
     used_fallback_decomposer: bool = False
 
 
@@ -194,9 +164,10 @@ def apply_granularity(
     refset: ReferenceSet,
     decomposer: ResilientDecomposer,
     config: GranularityConfig,
+    mode: str = MODE_ADAPTIVE,
     prompt_context: str = "",
 ) -> GranularityResult:
-    """Route every anchor sentence and score the surviving units.
+    """Route every anchor sentence under `mode` and score the surviving units.
 
     Kept sentences become single units carrying their sentence-level
     uncertainty. Decomposed sentences contribute one scored unit per
@@ -205,22 +176,27 @@ def apply_granularity(
     contribute nothing. Sentence-level uncertainties are retained for all
     sentences so a fully-skipped anchor still has a defined fallback
     score.
+
+    `mode` is the variant's granularity mode: "adaptive" follows `route`;
+    the baseline and ablation modes follow `route_ablation`, and
+    "neutral_weight" also folds the neutral probability into unit scoring
+    at half weight.
     """
     result = GranularityResult()
     if not anchor_sentences:
         return result
     neutral_weight = (
-        NEUTRAL_WEIGHT if config.mode == MODE_NEUTRAL_WEIGHT else None
+        NEUTRAL_WEIGHT if mode == MODE_NEUTRAL_WEIGHT else None
     )
     texts = [s.text for s in anchor_sentences]
     scores = refset.score_units(texts, neutral_weight=neutral_weight)
 
     for sentence, score in zip(anchor_sentences, scores):
         signal = RoutingSignal.from_distribution(sentence, score.distribution)
-        if config.mode == MODE_ADAPTIVE:
+        if mode == MODE_ADAPTIVE:
             kind, fixed_u = route(signal, config), None
         else:
-            kind, fixed_u = route_ablation(signal, config)
+            kind, fixed_u = route_ablation(signal, config, mode)
         result.sentence_uncertainties.append(score.uncertainty)
 
         if kind == KEEP:
@@ -231,7 +207,7 @@ def apply_granularity(
                 RoutingDecision(signal, KEEP, (unit,), u)
             )
         elif kind == SKIP:
-            result.decisions.append(RoutingDecision(signal, SKIP, (), SKIPPED))
+            result.decisions.append(RoutingDecision(signal, SKIP, (), None))
         else:
             decision = _decompose_sentence(
                 sentence, signal, refset, decomposer, config,

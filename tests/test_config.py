@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from agsc.config import (
+    _KEYS,
+    VARIANTS,
     ConfigError,
+    PipelineConfig,
     config_to_text,
     default_config,
     load_config,
@@ -25,8 +31,9 @@ class TestDefaults:
         assert cfg.clustering.target_dim == 32
         assert cfg.scoring.chunk_budget_chars == 1000
         assert cfg.scoring.chunk_stride_chars == 500
-        assert cfg.aggregation_mode == "global"
-        assert cfg.clustering_mode == "gmm"
+        assert cfg.variant == "agsc"
+        assert cfg.method.aggregation_mode == "global"
+        assert cfg.method.clustering_mode == "gmm"
 
     def test_empty_text_is_valid(self):
         assert parse_config_text("") == default_config()
@@ -66,17 +73,53 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             parse_config_text("granularity.tau = 2.0\n")
         with pytest.raises(ConfigError):
-            parse_config_text("aggregation.mode = median\n")
+            parse_config_text("variant = median\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words\n")
 
     def test_none_clustering_requires_uniform(self):
-        with pytest.raises(ConfigError, match="uniform"):
+        # The pairing comes with the variant; no key can set one without the other.
+        with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("clustering.mode = none\n")
-        cfg = parse_config_text("clustering.mode = none\naggregation.mode = uniform\n")
-        assert cfg.clustering_mode == "none"
+        cfg = parse_config_text("variant = ablate_no_cluster\n")
+        assert cfg.method.clustering_mode == "none"
+        assert cfg.method.aggregation_mode == "uniform"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "clustering.cov_reg = nan\n",
+            "clustering.em_tol = nan\n",
+            "clustering.bic_epsilon = inf\n",
+            "granularity.tau = nan\n",
+            "providers.decompose.mock_latency_ms = inf\n",
+            "providers.decompose.mock_latency_ms = -inf\n",
+            "providers.decompose.mock_latency_ms = -1\n",
+        ],
+    )
+    def test_non_finite_and_negative_numbers_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+
+class TestVariant:
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError, match="unknown variant"):
+            parse_config_text("variant = agsc_turbo\n")
+        with pytest.raises(ConfigError, match="unknown variant"):
+            dataclasses.replace(default_config(), variant="agsc_turbo")
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_key_selects_its_row(self, name):
+        cfg = parse_config_text(f"variant = {name}\n")
+        assert cfg.method is VARIANTS[name]
+
+    def test_no_mode_fields(self):
+        names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert not names & {"aggregation_mode", "clustering_mode"}
+        assert "mode" not in {f.name for f in dataclasses.fields(default_config().granularity)}
 
 
 class TestProviderKeys:
@@ -90,6 +133,9 @@ class TestProviderKeys:
             "providers.embed.mock_seed",
             "providers.decompose.mock_seed",
             "providers.decompose.mock_dim",
+            "aggregation.mode",
+            "clustering.mode",
+            "granularity.mode",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):
@@ -131,3 +177,54 @@ class TestRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
+
+
+class TestParserFuzz:
+    """Seeded random config texts: each parses or raises ConfigError, and
+    every accepted config survives config_to_text unchanged."""
+
+    VALUES = (
+        "0", "1", "-1", "2", "3", "8", "15", "32", "1000", "0.1", "0.5", "1e-5",
+        "-0.0", "1e308", "1e400", "-1e400", "nan", "NaN", "inf", "-inf",
+        "Infinity", "true", "false", "Yes", "off", "on", "", "abc", "1_000",
+        "0x10", "1.5e", "gmm", "none", "agsc", "luq_sentence", "ablate_kmeans",
+        "wall", "http", "mock", "unit_premise", "reference_premise", "mean",
+        "max_entail", "most_polarized", "x=y", "http://example.test/v1",
+        "AGSC_TOKEN", "reports/run 1",
+    )
+    UNKNOWN = (
+        "aggregation.mode", "clustering.mode", "granularity.mode",
+        "clustering.k_limits", "providers.nli.mock_dim", "providers.foo.kind",
+        "Seed", "seed.x",
+    )
+    JUNK = (
+        "", "   ", "# only a comment", "just some words", "=", " = 5",
+        "[section]", "seed 5", "==", "\t",
+    )
+
+    def _line(self, rng: random.Random) -> str:
+        roll = rng.random()
+        if roll < 0.75:
+            key = rng.choice(sorted(_KEYS))
+        elif roll < 0.85:
+            key = rng.choice(self.UNKNOWN)
+        else:
+            return rng.choice(self.JUNK)
+        value = rng.choice(self.VALUES)
+        if rng.random() < 0.1:
+            value += " # trailing comment"
+        return f"{key} = {value}"
+
+    def test_parse_or_config_error_and_round_trip(self):
+        rng = random.Random(4)
+        accepted = 0
+        for _ in range(3000):
+            text = "\n".join(self._line(rng) for _ in range(rng.randint(0, 6)))
+            try:
+                cfg = parse_config_text(text)
+            except ConfigError:
+                continue
+            accepted += 1
+            assert parse_config_text(config_to_text(cfg)) == cfg, text
+        # Enough texts get through for the round trip to be exercised.
+        assert accepted > 300

@@ -135,6 +135,12 @@ class TestVariantMapping:
         assert VARIANTS["ablate_kmeans"].clustering_mode == "kmeans"
         assert VARIANTS["ablate_no_cluster"].clustering_mode == "none"
 
+    def test_no_clustering_exactly_when_uniform_aggregation(self):
+        # Without clusters there are no theme masses to weight by, and the
+        # pipeline has no uniform aggregation after clustering.
+        for v in VARIANTS.values():
+            assert (v.clustering_mode == "none") == (v.aggregation_mode == "uniform"), v.name
+
 
 def _neutral_heavy_corpus(n=6):
     # Half the anchor sentences are irrelevance-neutral; one is ambiguous.

@@ -130,6 +130,24 @@ class TestRunPrompt:
         report = run_prompt(sample, config, marker_providers())
         assert all(len(u.memberships) == report.selected_k for u in report.units)
 
+    def test_variant_field_alone_selects_the_method(self):
+        # No apply_variant: the variant field is read where the method runs.
+        sample, config = golden_inputs()
+        config = dataclasses.replace(config, variant="luq_sentence")
+        report = run_prompt(sample, config, marker_providers())
+        line = report_to_dict(report, sample)
+        assert line["variant"] == "luq_sentence"
+        assert line["aggregation_mode"] == "uniform"
+        assert report.selected_k == 0
+        assert report.clusters == ()
+        assert all(u.memberships == () for u in report.units)
+        assert [s.decision for s in report.sentences] == ["keep"] * 5
+        assert report.timing.embed_calls == 0
+        assert report.timing.decomposer_calls == 0
+        assert report == run_prompt(
+            sample, apply_variant(config, "luq_sentence"), marker_providers()
+        )
+
     def test_literal_variant_matches_mean_of_units(self):
         sample, _ = golden_inputs()
         config = dataclasses.replace(

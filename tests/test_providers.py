@@ -203,30 +203,34 @@ class TestCache:
         )
         assert whole == parts == mock.nli_batch(pairs)
 
-    def test_torn_last_line_skipped_then_cut_before_next_put(self, tmp_path, caplog):
+    def test_torn_last_line_skipped_then_cut_before_next_put(
+        self, tmp_path, new_cache, caplog
+    ):
         path = tmp_path / "nli.jsonl"
-        ResponseCache(path).put("old", [1.0, 2.0, 3.0])
+        writer = new_cache("nli.jsonl")
+        writer.put("old", [1.0, 2.0, 3.0])
+        writer.close()
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"k": "torn", "v": [4.0, 5')  # killed mid-append
         with caplog.at_level("WARNING"):
-            cache = ResponseCache(path)
+            cache = new_cache("nli.jsonl")
         assert "unparsable last line" in caplog.text
         assert cache.get("old") == [1.0, 2.0, 3.0]
         assert cache.get("torn") is None
         cache.put("new", [6.0])
-        reopened = ResponseCache(path)
+        reopened = new_cache("nli.jsonl")
         assert reopened.get("old") == [1.0, 2.0, 3.0]
         assert reopened.get("new") == [6.0]
         assert len(reopened) == 2
         assert [json.loads(l)["k"] for l in path.read_text().splitlines()] == ["old", "new"]
 
-    def test_unterminated_last_record_kept(self, tmp_path):
+    def test_unterminated_last_record_kept(self, tmp_path, new_cache):
         path = tmp_path / "nli.jsonl"
         path.write_text('{"k": "old", "v": 1}', encoding="utf-8")  # newline never written
-        cache = ResponseCache(path)
+        cache = new_cache("nli.jsonl")
         assert cache.get("old") == 1
         cache.put("new", 2)
-        reopened = ResponseCache(path)
+        reopened = new_cache("nli.jsonl")
         assert (reopened.get("old"), reopened.get("new")) == (1, 2)
 
     def test_unparsable_middle_line_raises(self, tmp_path):

@@ -24,7 +24,6 @@ from agsc.routing import (
     DECOMPOSE,
     KEEP,
     SKIP,
-    SKIPPED,
     GranularityConfig,
     RoutingSignal,
     apply_granularity,
@@ -102,32 +101,28 @@ class TestRoute:
 class TestRouteAblation:
     def test_requires_non_adaptive(self):
         with pytest.raises(ValueError):
-            route_ablation(sig(0.2, 0.15, 0.65), GranularityConfig(mode="adaptive"))
+            route_ablation(sig(0.2, 0.15, 0.65), CFG, "adaptive")
 
     def test_off_keeps_everything(self):
-        cfg = GranularityConfig(mode="off")
         for dist, _ in CANONICAL:
-            kind, fixed = route_ablation(sig(*dist), cfg)
+            kind, fixed = route_ablation(sig(*dist), CFG, "off")
             assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_guess_pins_skips_at_half(self):
-        cfg = GranularityConfig(mode="neutral_guess")
-        kind, fixed = route_ablation(sig(0.20, 0.15, 0.65), cfg)
+        kind, fixed = route_ablation(sig(0.20, 0.15, 0.65), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, 0.5)
-        kind, fixed = route_ablation(sig(0.40, 0.10, 0.50), cfg)
+        kind, fixed = route_ablation(sig(0.40, 0.10, 0.50), CFG, "neutral_guess")
         assert (kind, fixed) == (DECOMPOSE, None)
-        kind, fixed = route_ablation(sig(0.60, 0.10, 0.30), cfg)
+        kind, fixed = route_ablation(sig(0.60, 0.10, 0.30), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_weight_keeps_everything(self):
-        cfg = GranularityConfig(mode="neutral_weight")
         for dist, _ in CANONICAL:
-            assert route_ablation(sig(*dist), cfg) == (KEEP, None)
+            assert route_ablation(sig(*dist), CFG, "neutral_weight") == (KEEP, None)
 
     def test_all_atomic_always_decomposes(self):
-        cfg = GranularityConfig(mode="all_atomic")
         for dist, _ in CANONICAL:
-            assert route_ablation(sig(*dist), cfg) == (DECOMPOSE, None)
+            assert route_ablation(sig(*dist), CFG, "all_atomic") == (DECOMPOSE, None)
 
 
 def _world(anchor_kinds, n_refs=2):
@@ -175,7 +170,7 @@ class TestApplyGranularity:
         assert result.all_skipped
         assert result.units == []
         assert all(d.kind == SKIP for d in result.decisions)
-        assert all(d.adaptive_uncertainty is SKIPPED for d in result.decisions)
+        assert all(d.adaptive_uncertainty is None for d in result.decisions)
         assert len(result.sentence_uncertainties) == 2
 
     def test_skip_never_yields_units(self):
@@ -197,7 +192,7 @@ class TestApplyGranularity:
         sentences, refset, decomposer = _world(["zeta"])
         adaptive = apply_granularity(sentences, refset, decomposer, GranularityConfig())
         off = apply_granularity(
-            sentences, refset, decomposer, GranularityConfig(mode="off")
+            sentences, refset, decomposer, GranularityConfig(), "off"
         )
         assert adaptive.all_skipped
         (kept,) = off.units
@@ -206,7 +201,7 @@ class TestApplyGranularity:
     def test_mode_neutral_guess_fixed_half(self):
         sentences, refset, decomposer = _world(["zeta", "alpha"])
         result = apply_granularity(
-            sentences, refset, decomposer, GranularityConfig(mode="neutral_guess")
+            sentences, refset, decomposer, GranularityConfig(), "neutral_guess"
         )
         us = {su.unit.unit_id: su.uncertainty for su in result.units}
         assert us["r0.s0"] == 0.5
@@ -220,7 +215,7 @@ class TestApplyGranularity:
         refset = ReferenceSet(["One reference sentence."], ScoringConfig(), nli)
         decomposer = ResilientDecomposer(ScriptedDecomposerProvider())
         result = apply_granularity(
-            sentences, refset, decomposer, GranularityConfig(mode="neutral_weight")
+            sentences, refset, decomposer, GranularityConfig(), "neutral_weight"
         )
         (kept,) = result.units
         assert abs(kept.uncertainty - 0.6) < 1e-12
@@ -229,7 +224,7 @@ class TestApplyGranularity:
         kinds = ["alpha", "omega", "zeta"]
         sentences, refset, decomposer = _world(kinds)
         result = apply_granularity(
-            sentences, refset, decomposer, GranularityConfig(mode="all_atomic")
+            sentences, refset, decomposer, GranularityConfig(), "all_atomic"
         )
         assert result.decomposer_calls == 3
         assert all(su.unit.role == "atomic_fact" for su in result.units)
