@@ -91,8 +91,13 @@ class ProviderSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("mock", "http"):
             raise ConfigError(f"unknown provider kind {self.kind!r}")
-        if not 0.0 <= self.mock_latency_ms < math.inf:
-            raise ConfigError("mock_latency_ms must be a finite number >= 0")
+        # A mock slower than the transport timeout models a call that would
+        # have timed out; a huge value would also overflow time.sleep.
+        if not 0.0 <= self.mock_latency_ms <= self.transport.timeout_ms:
+            raise ConfigError(
+                "mock_latency_ms must be a number from 0 to transport.timeout_ms"
+                f" ({self.transport.timeout_ms}), got {self.mock_latency_ms!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class PipelineConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     variant: str = "agsc"
     seed: int = 0
-    workers: int = 0  # 0 = logical cores
+    workers: int = 0  # prompts in flight; 0 = min(32, logical cores + 4)
     timing: str = TIMING_WALL
     debug_clusters: bool = False
     cache_dir: str = ""
@@ -126,7 +131,12 @@ class PipelineConfig:
         return VARIANTS[self.variant]
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        """Prompts in flight in a corpus run.
+
+        Only one of them computes at a time and the rest wait on providers,
+        so the default is the standard library's for I/O-bound thread pools.
+        """
+        return self.workers if self.workers > 0 else min(32, (os.cpu_count() or 1) + 4)
 
 
 def default_config() -> PipelineConfig:
@@ -219,7 +229,10 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
         if kind == "str":
             values[key] = raw_value
         else:
-            values[key] = _PARSERS[kind](raw_value, key)
+            try:
+                values[key] = _PARSERS[kind](raw_value, key)
+            except ConfigError as e:
+                raise ConfigError(f"{source}:{lineno}: {e}") from e
     return _build(values)
 
 

@@ -6,7 +6,8 @@ aggregate. Per-stage wall time is attributed to the stage issuing the
 provider call; with timing disabled all durations are zero and reports
 become byte-reproducible given the same seed, config, and providers.
 
-Corpus runs fan prompts out over a bounded worker pool, write one report
+Corpus runs fan prompts out over a bounded worker pool (one prompt
+computes at a time while the others wait on providers), write one report
 line per prompt (mirroring the ingestion schema plus result fields, so
 report files can be re-ingested), and collect failures without stopping.
 """
@@ -20,6 +21,7 @@ import json
 import logging
 import operator
 import re
+import threading
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +69,7 @@ from .providers import (
     ResponseCache,
     RuleBasedDecomposer,
 )
+from .providers.base import taking_turn, waiting_on
 from .routing import apply_granularity
 from .scoring import ReferenceSet
 
@@ -190,19 +193,29 @@ class _Meter:
             elapsed = (time.perf_counter() - t0) * 1000.0
             self.stage_ms[name] = self.stage_ms.get(name, 0.0) + elapsed
 
+    # Each call gives up the thread's turn while the provider works. The
+    # stage is entered after the turn is given up and left before it is
+    # taken back, so a stage time never includes waiting for another
+    # prompt's computation. A cache wrapper keeps the turn for its lookups
+    # and stores, so there the stage also covers them and the wait to take
+    # the turn back after fetching misses.
+
     def nli_batch(self, pairs):
         self.nli_pairs += len(pairs)
-        with self.stage("nli"):
-            return self._providers.nli.nli_batch(pairs)
+        nli = self._providers.nli
+        with waiting_on(nli), self.stage("nli"):
+            return nli.nli_batch(pairs)
 
     def embed_batch(self, texts):
         self.embed_calls += len(texts)
-        with self.stage("embed"):
-            return self._providers.embedder.embed_batch(texts)
+        embedder = self._providers.embedder
+        with waiting_on(embedder), self.stage("embed"):
+            return embedder.embed_batch(texts)
 
     def decompose(self, sentence: str, prompt_context: str):
-        with self.stage("atom"):
-            return self._providers.decomposer.decompose(sentence, prompt_context)
+        decomposer = self._providers.decomposer
+        with waiting_on(decomposer), self.stage("atom"):
+            return decomposer.decompose(sentence, prompt_context)
 
 
 def build_providers(config: PipelineConfig) -> ProviderBundle:
@@ -489,6 +502,11 @@ def run_many(
 ) -> list[PromptReport | PromptFailure]:
     """Score prompts over a bounded worker pool, preserving dataset order.
 
+    With more than one worker, the prompts share one turn: a prompt's
+    thread computes only while it holds the turn and gives it up while it
+    waits on a provider, so provider waits overlap and computation stays
+    serial (Python threads would only contend for the interpreter lock).
+
     A prompt that fails with a provider, pipeline or numerical error
     becomes a PromptFailure; the other prompts still run.
     """
@@ -503,8 +521,14 @@ def run_many(
     workers = min(config.effective_workers(), max(len(samples), 1))
     if workers <= 1:
         return [one(s) for s in samples]
+    turn = threading.Lock()
+
+    def one_in_turn(sample: SampleSet):
+        with taking_turn(turn):
+            return one(sample)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, samples))
+        return list(pool.map(one_in_turn, samples))
 
 
 def _sum_timing(reports: Sequence[PromptReport]) -> TimingBreakdown:

@@ -4,11 +4,16 @@ Providers are external services the pipeline talks to: a three-class NLI
 scorer, a sentence embedder, and an atomic-fact decomposer. Only the wire
 clients in http.py do I/O; the mocks in mocks.py are pure functions of
 their inputs.
+
+The turn helpers at the end let several prompt threads overlap their
+provider waits while only one of them computes at a time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -114,3 +119,70 @@ class DecomposerProvider(Protocol):
     def decompose(self, sentence: str, prompt_context: str) -> list[str]:
         """Split one sentence into at least one atomic fact string."""
         ...
+
+
+# -- the compute turn --
+#
+# Python threads overlap waits, not computation: two threads running
+# Python code only take the interpreter lock from each other. A corpus
+# run therefore keeps many prompts in flight, but lets a prompt's thread
+# compute only while it holds the run's turn (a lock), and give the turn
+# up only while it waits on a provider. The turn a thread has, if any, is
+# thread-local, so code between the pipeline and a provider (a cache) can
+# give it up or take it back without being handed it.
+
+
+class _TurnState(threading.local):
+    lock: threading.Lock | None = None
+    held = False
+
+
+_turn = _TurnState()
+
+
+@contextmanager
+def taking_turn(lock: threading.Lock):
+    """Hold `lock` as this thread's turn for the block.
+
+    Inside, waiting() gives the turn up and computing() takes it back.
+    """
+    _turn.lock = lock
+    try:
+        with computing():
+            yield
+    finally:
+        _turn.lock = None
+
+
+@contextmanager
+def _holding(want: bool):
+    lock = _turn.lock
+    if lock is None or _turn.held == want:
+        yield
+        return
+    enter, leave = (lock.acquire, lock.release) if want else (lock.release, lock.acquire)
+    enter()
+    _turn.held = want
+    try:
+        yield
+    finally:
+        leave()
+        _turn.held = not want
+
+
+def waiting():
+    """Give up this thread's turn for the block, if it holds one."""
+    return _holding(False)
+
+
+def computing():
+    """Take this thread's turn back for the block, if it has one."""
+    return _holding(True)
+
+
+def waiting_on(provider):
+    """waiting() around a call to `provider`, unless the provider sets
+    `gives_up_turn`: it then gives the turn up itself around its real
+    waits only. Giving the turn up around a call that does not wait, such
+    as a cache hit, hands it to another thread for nothing."""
+    return nullcontext() if getattr(provider, "gives_up_turn", False) else waiting()

@@ -18,7 +18,7 @@ import unicodedata
 from pathlib import Path
 from typing import Sequence
 
-from .base import EmbeddingVector, NliLogits
+from .base import EmbeddingVector, NliLogits, computing, waiting
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +115,11 @@ class _CachedProvider:
     """Base of the caching wrappers: serves hits from the cache and sends
     only the misses to the inner provider."""
 
+    # Lookups and stores are computation and hold the caller's turn (taken
+    # back if a wrapper in between gave it up); only the fetch of misses
+    # gives it up. See waiting_on.
+    gives_up_turn = True
+
     def __init__(self, inner, cache: ResponseCache):
         self._inner = inner
         self._cache = cache
@@ -128,21 +133,27 @@ class _CachedProvider:
         """
         results: list = [None] * len(keys)
         missing: list[int] = []
-        for i, key in enumerate(keys):
-            hit = self._cache.get(key)
-            if hit is None:
-                missing.append(i)
-            else:
-                results[i] = decode(hit)
-        if missing:
-            for i, value in zip(missing, fetch(missing)):
-                self._cache.put(keys[i], encode(value))
-                results[i] = value
+        with computing():
+            for i, key in enumerate(keys):
+                hit = self._cache.get(key)
+                if hit is None:
+                    missing.append(i)
+                else:
+                    results[i] = decode(hit)
+            if missing:
+                with waiting():
+                    fetched = fetch(missing)
+                for i, value in zip(missing, fetched):
+                    self._cache.put(keys[i], encode(value))
+                    results[i] = value
         return results
 
     def close(self) -> None:
-        """Release the cache's append handle."""
+        """Release the cache's append handle and what the inner provider holds."""
         self._cache.close()
+        close = getattr(self._inner, "close", None)
+        if close is not None:
+            close()
 
 
 class CachedNli(_CachedProvider):

@@ -17,6 +17,10 @@ not parse into finite numbers of the right shape, raises ProtocolError,
 so one bad response fails one prompt, never a corpus run. Requests are
 chunked to batch_size and at most max_in_flight chunks are posted
 concurrently; outputs are reassembled in request order.
+
+Each client posts through its own pool of max_in_flight threads, however
+many callers share it, and each pool thread keeps its own
+requests.Session. close() shuts the pool down and closes the sessions.
 """
 
 from __future__ import annotations
@@ -56,7 +60,39 @@ class _HttpClient:
         if not config.endpoint:
             raise ValueError("http provider requires an endpoint")
         self._config = config
-        self._session = requests.Session()
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None  # created at the first post
+        self._local = threading.local()  # the pool thread's session
+        self._sessions: list[requests.Session] = []
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            with self._lock:
+                self._sessions.append(session)
+        return session
+
+    def _submit(self, fn, *args):
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._config.max_in_flight,
+                    thread_name_prefix=type(self).__name__,
+                )
+            return self._pool.submit(fn, *args)
+
+    def close(self) -> None:
+        """Stop the posting threads and close their sessions; a later call
+        starts them again."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+        for session in sessions:
+            session.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -73,7 +109,7 @@ class _HttpClient:
         last_error = "no attempt made"
         for attempt in range(1, retry.max_attempts + 1):
             try:
-                resp = self._session.post(
+                resp = self._session().post(
                     url, json=body, headers=self._headers(), timeout=timeout_s
                 )
             except requests.RequestException as e:
@@ -99,18 +135,14 @@ class _HttpClient:
         )
 
     def _batched(self, items: list, worker) -> list:
-        """Run `worker` over batch_size chunks, max_in_flight at a time."""
-        if not items:
-            return []
+        """Run `worker` over batch_size chunks on the client's pool."""
         size = self._config.batch_size
-        chunks = [items[i : i + size] for i in range(0, len(items), size)]
-        if len(chunks) == 1:
-            return worker(chunks[0])
-        with ThreadPoolExecutor(max_workers=self._config.max_in_flight) as pool:
-            parts = list(pool.map(worker, chunks))
+        futures = [
+            self._submit(worker, items[i : i + size]) for i in range(0, len(items), size)
+        ]
         out = []
-        for part in parts:
-            out.extend(part)
+        for future in futures:
+            out.extend(future.result())
         return out
 
 
@@ -185,7 +217,7 @@ class HttpDecomposerProvider(_HttpClient):
         if not sentence:
             raise ValueError("sentence must be non-empty")
         body = {"messages": build_decompose_messages(sentence, prompt_context)}
-        data = self._post("/chat", body)
+        data = self._submit(self._post, "/chat", body).result()
         text = data.get("text")
         if not isinstance(text, str):
             raise ProtocolError("chat response missing 'text' field")

@@ -76,6 +76,15 @@ class TestScore:
         code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_mock_latency_beyond_timeout_exit_2(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        config = write_config(
+            tmp_path / "run.cfg", extra="providers.decompose.mock_latency_ms = 1e308\n"
+        )
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "timeout_ms" in capsys.readouterr().err
+
     def test_unknown_variant_exit_2(self, tmp_path):
         dataset = write_dataset(tmp_path / "data.jsonl")
         config = write_config(tmp_path / "run.cfg", extra="variant = agsc_turbo\n")

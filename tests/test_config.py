@@ -150,6 +150,26 @@ class TestProviderKeys:
         assert bundle.nli.nli_batch(pairs) != HashNliProvider(seed=0).nli_batch(pairs)
         assert bundle.embedder.dim == 16
 
+    @pytest.mark.parametrize(
+        ("text", "accepted"),
+        [
+            ("providers.decompose.mock_latency_ms = 1e308\n", False),
+            ("providers.decompose.mock_latency_ms = 30000\n", True),
+            ("providers.decompose.mock_latency_ms = 30001\n", False),
+            (
+                "providers.decompose.timeout_ms = 60000\n"
+                "providers.decompose.mock_latency_ms = 30001\n",
+                True,
+            ),
+        ],
+    )
+    def test_mock_latency_bounded_by_transport_timeout(self, text, accepted):
+        if accepted:
+            assert parse_config_text(text).decompose.mock_latency_ms > 0
+        else:
+            with pytest.raises(ConfigError, match="timeout_ms"):
+                parse_config_text(text)
+
     def test_decomposer_mock_latency_wraps_decomposer(self):
         plain = build_providers(default_config())
         assert isinstance(plain.decomposer, RuleBasedDecomposer)
@@ -173,6 +193,14 @@ class TestRoundTrip:
         cfg = load_config(path)
         assert cfg.seed == 12
         assert cfg.workers == 2
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "seed = 12\n# regularizer\nclustering.cov_reg = nan\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigError, match=r"^.*run\.cfg:3: key 'clustering\.cov_reg'"):
+            load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

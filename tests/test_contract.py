@@ -123,6 +123,13 @@ def test_report_attributes_read_by_the_benchmark():
         assert isinstance(unit.text, str)
 
 
+def test_config_methods_called_by_the_benchmark():
+    # perfbench/workload.py records the worker count it ran with.
+    config = dataclasses.replace(default_config(), workers=3)
+    assert config.effective_workers() == 3
+    assert default_config().effective_workers() >= 1
+
+
 def test_package_root_exports():
     assert sorted(agsc.__all__) == [
         "SampleSet",

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from conftest import marker_nli_rule, marker_providers, marker_sample
 from agsc import default_config
+from agsc.config import parse_config_text
 from agsc.evaluation import apply_variant
-from agsc.pipeline import PromptFailure, PromptReport, run_many
+from agsc.pipeline import PromptFailure, PromptReport, build_providers, run_many
 from agsc.providers import (
     HttpDecomposerProvider,
     HttpEmbeddingProvider,
@@ -31,6 +33,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         state = self.server.state
+        # A request counts as open until its answer starts: once the answer
+        # is out, the client may post again before this thread moves on.
+        with state["lock"]:
+            state["open"] += 1
+            state["open_peak"] = max(state["open_peak"], state["open"])
+        time.sleep(state["delay_s"])
+        with state["lock"]:
+            state["open"] -= 1
+        self._answer(state)
+
+    def _answer(self, state):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length)) if length else {}
         with state["lock"]:
@@ -82,6 +95,9 @@ def server():
         "fail_next": 0,
         "fail_status": 500,
         "respond": _echo_nli,
+        "delay_s": 0.0,
+        "open": 0,
+        "open_peak": 0,
     }
     thread = threading.Thread(
         target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -197,6 +213,83 @@ class TestHttpNli:
         client = HttpNliProvider(_config(server))
         assert client.nli_batch([]) == []
         assert server.state["requests"] == []
+
+
+class TestPostingPool:
+    """Each client posts through one pool of max_in_flight threads."""
+
+    @staticmethod
+    def _pool_threads(cls, before: set) -> list:
+        """Threads started since `before` by clients of class `cls`."""
+        return [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith(cls.__name__)
+        ]
+
+    def test_concurrent_callers_share_max_in_flight(self, server):
+        server.state["delay_s"] = 0.02
+        client = HttpNliProvider(_config(server, batch_size=1, max_in_flight=2))
+        pairs = [(f"premise {i}", "h") for i in range(6)]
+        results = []
+
+        def call():
+            results.append(client.nli_batch(pairs))
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in callers)
+            assert len(results) == 2
+            assert [o.entail for o in results[0]] == [float(len(p)) for p, _ in pairs]
+            assert server.state["open_peak"] == 2
+        finally:
+            client.close()
+
+    def test_decompose_posts_through_the_pool(self, server):
+        server.state["delay_s"] = 0.02
+        client = HttpDecomposerProvider(_config(server, max_in_flight=1))
+        callers = [
+            threading.Thread(target=client.decompose, args=(f"Sentence {i}.", "topic"))
+            for i in range(3)
+        ]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in callers)
+            assert len(server.state["requests"]) == 3
+            assert server.state["open_peak"] == 1
+        finally:
+            client.close()
+
+    def test_threads_reused_and_stopped_by_close(self, server):
+        client = HttpEmbeddingProvider(_config(server, batch_size=2, max_in_flight=3))
+        texts = [f"text {i}" for i in range(7)]
+        before = set(threading.enumerate())
+        for _ in range(50):
+            assert len(client.embed_batch(texts)) == 7
+            assert len(self._pool_threads(HttpEmbeddingProvider, before)) <= 3
+        client.close()
+        assert self._pool_threads(HttpEmbeddingProvider, before) == []
+        assert len(client.embed_batch(texts)) == 7  # usable again after close
+        client.close()
+
+    def test_closing_a_cached_bundle_stops_its_threads(self, server, tmp_path):
+        host, port = server.server_address
+        config = parse_config_text(
+            f"providers.nli.kind = http\nproviders.nli.endpoint = http://{host}:{port}\n"
+            f"cache_dir = {tmp_path / 'cache'}\n"
+        )
+        providers = build_providers(config)
+        before = set(threading.enumerate())
+        assert providers.nli.nli_batch([("aa", "b")])[0].entail == 2.0
+        assert len(self._pool_threads(HttpNliProvider, before)) == 1
+        providers.close()
+        assert self._pool_threads(HttpNliProvider, before) == []
 
 
 class TestHttpEmbedding:

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import sys
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ from conftest import (
     marker_sample,
 )
 from agsc import SampleSet, default_config
+import agsc.pipeline
 from agsc.config import PipelineConfig
 from agsc.evaluation import apply_variant
 from agsc.pipeline import (
@@ -32,12 +38,16 @@ from agsc.pipeline import (
     run_prompt,
 )
 from agsc.providers import (
+    CachedNli,
     EmbeddingVector,
+    FixedLatencyDecomposer,
     HashEmbeddingProvider,
     ProviderError,
+    ResponseCache,
     ScriptedDecomposerProvider,
     ScriptedNliProvider,
 )
+from agsc.providers.base import taking_turn, waiting_on
 
 DATA = Path(__file__).parent / "data"
 
@@ -367,3 +377,148 @@ class TestRunCorpus:
         results = run_many(samples, config, marker_providers())
         assert [r.prompt_id for r in results] == ["p0", "p1", "p2"]
         assert not any(isinstance(r, PromptFailure) for r in results)
+
+
+class _Overlap:
+    """Counts the threads inside a block at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+
+    @contextmanager
+    def inside(self):
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._now -= 1
+
+
+class TestTurn:
+    """run_many keeps many prompts in flight but computes one at a time."""
+
+    @staticmethod
+    def _samples(n: int, kinds=("alpha", "theta", "omega", "zeta", "alpha")):
+        return [marker_sample(f"t{i}", list(kinds), topic_index=i) for i in range(n)]
+
+    def test_provider_waits_overlap_and_clustering_stays_serial(
+        self, agsc_config, monkeypatch
+    ):
+        nli_overlap, cluster_overlap = _Overlap(), _Overlap()
+
+        class SlowNli:
+            inner = ScriptedNliProvider(default=marker_nli_rule)
+
+            def nli_batch(self, pairs):
+                with nli_overlap.inside():
+                    time.sleep(0.02)
+                    return self.inner.nli_batch(pairs)
+
+        select_k = agsc.pipeline.select_k
+
+        def recording_select_k(*args, **kwargs):
+            with cluster_overlap.inside():
+                time.sleep(0.005)  # would let another prompt in without the turn
+                return select_k(*args, **kwargs)
+
+        monkeypatch.setattr(agsc.pipeline, "select_k", recording_select_k)
+        providers = marker_providers()
+        providers.nli = SlowNli()
+        config = dataclasses.replace(agsc_config, workers=4)
+        results = run_many(self._samples(8), config, providers)
+        assert all(isinstance(r, PromptReport) for r in results)
+        assert nli_overlap.peak > 1
+        assert cluster_overlap.peak == 1
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_warm_cache_lookups_hold_the_turn(
+        self, agsc_config, tmp_path, monkeypatch, wrapped
+    ):
+        overlap = _Overlap()
+        get = ResponseCache.get
+
+        def recording_get(self, key):
+            with overlap.inside():
+                time.sleep(0.001)
+                return get(self, key)
+
+        providers = marker_providers()
+        cached = CachedNli(providers.nli, ResponseCache(tmp_path / "nli.jsonl"))
+        # Wrapped, the meter gives the turn up and the cache takes it back.
+        providers.nli = CountingNli(cached) if wrapped else cached
+        samples = self._samples(6)
+        config = dataclasses.replace(agsc_config, workers=4)
+        try:
+            cold = run_many(samples, config, providers)
+            monkeypatch.setattr(ResponseCache, "get", recording_get)
+            warm = run_many(samples, config, providers)
+        finally:
+            cached.close()
+        assert overlap.peak == 1
+        assert warm == cold
+
+    def test_only_a_provider_that_waits_gets_the_turn_given_up(self, tmp_path):
+        turn = threading.Lock()
+        plain = ScriptedNliProvider(default=marker_nli_rule)
+        cached = CachedNli(plain, ResponseCache(tmp_path / "nli.jsonl"))
+        try:
+            with taking_turn(turn):
+                with waiting_on(plain):
+                    assert not turn.locked()
+                with waiting_on(cached):
+                    assert turn.locked()  # a hit must not hand the turn over
+                assert turn.locked()
+            assert not turn.locked()
+        finally:
+            cached.close()
+
+    @pytest.mark.parametrize(("cpus", "want"), [(1, 5), (2, 6), (28, 32), (64, 32), (None, 5)])
+    def test_zero_workers_is_the_io_pool_default(self, monkeypatch, cpus, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert default_config().effective_workers() == want
+        assert dataclasses.replace(default_config(), workers=3).effective_workers() == 3
+
+    def test_untimed_reports_identical_for_any_worker_count(self, agsc_config):
+        samples = self._samples(7) + [marker_sample("skip", ["zeta", "zeta"])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            runs = [
+                [
+                    report_to_dict(r, s)
+                    for r, s in zip(
+                        run_many(
+                            samples,
+                            dataclasses.replace(agsc_config, workers=w),
+                            marker_providers(),
+                        ),
+                        samples,
+                    )
+                ]
+                for w in (1, 2, 0)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_turn_waits_are_not_billed_to_a_stage(self, agsc_config):
+        providers = marker_providers()
+        providers.decomposer = FixedLatencyDecomposer(providers.decomposer, latency_ms=20.0)
+        config = dataclasses.replace(agsc_config, workers=8, timing="wall")
+        # A thread back from the provider needs the interpreter lock to stop
+        # its stopwatch; a short switch interval keeps that wait out of the
+        # measurement, so only turn waits could break the bound.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            reports = run_many(self._samples(16), config, providers)
+        finally:
+            sys.setswitchinterval(interval)
+        for r in reports:
+            assert r.timing.decomposer_calls >= 1
+            assert r.timing.t_atom_ms < r.timing.decomposer_calls * 20.0 + 15.0, r.timing
