@@ -14,13 +14,18 @@ from pathlib import Path
 
 from .config import ConfigError, default_config, load_config
 from .corpus import DatasetError, load_dataset
-from .evaluation import UndefinedCorrelationError, compare, comparison_table
+from .evaluation import compare, comparison_table
 from .pipeline import build_providers, report_from_dict, run_corpus
 from .providers import CacheCorruptError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+# What reading and parsing a malformed report file can raise. ValueError
+# covers bad UTF-8, bad JSON and out-of-range report values.
+_MALFORMED_REPORT = (OSError, ValueError, KeyError, TypeError, AttributeError,
+                     OverflowError, RecursionError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +80,16 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _read_records(path: Path) -> list:
+    """The JSON value of each non-blank line of a report file.
+
+    Lines end at "\n" only: report text may hold U+2028 or U+0085, which
+    str.splitlines would also break at.
+    """
+    text = path.read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
+
+
 def _cmd_eval(args) -> int:
     root = Path(args.reports)
     if not root.exists():
@@ -85,26 +100,21 @@ def _cmd_eval(args) -> int:
     files = sorted(root.rglob("*.jsonl"))
     try:
         for path in files:
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
+            for record in _read_records(path):
                 if "variant" not in record or "u_final" not in record:
                     continue  # not a report line (e.g. a provider cache file)
                 report = report_from_dict(record)
                 by_variant.setdefault(report.variant, []).append(report)
                 if "factuality" in record:
                     labels[report.prompt_id] = float(record["factuality"])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        # Report fields are not type-checked on load; a wrong-typed one
+        # fails in compare's arithmetic.
+        rows = compare(by_variant, labels)
+    except _MALFORMED_REPORT as e:
         print(f"report error: malformed report line: {e}", file=sys.stderr)
         return EXIT_DATA
     if not by_variant:
         print(f"report error: no report lines under {root}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        rows = compare(by_variant, labels)
-    except UndefinedCorrelationError as e:
-        print(f"report error: {e}", file=sys.stderr)
         return EXIT_DATA
     table = comparison_table(rows)
     Path(args.out).write_text(table, encoding="utf-8")
@@ -115,13 +125,12 @@ def _cmd_eval(args) -> int:
 def _cmd_inspect(args) -> int:
     path = Path(args.report)
     try:
-        lines = [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-    except (OSError, json.JSONDecodeError) as e:
+        lines = _read_records(path)
+    except _MALFORMED_REPORT as e:
         print(f"report error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    if not all(isinstance(r, dict) for r in lines):
+        print("report error: a report line is not a JSON object", file=sys.stderr)
         return EXIT_DATA
     if args.prompt_id is not None:
         lines = [r for r in lines if r.get("prompt_id") == args.prompt_id]
@@ -129,10 +138,11 @@ def _cmd_inspect(args) -> int:
         print("report error: no matching report line", file=sys.stderr)
         return EXIT_DATA
     record = lines[0]
-    matches = [
-        s for s in record.get("sentences", [])
-        if s.get("sentence_index") == args.sentence
-    ]
+    sentences = record.get("sentences", [])
+    if not isinstance(sentences, list) or not all(isinstance(s, dict) for s in sentences):
+        print("report error: 'sentences' is not an array of objects", file=sys.stderr)
+        return EXIT_DATA
+    matches = [s for s in sentences if s.get("sentence_index") == args.sentence]
     if not matches:
         print(
             f"report error: prompt {record.get('prompt_id')!r} has no sentence "

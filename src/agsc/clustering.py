@@ -6,7 +6,7 @@ component count is chosen by scanning K upward and accepting each model
 only while the Bayesian Information Criterion keeps improving by a
 relative margin. A hard k-means path exists for ablation comparisons.
 
-Everything here is deterministic given the data and the configured seed:
+Everything here is deterministic given the data and the seed argument:
 k-means++ draws come from a seeded generator, restarts use spawned child
 seeds, and all reductions run through fixed-order numpy sums.
 """
@@ -20,6 +20,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 _EMPTY_COMPONENT_MASS = 1e-10
+N_INIT = 3  # EM restarts per K >= 2, best final log-likelihood kept
+EM_MAX_ITER = 200
 
 
 class NumericalError(Exception):
@@ -32,9 +34,6 @@ class ClusteringConfig:
     bic_epsilon: float = 0.01
     cov_reg: float = 1e-5
     em_tol: float = 1e-4          # on mean per-point log-likelihood gain
-    em_max_iter: int = 200
-    n_init: int = 3
-    seed: int = 0
     target_dim: int = 32
 
     def __post_init__(self) -> None:
@@ -43,9 +42,8 @@ class ClusteringConfig:
         for name in ("bic_epsilon", "cov_reg", "em_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("em_max_iter", "n_init", "target_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.target_dim < 1:
+            raise ValueError("target_dim must be >= 1")
 
 
 @dataclass
@@ -230,7 +228,7 @@ def _fit_single(
     trace: list[float] = []
     prev_ll: float | None = None
     converged = False
-    for _ in range(config.em_max_iter):
+    for _ in range(EM_MAX_ITER):
         gamma, ll, point_ll = _e_step(data, params)
         trace.append(ll)
         if prev_ll is not None and (ll - prev_ll) / n < config.em_tol:
@@ -279,15 +277,14 @@ def _fit_k1(data: np.ndarray, cov_reg: float) -> GmmFit:
     )
 
 
-def fit_gmm(
-    data: np.ndarray, k: int, config: ClusteringConfig, seed: int | None = None
-) -> GmmFit:
+def fit_gmm(data: np.ndarray, k: int, config: ClusteringConfig, seed: int = 0) -> GmmFit:
     """EM fit of a K-component full-covariance mixture.
 
-    Runs n_init restarts from distinct k-means++ seedings and keeps the
-    fit with the best final log-likelihood. Each EM iteration adds
-    cov_reg to every covariance diagonal and stops once the mean
-    per-point log-likelihood gain drops below em_tol. K=1 is closed form.
+    Runs N_INIT restarts from distinct k-means++ seedings, drawn from
+    `seed`, and keeps the fit with the best final log-likelihood. Each EM
+    iteration adds cov_reg to every covariance diagonal and stops once the
+    mean per-point log-likelihood gain drops below em_tol, or after
+    EM_MAX_ITER iterations. K=1 is closed form.
     """
     data = _finite_points(data)
     n = data.shape[0]
@@ -295,8 +292,7 @@ def fit_gmm(
         raise ValueError(f"cannot fit {k} components on {n} points")
     if k == 1:
         return _fit_k1(data, config.cov_reg)
-    root = config.seed if seed is None else seed
-    child_seeds = np.random.SeedSequence(root).generate_state(config.n_init)
+    child_seeds = np.random.SeedSequence(seed).generate_state(N_INIT)
     best: GmmFit | None = None
     for child in child_seeds:
         fit = _fit_single(data, k, config, int(child))
@@ -325,14 +321,14 @@ def _k_max(n: int, k_limit: int) -> int:
     return min(k_limit, k_density, k_log)
 
 
-def select_k(data: np.ndarray, config: ClusteringConfig) -> SelectionResult:
+def select_k(data: np.ndarray, config: ClusteringConfig, seed: int = 0) -> SelectionResult:
     """Scan K upward and keep the last model that beat the BIC margin.
 
     The search runs K = 2 .. min(k_limit, max(2, floor(N/3)),
     floor(log2 N) + 1) and accepts a model only while its BIC improves on
     the previous accepted one by more than bic_epsilon * |previous|;
     otherwise it stops. Two points or fewer get the trivial single
-    cluster with unit responsibilities.
+    cluster with unit responsibilities. The fit for K gets seed + K.
     """
     data = _finite_points(data)
     n = data.shape[0]
@@ -345,7 +341,7 @@ def select_k(data: np.ndarray, config: ClusteringConfig) -> SelectionResult:
     bic_last = math.inf
     trace: list[tuple[int, float]] = []
     for k in range(2, k_max + 1):
-        fit = fit_gmm(data, k, config, seed=config.seed + k)
+        fit = fit_gmm(data, k, config, seed + k)
         score = bic(fit.params, data, fit.log_likelihood)
         trace.append((k, score))
         if best is None or score < bic_last - config.bic_epsilon * abs(bic_last):

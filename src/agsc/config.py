@@ -109,7 +109,6 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 0  # prompts in flight; 0 = min(32, logical cores + 4)
     timing: str = TIMING_WALL
-    debug_clusters: bool = False
     cache_dir: str = ""
     report_dir: str = "reports"
     nli: ProviderSpec = field(default_factory=ProviderSpec)
@@ -177,13 +176,10 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "variant": (("variant",), "str"),
     "cache_dir": (("cache_dir",), "str"),
     "report_dir": (("report_dir",), "str"),
-    "report.debug_clusters": (("debug_clusters",), "bool"),
     "clustering.k_limit": (("clustering", "k_limit"), "int"),
     "clustering.bic_epsilon": (("clustering", "bic_epsilon"), "float"),
     "clustering.cov_reg": (("clustering", "cov_reg"), "float"),
     "clustering.em_tol": (("clustering", "em_tol"), "float"),
-    "clustering.em_max_iter": (("clustering", "em_max_iter"), "int"),
-    "clustering.n_init": (("clustering", "n_init"), "int"),
     "clustering.target_dim": (("clustering", "target_dim"), "int"),
     "scoring.chunk_budget_chars": (("scoring", "chunk_budget_chars"), "int"),
     "scoring.chunk_stride_chars": (("scoring", "chunk_stride_chars"), "int"),

@@ -190,20 +190,23 @@ def _canonical(text: str) -> str:
 def load_dataset(path: str | Path) -> list[SampleSet]:
     """Load line-delimited sample records.
 
-    Each line is a JSON object with fields prompt_id (string), prompt
-    (string), responses (array of strings) and optionally factuality
-    (number in [0, 1]). Text is NFC-normalized on ingestion. A malformed
-    line raises DatasetError naming the line and field; a record with
-    fewer than two responses is skipped with a logged diagnostic.
+    Each "\n"-ended line is a UTF-8 JSON object with fields prompt_id
+    (string), prompt (string), responses (array of strings) and optionally
+    factuality (number in [0, 1]). Text is NFC-normalized on ingestion. Any
+    malformed line raises DatasetError naming the line; a record with fewer
+    than two responses is skipped with a logged diagnostic.
     """
     samples: list[SampleSet] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            # ValueError covers bad UTF-8, bad JSON and over-long integers;
+            # deep nesting exhausts json's recursion limit.
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
                 raise DatasetError(f"line {lineno}: invalid JSON ({e})") from e
             if not isinstance(obj, dict):
                 raise DatasetError(f"line {lineno}: record is not an object")
@@ -242,9 +245,10 @@ def _parse_record(obj: dict, lineno: int) -> SampleSet | None:
         raw = obj["factuality"]
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise DatasetError(f"line {lineno}: field 'factuality' must be a number")
-        factuality = float(raw)
-        if not 0.0 <= factuality <= 1.0:
+        # Checked before float(): an int too large for a float would overflow.
+        if not 0.0 <= raw <= 1.0:
             raise DatasetError(f"line {lineno}: field 'factuality' must lie in [0, 1]")
+        factuality = float(raw)
     return SampleSet(
         prompt_id=prompt_id,
         prompt=_canonical(prompt),

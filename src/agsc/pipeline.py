@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import operator
-import re
 import threading
 import time
 import typing
@@ -264,7 +263,6 @@ def run_prompt(
     sample: SampleSet,
     config: PipelineConfig,
     providers: ProviderBundle,
-    debug_sink=None,
 ) -> PromptReport:
     """Score one sample set end to end.
 
@@ -306,7 +304,7 @@ def run_prompt(
         final = aggregate_uniform([su.uncertainty for su in gran.units])
     else:
         final, summaries, memberships, selected_k = _cluster_and_aggregate(
-            sample, config, method, meter, gran, ref_sentences, debug_sink
+            sample, config, method, meter, gran, ref_sentences
         )
 
     total_ms = (time.perf_counter() - t0) * 1000.0 if meter.timed else 0.0
@@ -343,8 +341,7 @@ def run_prompt(
     )
 
 
-def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences, debug_sink):
-    cluster_cfg = config.clustering
+def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences):
     anchor_texts = [su.unit.text for su in gran.units]
     ref_texts = [s.text for sents in ref_sentences for s in sents]
     vectors = meter.embed_batch(anchor_texts + ref_texts)
@@ -352,10 +349,8 @@ def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences, d
 
     seed = prompt_seed(config.seed, sample.prompt_id)
     with meter.stage("cluster"):
-        reduced = reduce_embeddings(data, cluster_cfg.target_dim)
-        selection = select_k(
-            reduced, dataclasses.replace(cluster_cfg, seed=seed)
-        )
+        reduced = reduce_embeddings(data, config.clustering.target_dim)
+        selection = select_k(reduced, config.clustering, seed)
         k = selection.fit.params.n_components
         if method.clustering_mode == CLUSTER_KMEANS:
             gamma = kmeans_hard(reduced, k, seed)
@@ -374,17 +369,6 @@ def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences, d
             final = all_skip_fallback(gran.sentence_uncertainties)
             summaries = []
 
-    if debug_sink is not None:
-        debug_sink(
-            {
-                "prompt_id": sample.prompt_id,
-                "selected_k": k,
-                "k_max": selection.k_max,
-                "bic_trace": [[kk, b] for kk, b in selection.bic_trace],
-                "reduced": reduced.tolist(),
-                "gamma": gamma.tolist(),
-            }
-        )
     memberships = [tuple(float(g) for g in row) for row in gamma[:n_anchor]]
     return final, summaries, memberships, k
 
@@ -498,7 +482,6 @@ def run_many(
     samples: Sequence[SampleSet],
     config: PipelineConfig,
     providers: ProviderBundle,
-    debug_sink=None,
 ) -> list[PromptReport | PromptFailure]:
     """Score prompts over a bounded worker pool, preserving dataset order.
 
@@ -513,7 +496,7 @@ def run_many(
 
     def one(sample: SampleSet):
         try:
-            return run_prompt(sample, config, providers, debug_sink=debug_sink)
+            return run_prompt(sample, config, providers)
         except (ProviderError, PipelineError, NumericalError) as e:
             logger.warning("prompt %s failed: %s", sample.prompt_id, e)
             return PromptFailure(prompt_id=sample.prompt_id, error=str(e))
@@ -540,9 +523,6 @@ def _sum_timing(reports: Sequence[PromptReport]) -> TimingBreakdown:
     )
 
 
-_SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
-
-
 def run_corpus(
     samples: Sequence[SampleSet],
     config: PipelineConfig,
@@ -555,19 +535,7 @@ def run_corpus(
     """
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-
-    debug_sink = None
-    if config.debug_clusters:
-
-        def debug_sink(payload: dict) -> None:
-            name = _SAFE_ID.sub("_", payload["prompt_id"]) or "prompt"
-            path = report_dir / f"{name}.clusters.json"
-            path.write_text(
-                json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
-
-    results = run_many(samples, config, providers, debug_sink=debug_sink)
+    results = run_many(samples, config, providers)
     reports: list[PromptReport] = []
     failures: list[PromptFailure] = []
     with open(report_dir / "reports.jsonl", "w", encoding="utf-8") as f:

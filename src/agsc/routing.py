@@ -88,41 +88,30 @@ def dominant_label(distribution: NliDistribution) -> str:
     return best_label
 
 
-def route(signal: RoutingSignal, config: GranularityConfig) -> str:
-    """Adaptive routing rule.
-
-    Non-neutral dominant -> keep. Neutral dominant with gap <= tau ->
-    skip (gap exactly at the threshold skips). Neutral dominant with gap
-    > tau -> decompose.
-    """
-    if signal.dominant != "neutral":
-        return KEEP
-    if signal.gap > config.tau:
-        return DECOMPOSE
-    return SKIP
-
-
-def route_ablation(
-    signal: RoutingSignal, config: GranularityConfig, mode: str
+def route(
+    signal: RoutingSignal, config: GranularityConfig, mode: str = MODE_ADAPTIVE
 ) -> tuple[str, float | None]:
-    """Routing under a non-adaptive mode.
+    """Route one sentence under the variant's granularity mode.
 
     Returns (decision kind, fixed uncertainty or None). "off" and
-    "neutral_weight" keep everything at sentence granularity;
-    "neutral_guess" turns would-be skips into keeps pinned at 0.5;
-    "all_atomic" decomposes unconditionally.
+    "neutral_weight" keep everything at sentence granularity; "all_atomic"
+    decomposes unconditionally. Otherwise the adaptive rule applies:
+    non-neutral dominant -> keep; neutral dominant with gap <= tau -> skip
+    (gap exactly at the threshold skips); neutral dominant with gap > tau
+    -> decompose. Under "neutral_guess" a would-be skip becomes a keep
+    pinned at 0.5.
     """
-    if mode == MODE_ADAPTIVE:
-        raise ValueError("route_ablation requires a non-adaptive mode")
     if mode in (MODE_OFF, MODE_NEUTRAL_WEIGHT):
         return KEEP, None
     if mode == MODE_ALL_ATOMIC:
         return DECOMPOSE, None
-    # neutral_guess: adaptive routing, but skips become fixed-score keeps.
-    kind = route(signal, config)
-    if kind == SKIP:
+    if signal.dominant != "neutral":
+        return KEEP, None
+    if signal.gap > config.tau:
+        return DECOMPOSE, None
+    if mode == MODE_NEUTRAL_GUESS:
         return KEEP, NEUTRAL_GUESS_UNCERTAINTY
-    return kind, None
+    return SKIP, None
 
 
 @dataclass(frozen=True)
@@ -177,26 +166,20 @@ def apply_granularity(
     sentences so a fully-skipped anchor still has a defined fallback
     score.
 
-    `mode` is the variant's granularity mode: "adaptive" follows `route`;
-    the baseline and ablation modes follow `route_ablation`, and
+    `mode` is the variant's granularity mode, which `route` applies;
     "neutral_weight" also folds the neutral probability into unit scoring
     at half weight.
     """
     result = GranularityResult()
     if not anchor_sentences:
         return result
-    neutral_weight = (
-        NEUTRAL_WEIGHT if mode == MODE_NEUTRAL_WEIGHT else None
-    )
+    neutral_weight = NEUTRAL_WEIGHT if mode == MODE_NEUTRAL_WEIGHT else None
     texts = [s.text for s in anchor_sentences]
     scores = refset.score_units(texts, neutral_weight=neutral_weight)
 
     for sentence, score in zip(anchor_sentences, scores):
         signal = RoutingSignal.from_distribution(sentence, score.distribution)
-        if mode == MODE_ADAPTIVE:
-            kind, fixed_u = route(signal, config), None
-        else:
-            kind, fixed_u = route_ablation(signal, config, mode)
+        kind, fixed_u = route(signal, config, mode)
         result.sentence_uncertainties.append(score.uncertainty)
 
         if kind == KEEP:

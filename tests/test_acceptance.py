@@ -97,7 +97,7 @@ def test_c2_gmm_oracle_suite():
                     for m in ((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))
                 ]
             )
-            result = select_k(data, ClusteringConfig(seed=seed))
+            result = select_k(data, ClusteringConfig(), seed)
             fit = result.fit
             if fit.params.n_components == 3:
                 hits += 1
@@ -121,7 +121,7 @@ def test_c3_routing_truth_table():
         ]
         sent = Sentence(response_index=0, sentence_index=0, text="A claim.")
         decisions = [
-            route(RoutingSignal.from_distribution(sent, NliDistribution(*f)), config)
+            route(RoutingSignal.from_distribution(sent, NliDistribution(*f)), config)[0]
             for f in fixtures
         ]
         boundary = RoutingSignal.from_distribution(

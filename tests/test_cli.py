@@ -44,6 +44,21 @@ def write_config(path: Path, extra: str = "") -> Path:
     return path
 
 
+def scored_report(tmp_path: Path) -> Path:
+    """Score the three-prompt dataset; return its reports.jsonl."""
+    dataset = write_dataset(tmp_path / "data.jsonl")
+    config = write_config(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]) == 0
+    return out / "reports.jsonl"
+
+
+def edit_first_line(report: Path, edit) -> None:
+    """Replace the first report line by edit(record), dumped as JSON."""
+    first, rest = report.read_text(encoding="utf-8").split("\n", 1)
+    report.write_text(json.dumps(edit(json.loads(first))) + "\n" + rest, encoding="utf-8")
+
+
 class TestScore:
     def test_score_success(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path / "data.jsonl")
@@ -99,6 +114,13 @@ class TestScore:
         assert code == 3
         assert "dataset error" in capsys.readouterr().err
 
+    def test_deleted_key_exit_2(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        config = write_config(tmp_path / "run.cfg", extra="report.debug_clusters = true\n")
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key 'report.debug_clusters'" in capsys.readouterr().err
+
     def test_missing_dataset_exit_3(self, tmp_path):
         config = write_config(tmp_path / "run.cfg")
         code = main(["score", "--dataset", str(tmp_path / "nope.jsonl"), "--config", str(config), "--out", str(tmp_path / "o")])
@@ -139,6 +161,24 @@ class TestEval:
         variants = {line.split(",")[0] for line in lines[1:]}
         assert variants == {"agsc", "luq_sentence"}
 
+    def test_eval_out_of_range_score_exit_3(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        edit_first_line(report, lambda r: dict(r, u_final=2.0))
+        code = main(["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "report error" in capsys.readouterr().err
+
+    def test_eval_reads_text_with_unicode_line_separators(self, tmp_path):
+        # Report lines keep U+2028 and U+0085 unescaped; they are not line ends.
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        text = dataset.read_text(encoding="utf-8").replace("long history", "long\\u2028history\\u0085")
+        dataset.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["score", "--dataset", str(dataset), "--out", str(out)]) == 0
+        assert "\u2028" in (out / "reports.jsonl").read_text(encoding="utf-8")
+        assert main(["eval", "--reports", str(out), "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["inspect", "--report", str(out / "reports.jsonl"), "--sentence", "0"]) == 0
+
     def test_eval_missing_dir_exit_3(self, tmp_path):
         code = main(["eval", "--reports", str(tmp_path / "none"), "--out", str(tmp_path / "t.csv")])
         assert code == 3
@@ -152,30 +192,36 @@ class TestEval:
 
 class TestInspect:
     def test_inspect_prints_routing_record(self, tmp_path, capsys):
-        dataset = write_dataset(tmp_path / "data.jsonl")
-        config = write_config(tmp_path / "run.cfg")
-        out = tmp_path / "out"
-        main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        report = scored_report(tmp_path)
         capsys.readouterr()
-        code = main(
-            [
-                "inspect", "--report", str(out / "reports.jsonl"),
-                "--sentence", "1", "--prompt-id", "p1",
-            ]
-        )
+        code = main(["inspect", "--report", str(report), "--sentence", "1", "--prompt-id", "p1"])
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["sentence_index"] == 1
         assert record["decision"] in ("keep", "skip", "decompose")
         assert "gap" in record and "dominant" in record
 
-    def test_inspect_missing_sentence_exit_3(self, tmp_path, capsys):
-        dataset = write_dataset(tmp_path / "data.jsonl")
-        config = write_config(tmp_path / "run.cfg")
-        out = tmp_path / "out"
-        main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
-        code = main(["inspect", "--report", str(out / "reports.jsonl"), "--sentence", "99"])
-        assert code == 3
+    def test_inspect_missing_sentence_exit_3(self, tmp_path):
+        report = scored_report(tmp_path)
+        assert main(["inspect", "--report", str(report), "--sentence", "99"]) == 3
+
+    def test_inspect_non_object_line_exit_3(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        edit_first_line(report, lambda r: [1])
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_inspect_non_object_sentence_exit_3(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        edit_first_line(report, lambda r: dict(r, sentences=[1]))
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert "report error" in capsys.readouterr().err
+
+    def test_inspect_invalid_utf8_exit_3(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        report.write_bytes(b"\xff" + report.read_bytes())
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert "report error" in capsys.readouterr().err
 
     def test_inspect_missing_file_exit_3(self, tmp_path):
         code = main(["inspect", "--report", str(tmp_path / "none.jsonl"), "--sentence", "0"])

@@ -15,6 +15,8 @@ from scipy.special import logsumexp
 
 import agsc
 from agsc.clustering import (
+    EM_MAX_ITER,
+    N_INIT,
     ClusteringConfig,
     GmmParams,
     NumericalError,
@@ -183,6 +185,36 @@ class TestFitGmm:
         np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
         assert a.log_likelihood == b.log_likelihood
 
+    def test_keeps_best_of_n_init_restarts(self, monkeypatch):
+        fits = []
+        real = agsc.clustering._fit_single
+
+        def recording(data, k, config, seed):
+            fits.append((seed, real(data, k, config, seed)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(agsc.clustering, "_fit_single", recording)
+        data = np.random.default_rng(17).normal(size=(60, 2))
+        best = fit_gmm(data, 3, CFG, seed=3)
+        assert N_INIT == 3
+        assert len(fits) == N_INIT
+        assert len({seed for seed, _ in fits}) == N_INIT
+        assert best.log_likelihood == max(fit.log_likelihood for _, fit in fits)
+        # With seed 3 the middle restart wins, so keeping the first or the
+        # last fit would fail here.
+        assert best is fits[1][1]
+
+    def test_em_stops_at_em_max_iter(self, monkeypatch):
+        # Unpatched, this fit converges only after 18 EM iterations.
+        data = np.random.default_rng(17).normal(size=(60, 2))
+        assert EM_MAX_ITER == 200
+        assert fit_gmm(data, 2, CFG, seed=0).converged
+        monkeypatch.setattr(agsc.clustering, "EM_MAX_ITER", 2)
+        fit = fit_gmm(data, 2, CFG, seed=0)
+        assert fit.converged is False
+        assert fit.n_iter == 3  # two EM iterations plus the final E-step
+        assert len(fit.trace) == 3
+
 
 def _reference_log_gaussian_prob(data, params):
     """The per-component loop that the stacked Cholesky replaced."""
@@ -350,26 +382,25 @@ class TestSelectK:
     def test_three_separated_gaussians_single_seed(self):
         rng = np.random.default_rng(12)
         data = blobs(rng, [(0, 0), (10, 0), (0, 10)], 60)
-        result = select_k(data, ClusteringConfig(seed=0))
+        result = select_k(data, CFG, 0)
         assert result.fit.params.n_components == 3
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         data = blobs(rng, [(0, 0), (8, 8)], 30)
-        r1 = select_k(data, ClusteringConfig(seed=4))
-        r2 = select_k(data, ClusteringConfig(seed=4))
+        r1 = select_k(data, CFG, 4)
+        r2 = select_k(data, CFG, 4)
         np.testing.assert_array_equal(r1.fit.responsibilities, r2.fit.responsibilities)
         assert r1.bic_trace == r2.bic_trace
 
     def test_bic_trace_follows_acceptance_rule(self):
         rng = np.random.default_rng(14)
         data = blobs(rng, [(0, 0), (12, 0)], 45)
-        cfg = ClusteringConfig(seed=1)
-        result = select_k(data, cfg)
+        result = select_k(data, CFG, 1)
         accepted_bic = math.inf
         accepted_k = None
         for k, score in result.bic_trace:
-            if accepted_k is None or score < accepted_bic - cfg.bic_epsilon * abs(accepted_bic):
+            if accepted_k is None or score < accepted_bic - CFG.bic_epsilon * abs(accepted_bic):
                 accepted_k, accepted_bic = k, score
             else:
                 break
@@ -379,7 +410,7 @@ class TestSelectK:
         # Even unimodal data gets K=2 (soft overlap absorbs it).
         rng = np.random.default_rng(15)
         data = rng.normal(size=(60, 2))
-        result = select_k(data, ClusteringConfig(seed=2))
+        result = select_k(data, CFG, 2)
         assert result.fit.params.n_components >= 2
 
 

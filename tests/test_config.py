@@ -43,6 +43,57 @@ class TestDefaults:
         assert cfg.seed == 9
 
 
+def test_config_keys_are_pinned():
+    """The whole knob set. A key added or removed fails here and has to be
+    justified: each key must be read by code and covered by a test."""
+    assert sorted(_KEYS) == [
+        "cache_dir",
+        "clustering.bic_epsilon",
+        "clustering.cov_reg",
+        "clustering.em_tol",
+        "clustering.k_limit",
+        "clustering.target_dim",
+        "granularity.collapse_decomposed",
+        "granularity.tau",
+        "providers.decompose.auth_env_var",
+        "providers.decompose.batch_size",
+        "providers.decompose.endpoint",
+        "providers.decompose.kind",
+        "providers.decompose.max_in_flight",
+        "providers.decompose.mock_latency_ms",
+        "providers.decompose.retry.base_backoff_ms",
+        "providers.decompose.retry.max_attempts",
+        "providers.decompose.timeout_ms",
+        "providers.embed.auth_env_var",
+        "providers.embed.batch_size",
+        "providers.embed.endpoint",
+        "providers.embed.kind",
+        "providers.embed.max_in_flight",
+        "providers.embed.mock_dim",
+        "providers.embed.retry.base_backoff_ms",
+        "providers.embed.retry.max_attempts",
+        "providers.embed.timeout_ms",
+        "providers.nli.auth_env_var",
+        "providers.nli.batch_size",
+        "providers.nli.endpoint",
+        "providers.nli.kind",
+        "providers.nli.max_in_flight",
+        "providers.nli.mock_seed",
+        "providers.nli.retry.base_backoff_ms",
+        "providers.nli.retry.max_attempts",
+        "providers.nli.timeout_ms",
+        "report_dir",
+        "scoring.chunk_budget_chars",
+        "scoring.chunk_stride_chars",
+        "scoring.nli_direction",
+        "scoring.routing_chunk_agg",
+        "seed",
+        "timing",
+        "variant",
+        "workers",
+    ]
+
+
 class TestOverrides:
     def test_nested_keys(self):
         text = (
@@ -136,6 +187,9 @@ class TestProviderKeys:
             "aggregation.mode",
             "clustering.mode",
             "granularity.mode",
+            "report.debug_clusters",
+            "clustering.n_init",
+            "clustering.em_max_iter",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):
@@ -223,7 +277,8 @@ class TestParserFuzz:
     UNKNOWN = (
         "aggregation.mode", "clustering.mode", "granularity.mode",
         "clustering.k_limits", "providers.nli.mock_dim", "providers.foo.kind",
-        "Seed", "seed.x",
+        "Seed", "seed.x", "report.debug_clusters", "clustering.n_init",
+        "clustering.em_max_iter",
     )
     JUNK = (
         "", "   ", "# only a comment", "just some words", "=", " = 5",

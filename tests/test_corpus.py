@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -196,6 +197,31 @@ class TestLoadDataset:
         samples = load_dataset(self._write(tmp_path, lines))
         assert [s.prompt_id for s in samples] == [f"p{i}" for i in range(5)]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b'{"prompt_id": "p", "prompt": "q", "responses": ["a", "b"], "factuality": 1'
+            + b"0" * 400 + b"}",
+            b'{"prompt_id": "p", "prompt": "q\xff", "responses": ["a", "b"]}',
+            b"[" * 100_000,
+            b'{"prompt_id": "p", "prompt": "q", "responses": ["a", "b"], "factuality": '
+            + b"1" * 5000 + b"}",
+        ],
+        ids=["huge_int", "invalid_utf8", "deep_nesting", "too_many_digits"],
+    )
+    def test_malformed_line_is_a_dataset_error(self, tmp_path, bad):
+        good = json.dumps({"prompt_id": "p0", "prompt": "q", "responses": ["a", "b"]})
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(good.encode() + b"\n" + bad + b"\n")
+        with pytest.raises(DatasetError, match="^line 2: "):
+            load_dataset(path)
+
+    def test_crlf_line_ends(self, tmp_path):
+        rec = json.dumps({"prompt_id": "p", "prompt": "q", "responses": ["a", "b"]})
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(f"{rec}\r\n\r\n{rec}\r\n".encode())
+        assert [s.prompt_id for s in load_dataset(path)] == ["p", "p"]
+
     def test_longfact_scale_fixture(self, tmp_path):
         # 38 topics x 10 prompts, mirroring the benchmark's advertised size.
         lines = [
@@ -212,3 +238,73 @@ class TestLoadDataset:
         ]
         samples = load_dataset(self._write(tmp_path, lines))
         assert len(samples) == 380
+
+
+class TestLoadDatasetFuzz:
+    """Seeded mutations of valid records: every file loads, or raises a
+    DatasetError that names the mutated line; no other exception escapes."""
+
+    VALUES = (
+        None, True, False, 0, 1, -1, 0.5, 2.5, 10**400, float("nan"),
+        float("inf"), "", " ", "x", [], ["a"], ["a", ""], [1, 2], ["a", 3],
+        {}, {"a": "b"},
+    )
+    FIELDS = ("prompt_id", "prompt", "responses", "factuality")
+    HUGE = "9" * 5000  # more digits than int() accepts from text
+
+    def _record(self, i: int) -> dict:
+        return {
+            "prompt_id": f"p{i}",
+            "prompt": f"Question {i}?",
+            "responses": [f"Answer {i} one.", f"Answer {i} two.", "Answer three."],
+            "factuality": 0.5,
+        }
+
+    def _mutate(self, rng: random.Random, record: dict) -> bytes:
+        roll = rng.randrange(7)
+        field = rng.choice(self.FIELDS)
+        if roll == 0:
+            record.pop(field, None)
+        elif roll == 1:
+            record[field] = rng.choice(self.VALUES)
+        elif roll == 2:
+            record["responses"][rng.randrange(3)] = rng.choice(self.VALUES)
+        elif roll == 3:
+            record[field] = "__huge__"
+        elif roll == 4:
+            record[field] = "__deep__"
+        depth = rng.choice((10, 2000, 100_000))
+        line = json.dumps(record)  # writes NaN and Infinity as bare literals
+        line = line.replace('"__huge__"', self.HUGE)
+        line = line.replace('"__deep__"', "[" * depth + "]" * depth)
+        raw = line.encode("utf-8")
+        if roll == 5:  # bytes that are not UTF-8 inside an ASCII line
+            at = rng.randrange(len(raw) + 1)
+            raw = raw[:at] + rng.choice((b"\xff", b"\xc3", b"\xed\xa0\x80")) + raw[at:]
+        elif roll == 6:
+            raw = raw[: rng.randrange(len(raw))]
+        return raw
+
+    def test_loads_or_names_the_line(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "data.jsonl"
+        loaded = failed = 0
+        for trial in range(400):
+            n = rng.randint(1, 4)
+            bad = rng.randrange(n)
+            lines = [
+                self._mutate(rng, self._record(i)) if i == bad
+                else json.dumps(self._record(i)).encode()
+                for i in range(n)
+            ]
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            try:
+                samples = load_dataset(path)
+            except DatasetError as e:
+                assert str(e).startswith(f"line {bad + 1}: "), (trial, str(e))
+                failed += 1
+                continue
+            loaded += 1
+            assert len(samples) <= n
+        # Both outcomes are exercised.
+        assert loaded > 20 and failed > 200, (loaded, failed)

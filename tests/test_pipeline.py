@@ -362,15 +362,6 @@ class TestRunCorpus:
         assert reloaded[0].responses == samples[0].responses
         assert reloaded[0].factuality == 0.4
 
-    def test_debug_cluster_dump(self, agsc_config, tmp_path):
-        config = dataclasses.replace(
-            agsc_config, report_dir=str(tmp_path / "out"), debug_clusters=True
-        )
-        run_corpus(self._samples(1), config, marker_providers())
-        dump = json.loads((tmp_path / "out" / "p0.clusters.json").read_text())
-        assert set(dump) >= {"prompt_id", "selected_k", "bic_trace", "reduced", "gamma"}
-        assert dump["selected_k"] >= 1
-
     def test_run_many_preserves_order_with_workers(self, agsc_config):
         samples = self._samples()
         config = dataclasses.replace(agsc_config, workers=3)

@@ -29,7 +29,6 @@ from agsc.routing import (
     apply_granularity,
     dominant_label,
     route,
-    route_ablation,
 )
 from agsc.scoring import NliDistribution, ReferenceSet, ScoringConfig
 
@@ -56,12 +55,12 @@ CANONICAL = [
 class TestRoute:
     @pytest.mark.parametrize("dist,expected", CANONICAL)
     def test_truth_table(self, dist, expected):
-        assert route(sig(*dist), CFG) == expected
+        assert route(sig(*dist), CFG) == (expected, None)
 
     def test_boundary_is_exact(self):
         s = sig(0.225, 0.125, 0.65)
         assert s.gap == CFG.tau
-        assert route(s, CFG) == SKIP
+        assert route(s, CFG) == (SKIP, None)
 
     def test_dominant_tie_precedence(self):
         # entail > contradict > neutral on exact ties
@@ -79,8 +78,8 @@ class TestRoute:
             s = sig(p[0], p[1], z)
             decision = route(s, CFG)
             if s.dominant != "neutral":
-                assert decision == KEEP
-            elif decision == DECOMPOSE:
+                assert decision == (KEEP, None)
+            elif decision == (DECOMPOSE, None):
                 assert s.gap > CFG.tau
 
     def test_renormalization_round_trip(self):
@@ -99,30 +98,30 @@ class TestRoute:
 
 
 class TestRouteAblation:
-    def test_requires_non_adaptive(self):
-        with pytest.raises(ValueError):
-            route_ablation(sig(0.2, 0.15, 0.65), CFG, "adaptive")
+    def test_adaptive_is_the_default(self):
+        for dist, _ in CANONICAL:
+            assert route(sig(*dist), CFG, "adaptive") == route(sig(*dist), CFG)
 
     def test_off_keeps_everything(self):
         for dist, _ in CANONICAL:
-            kind, fixed = route_ablation(sig(*dist), CFG, "off")
+            kind, fixed = route(sig(*dist), CFG, "off")
             assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_guess_pins_skips_at_half(self):
-        kind, fixed = route_ablation(sig(0.20, 0.15, 0.65), CFG, "neutral_guess")
+        kind, fixed = route(sig(0.20, 0.15, 0.65), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, 0.5)
-        kind, fixed = route_ablation(sig(0.40, 0.10, 0.50), CFG, "neutral_guess")
+        kind, fixed = route(sig(0.40, 0.10, 0.50), CFG, "neutral_guess")
         assert (kind, fixed) == (DECOMPOSE, None)
-        kind, fixed = route_ablation(sig(0.60, 0.10, 0.30), CFG, "neutral_guess")
+        kind, fixed = route(sig(0.60, 0.10, 0.30), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_weight_keeps_everything(self):
         for dist, _ in CANONICAL:
-            assert route_ablation(sig(*dist), CFG, "neutral_weight") == (KEEP, None)
+            assert route(sig(*dist), CFG, "neutral_weight") == (KEEP, None)
 
     def test_all_atomic_always_decomposes(self):
         for dist, _ in CANONICAL:
-            assert route_ablation(sig(*dist), CFG, "all_atomic") == (DECOMPOSE, None)
+            assert route(sig(*dist), CFG, "all_atomic") == (DECOMPOSE, None)
 
 
 def _world(anchor_kinds, n_refs=2):
