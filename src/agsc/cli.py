@@ -80,14 +80,23 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _read_records(path: Path) -> list:
-    """The JSON value of each non-blank line of a report file.
+def _read_records(path: Path) -> list[tuple[str, object]]:
+    """("path:line", JSON value) for each non-blank line of a report file.
 
     Lines end at "\n" only: report text may hold U+2028 or U+0085, which
-    str.splitlines would also break at.
+    str.splitlines would also break at. A line that is not UTF-8 JSON
+    raises ValueError naming its path and line.
     """
-    text = path.read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.split("\n") if line.strip()]
+    records = []
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        where = f"{path}:{lineno}"
+        try:
+            line = raw.decode("utf-8")
+            if line.strip():
+                records.append((where, json.loads(line)))
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"{where}: {e}") from e
+    return records
 
 
 def _cmd_eval(args) -> int:
@@ -100,23 +109,23 @@ def _cmd_eval(args) -> int:
     files = sorted(root.rglob("*.jsonl"))
     try:
         for path in files:
-            for record in _read_records(path):
-                if "variant" not in record or "u_final" not in record:
+            for where, record in _read_records(path):
+                if not isinstance(record, dict) or not {"variant", "u_final"} <= record.keys():
                     continue  # not a report line (e.g. a provider cache file)
-                report = report_from_dict(record)
+                try:
+                    report = report_from_dict(record)
+                    if "factuality" in record:
+                        labels[report.prompt_id] = float(record["factuality"])
+                except _MALFORMED_REPORT as e:
+                    raise ValueError(f"{where}: {e}") from e
                 by_variant.setdefault(report.variant, []).append(report)
-                if "factuality" in record:
-                    labels[report.prompt_id] = float(record["factuality"])
-        # Report fields are not type-checked on load; a wrong-typed one
-        # fails in compare's arithmetic.
-        rows = compare(by_variant, labels)
     except _MALFORMED_REPORT as e:
         print(f"report error: malformed report line: {e}", file=sys.stderr)
         return EXIT_DATA
     if not by_variant:
         print(f"report error: no report lines under {root}", file=sys.stderr)
         return EXIT_DATA
-    table = comparison_table(rows)
+    table = comparison_table(compare(by_variant, labels))
     Path(args.out).write_text(table, encoding="utf-8")
     print(table, end="")
     return EXIT_OK
@@ -129,18 +138,19 @@ def _cmd_inspect(args) -> int:
     except _MALFORMED_REPORT as e:
         print(f"report error: {e}", file=sys.stderr)
         return EXIT_DATA
-    if not all(isinstance(r, dict) for r in lines):
-        print("report error: a report line is not a JSON object", file=sys.stderr)
-        return EXIT_DATA
+    for where, record in lines:
+        if not isinstance(record, dict):
+            print(f"report error: {where}: not a JSON object", file=sys.stderr)
+            return EXIT_DATA
     if args.prompt_id is not None:
-        lines = [r for r in lines if r.get("prompt_id") == args.prompt_id]
+        lines = [(w, r) for w, r in lines if r.get("prompt_id") == args.prompt_id]
     if not lines:
         print("report error: no matching report line", file=sys.stderr)
         return EXIT_DATA
-    record = lines[0]
+    where, record = lines[0]
     sentences = record.get("sentences", [])
     if not isinstance(sentences, list) or not all(isinstance(s, dict) for s in sentences):
-        print("report error: 'sentences' is not an array of objects", file=sys.stderr)
+        print(f"report error: {where}: 'sentences' is not an array of objects", file=sys.stderr)
         return EXIT_DATA
     matches = [s for s in sentences if s.get("sentence_index") == args.sentence]
     if not matches:

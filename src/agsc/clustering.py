@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 _EMPTY_COMPONENT_MASS = 1e-10
 N_INIT = 3  # EM restarts per K >= 2, best final log-likelihood kept
 EM_MAX_ITER = 200
+
+# LAPACK's triangular solve, called without solve_triangular's checks.
+(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1), dtype=np.float64),))
 
 
 class NumericalError(Exception):
@@ -136,117 +139,181 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def _log_gaussian_prob(data: np.ndarray, params: GmmParams) -> np.ndarray:
-    """log N(x | mu_k, Sigma_k) for every point and component, via Cholesky.
+def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+    """log N(x | mu_k, Sigma_k) for every restart, point and component.
 
-    All K covariances are factored in one stacked call; the log-determinants
-    come from the stacked factor diagonals.
+    devs[a, k] holds the points minus restart a's mean k, shape (A, K, N, D);
+    a C-ordered devs is overwritten. covariances is (A, K, D, D) and is
+    factored in one stacked call. The result is a C-ordered (A, N, K) array:
+    responsibilities inherit its layout, and the M-step's sums over points
+    run in a single restart's order only on that layout.
     """
-    n, dim = data.shape
-    k = params.n_components
+    n_restarts, k, n, dim = devs.shape
     try:
-        chol = np.linalg.cholesky(params.covariances)
+        chol = np.linalg.cholesky(covariances)
     except np.linalg.LinAlgError:
         # Only the error path factors the components one by one to name j.
-        for j, cov in enumerate(params.covariances):
+        for i, cov in enumerate(covariances.reshape(-1, dim, dim)):
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as e:
-                raise NumericalError(f"component {j} covariance not PD") from e
+                raise NumericalError(f"component {i % k} covariance not PD") from e
         raise
-    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_prob = np.empty((n, k), dtype=np.float64)
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=2, axis2=3)).sum(axis=2)
+    sols = np.ascontiguousarray(devs, dtype=np.float64)
+    # With D = 0 there is nothing to solve (LAPACK would reject the empty
+    # factor's leading dimension) and every distance is 0.
+    for a in range(n_restarts if dim else 0):
+        for j in range(k):
+            # LAPACK wants Fortran order: the C-ordered lower factor's
+            # transpose is its upper transpose, solved with trans=1, and
+            # sols[a, j].T is solved in place. These are the arguments
+            # solve_triangular would pass. A factor from a successful
+            # Cholesky has a positive diagonal, so the solve cannot fail;
+            # fit_gmm and select_k reject non-finite data at entry.
+            _trtrs(chol[a, j].T, sols[a, j].T, lower=0, trans=1, overwrite_b=1)
+    maha = np.square(sols, out=sols).sum(axis=3)  # (A, K, N)
     const = dim * math.log(2.0 * math.pi)
-    for j in range(k):
-        dev = data - params.means[j]
-        # fit_gmm and select_k reject non-finite data at entry.
-        sol = solve_triangular(chol[j], dev.T, lower=True, check_finite=False)
-        maha = np.sum(sol * sol, axis=0)
-        log_prob[:, j] = -0.5 * (const + log_det[j] + maha)
-    return log_prob
+    log_prob = -0.5 * (const + log_det[:, :, None] + maha)
+    return np.ascontiguousarray(log_prob.transpose(0, 2, 1))
+
+
+def _stacked_e_step(
+    log_prob: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Responsibilities (A, N, K), log-likelihoods and point log-likelihoods."""
+    weighted = log_prob + np.log(weights)[:, None, :]
+    # Row-wise log-sum-exp with scipy.special.logsumexp's arithmetic: the
+    # row maxima leave the sum and come back through log1p and the log of
+    # their count, so each value is bit-identical to scipy's.
+    top = weighted.max(axis=2, keepdims=True)
+    if not np.isfinite(top).all():  # the shift below would turn it into NaN
+        raise NumericalError("non-finite log-likelihood in E-step")
+    at_top = weighted == top
+    ties = at_top.sum(axis=2, dtype=np.float64)
+    rest = np.exp(np.where(at_top, -np.inf, weighted - top)).sum(axis=2)
+    point_ll = np.log1p(rest / ties) + np.log(ties) + top[:, :, 0]
+    log_likelihood = point_ll.sum(axis=1)
+    if not np.isfinite(log_likelihood).all():
+        raise NumericalError("non-finite log-likelihood in E-step")
+    gamma = np.exp(weighted - point_ll[:, :, None])
+    return gamma, log_likelihood.tolist(), point_ll
+
+
+def _stacked_m_step(
+    data: np.ndarray, gamma: np.ndarray, point_ll: np.ndarray, cov_reg: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means, covariances and the devs of the new means, per restart."""
+    n, dim = data.shape
+    mass = gamma.sum(axis=1)
+    dead = mass < _EMPTY_COMPONENT_MASS
+    if dead.any():
+        # Re-seed dead components at the points the current model explains
+        # worst; each claims its point outright.
+        gamma = gamma.copy()
+        for a in np.flatnonzero(dead.any(axis=1)):
+            order = np.argsort(point_ll[a], kind="stable")
+            for rank, j in enumerate(np.flatnonzero(dead[a])):
+                target = int(order[rank % n])
+                gamma[a, target, :] = 0.0
+                gamma[a, target, j] = 1.0
+        # The identity for every restart that had no dead component.
+        mass = np.maximum(gamma.sum(axis=1), _EMPTY_COMPONENT_MASS)
+
+    weights = mass / mass.sum(axis=1, keepdims=True)
+    gamma_t = gamma.transpose(0, 2, 1)  # (A, K, N)
+    means = (gamma_t @ data) / mass[:, :, None]
+    devs = data - means[:, :, None, :]  # (A, K, N, D)
+    weighted_devs = gamma_t[:, :, :, None] * devs
+    covariances = (
+        weighted_devs.transpose(0, 1, 3, 2) @ devs / mass[:, :, None, None]
+        + cov_reg * np.eye(dim)
+    )
+    return weights, means, covariances, devs
+
+
+# A single parameter set is the one-restart case of the stacked steps.
+
+
+def _log_gaussian_prob(data: np.ndarray, params: GmmParams) -> np.ndarray:
+    devs = data - params.means[:, None, :]
+    return _stacked_log_prob(devs[None], params.covariances[None])[0]
 
 
 def _e_step(
     data: np.ndarray, params: GmmParams
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    weighted = _log_gaussian_prob(data, params) + np.log(params.weights)
-    # Row-wise log-sum-exp with scipy.special.logsumexp's arithmetic: the
-    # row maxima leave the sum and come back through log1p and the log of
-    # their count, so each value is bit-identical to scipy's.
-    top = weighted.max(axis=1, keepdims=True)
-    if not np.isfinite(top).all():  # the shift below would turn it into NaN
-        raise NumericalError("non-finite log-likelihood in E-step")
-    at_top = weighted == top
-    ties = at_top.sum(axis=1, dtype=np.float64)
-    rest = np.exp(np.where(at_top, -np.inf, weighted - top)).sum(axis=1)
-    point_ll = np.log1p(rest / ties) + np.log(ties) + top[:, 0]
-    log_likelihood = float(point_ll.sum())
-    if not math.isfinite(log_likelihood):
-        raise NumericalError("non-finite log-likelihood in E-step")
-    gamma = np.exp(weighted - point_ll[:, None])
-    return gamma, log_likelihood, point_ll
+    log_prob = _log_gaussian_prob(data, params)
+    gamma, ll, point_ll = _stacked_e_step(log_prob[None], params.weights[None])
+    return gamma[0], ll[0], point_ll[0]
 
 
 def _m_step(
     data: np.ndarray, gamma: np.ndarray, point_ll: np.ndarray, cov_reg: float
 ) -> GmmParams:
-    n, dim = data.shape
-    mass = gamma.sum(axis=0)
-    reg = cov_reg * np.eye(dim)
-
-    empty = np.flatnonzero(mass < _EMPTY_COMPONENT_MASS)
-    if empty.size:
-        # Re-seed dead components at the points the current model explains
-        # worst; each claims its point outright.
-        gamma = gamma.copy()
-        order = np.argsort(point_ll, kind="stable")
-        for rank, j in enumerate(empty):
-            target = int(order[rank % n])
-            gamma[target, :] = 0.0
-            gamma[target, j] = 1.0
-        mass = np.maximum(gamma.sum(axis=0), _EMPTY_COMPONENT_MASS)
-
-    weights = mass / mass.sum()
-    means = (gamma.T @ data) / mass[:, None]
-    devs = data[None, :, :] - means[:, None, :]  # (K, N, D)
-    weighted_devs = gamma.T[:, :, None] * devs
-    covariances = weighted_devs.transpose(0, 2, 1) @ devs / mass[:, None, None] + reg
-    return GmmParams(weights=weights, means=means, covariances=covariances)
-
-
-def _fit_single(
-    data: np.ndarray, k: int, config: ClusteringConfig, seed: int
-) -> GmmFit:
-    n, dim = data.shape
-    centers = kmeanspp_init(data, k, seed)
-    base_cov = np.cov(data.T, ddof=0).reshape(dim, dim) + config.cov_reg * np.eye(dim)
-    params = GmmParams(
-        weights=np.full(k, 1.0 / k),
-        means=centers,
-        covariances=np.repeat(base_cov[None, :, :], k, axis=0),
+    weights, means, covariances, _ = _stacked_m_step(
+        data, gamma[None], point_ll[None], cov_reg
     )
-    trace: list[float] = []
-    prev_ll: float | None = None
-    converged = False
+    return GmmParams(weights=weights[0], means=means[0], covariances=covariances[0])
+
+
+def _fit_restarts(
+    data: np.ndarray, k: int, config: ClusteringConfig, seeds: list[int]
+) -> list[GmmFit]:
+    """EM from one k-means++ seeding per seed, all restarts in lockstep.
+
+    The restarts share each iteration's stacked arrays, and a restart
+    leaves the batch once it converges, so each fit is bit-identical to
+    running that restart alone.
+    """
+    n, dim = data.shape
+    base_cov = np.cov(data.T, ddof=0).reshape(dim, dim) + config.cov_reg * np.eye(dim)
+    means = np.stack([kmeanspp_init(data, k, seed) for seed in seeds])
+    weights = np.full((len(seeds), k), 1.0 / k)
+    covariances = np.broadcast_to(base_cov, (len(seeds), k, dim, dim)).copy()
+    devs = data - means[:, :, None, :]
+    live = list(range(len(seeds)))  # batch row -> restart
+    traces: list[list[float]] = [[] for _ in seeds]
+    fits: list[GmmFit | None] = [None] * len(seeds)
+
+    def finish(row: int, gamma: np.ndarray, converged: bool) -> None:
+        trace = traces[live[row]]
+        fits[live[row]] = GmmFit(
+            params=GmmParams(weights[row], means[row], covariances[row]),
+            responsibilities=gamma[row],
+            log_likelihood=trace[-1],
+            trace=trace,
+            converged=converged,
+            n_iter=len(trace),
+        )
+
+    prev_ll: list[float] | None = None
     for _ in range(EM_MAX_ITER):
-        gamma, ll, point_ll = _e_step(data, params)
-        trace.append(ll)
-        if prev_ll is not None and (ll - prev_ll) / n < config.em_tol:
-            converged = True
+        log_prob = _stacked_log_prob(devs, covariances)
+        gamma, ll, point_ll = _stacked_e_step(log_prob, weights)
+        stay = []
+        for row, value in enumerate(ll):
+            traces[live[row]].append(value)
+            if prev_ll is not None and (value - prev_ll[row]) / n < config.em_tol:
+                finish(row, gamma, converged=True)
+            else:
+                stay.append(row)
+        if not stay:
             break
-        params = _m_step(data, gamma, point_ll, config.cov_reg)
+        if len(stay) < len(live):
+            live = [live[row] for row in stay]
+            ll = [ll[row] for row in stay]
+            gamma, point_ll = gamma[stay], point_ll[stay]
+        weights, means, covariances, devs = _stacked_m_step(
+            data, gamma, point_ll, config.cov_reg
+        )
         prev_ll = ll
     else:
-        gamma, ll, _ = _e_step(data, params)
-        trace.append(ll)
-    return GmmFit(
-        params=params,
-        responsibilities=gamma,
-        log_likelihood=trace[-1],
-        trace=trace,
-        converged=converged,
-        n_iter=len(trace),
-    )
+        gamma, ll, _ = _stacked_e_step(_stacked_log_prob(devs, covariances), weights)
+        for row, value in enumerate(ll):
+            traces[live[row]].append(value)
+            finish(row, gamma, converged=False)
+    return fits
 
 
 def _finite_points(data) -> np.ndarray:
@@ -292,14 +359,9 @@ def fit_gmm(data: np.ndarray, k: int, config: ClusteringConfig, seed: int = 0) -
         raise ValueError(f"cannot fit {k} components on {n} points")
     if k == 1:
         return _fit_k1(data, config.cov_reg)
-    child_seeds = np.random.SeedSequence(seed).generate_state(N_INIT)
-    best: GmmFit | None = None
-    for child in child_seeds:
-        fit = _fit_single(data, k, config, int(child))
-        if best is None or fit.log_likelihood > best.log_likelihood:
-            best = fit
-    assert best is not None
-    return best
+    seeds = np.random.SeedSequence(seed).generate_state(N_INIT).tolist()
+    fits = _fit_restarts(data, k, config, seeds)
+    return max(fits, key=lambda fit: fit.log_likelihood)  # first of any ties
 
 
 def bic(params: GmmParams, data: np.ndarray, log_likelihood: float) -> float:

@@ -192,7 +192,8 @@ def load_dataset(path: str | Path) -> list[SampleSet]:
 
     Each "\n"-ended line is a UTF-8 JSON object with fields prompt_id
     (string), prompt (string), responses (array of strings) and optionally
-    factuality (number in [0, 1]). Text is NFC-normalized on ingestion. Any
+    factuality (number in [0, 1]). Text must encode as UTF-8 (a JSON escape
+    for a lone surrogate does not) and is NFC-normalized on ingestion. Any
     malformed line raises DatasetError naming the line; a record with fewer
     than two responses is skipped with a logged diagnostic.
     """
@@ -231,6 +232,17 @@ def _parse_record(obj: dict, lineno: int) -> SampleSet | None:
         isinstance(r, str) for r in responses
     ):
         raise DatasetError(f"line {lineno}: field 'responses' must be an array of strings")
+    texts = {"prompt_id": [prompt_id], "prompt": [prompt], "responses": responses}
+    for field, values in texts.items():
+        # A JSON escape can name a lone surrogate, which no UTF-8 output
+        # (provider requests, report lines) can carry.
+        try:
+            for text in values:
+                text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise DatasetError(
+                f"line {lineno}: field '{field}' is not valid Unicode ({e.reason})"
+            ) from e
     cleaned = tuple(_canonical(r).strip() for r in responses)
     if any(not r for r in cleaned):
         raise DatasetError(f"line {lineno}: field 'responses' contains an empty response")

@@ -395,30 +395,42 @@ _FINAL_KEYS = (
 )
 
 
+# The JSON types each scalar annotation accepts: an int is a valid float,
+# but a bool is no number.
+_SCALAR_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,),
+                 type(None): (type(None),)}
+
+
 @functools.cache
 def _fields(cls: type):
     """How to walk a report dataclass, worked out once per class.
 
     Returns the field names in order, a getter for all of them, the
-    tuple-typed fields and the dataclass-typed fields. Each of the last two
-    is a list of (name, nested dataclass or None for plain items).
+    tuple-typed fields, the dataclass-typed fields and the scalar fields.
+    Each of the tuple and dataclass lists holds (name, nested dataclass or
+    None for plain items); the scalar list holds (name, annotation, the
+    JSON types it accepts).
     """
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
-    tuples, records = [], []
+    tuples, records, scalars = [], [], []
     for name in names:
         tp = hints[name]
+        members = typing.get_args(tp) or (tp,)  # float | None -> (float, None)
         if typing.get_origin(tp) is tuple:
             item = typing.get_args(tp)[0]
             tuples.append((name, item if dataclasses.is_dataclass(item) else None))
         elif dataclasses.is_dataclass(tp):
             records.append((name, tp))
-    return names, operator.attrgetter(*names), tuples, records
+        elif all(m in _SCALAR_TYPES for m in members):
+            accepted = tuple(t for m in members for t in _SCALAR_TYPES[m])
+            scalars.append((name, getattr(tp, "__name__", str(tp)), accepted))
+    return names, operator.attrgetter(*names), tuples, records, scalars
 
 
 def _to_json(record) -> dict:
     """A dataclass as a dict in field order; tuples become lists."""
-    names, get, tuples, records = _fields(type(record))
+    names, get, tuples, records, _ = _fields(type(record))
     out = dict(zip(names, get(record)))
     for name, sub in tuples:
         out[name] = [_to_json(v) for v in out[name]] if sub else list(out[name])
@@ -428,9 +440,15 @@ def _to_json(record) -> dict:
 
 
 def _from_json(cls: type, data: dict):
-    """Inverse of _to_json."""
-    names, _, tuples, records = _fields(cls)
+    """Inverse of _to_json; a scalar of the wrong JSON type raises ValueError."""
+    names, _, tuples, records, scalars = _fields(cls)
     kwargs = {name: data[name] for name in names}
+    for name, annotation, accepted in scalars:
+        value = kwargs[name]
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and bool not in accepted
+        ):
+            raise ValueError(f"field '{name}' must be {annotation}, got {value!r}")
     for name, sub in tuples:
         items = kwargs[name]
         kwargs[name] = tuple(_from_json(sub, v) for v in items) if sub else tuple(items)

@@ -114,6 +114,15 @@ class TestScore:
         assert code == 3
         assert "dataset error" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_dataset_exit_3(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl", n=1)
+        text = dataset.read_text(encoding="utf-8").replace("long history", "long \\ud800 history", 1)
+        dataset.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg")
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "dataset error: line 1: field 'responses'" in capsys.readouterr().err
+
     def test_deleted_key_exit_2(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path / "data.jsonl")
         config = write_config(tmp_path / "run.cfg", extra="report.debug_clusters = true\n")
@@ -168,6 +177,25 @@ class TestEval:
         assert code == 3
         assert "report error" in capsys.readouterr().err
 
+    def test_eval_wrong_typed_field_names_path_and_line(self, tmp_path, capsys):
+        for i, edit in enumerate([
+            lambda r: dict(r, u_final=True),
+            lambda r: dict(r, timing=dict(r["timing"], decomposer_calls=[1])),
+        ]):
+            (tmp_path / str(i)).mkdir()
+            report = scored_report(tmp_path / str(i))
+            edit_first_line(report, edit)
+            code = main(["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")])
+            assert code == 3
+            assert f"{report}:1: field '" in capsys.readouterr().err
+
+    def test_eval_invalid_json_names_path_and_line(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        report.write_bytes(report.read_bytes() + b"{not json\n")
+        code = main(["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert f"{report}:4: " in capsys.readouterr().err
+
     def test_eval_reads_text_with_unicode_line_separators(self, tmp_path):
         # Report lines keep U+2028 and U+0085 unescaped; they are not line ends.
         dataset = write_dataset(tmp_path / "data.jsonl")
@@ -210,6 +238,17 @@ class TestInspect:
         edit_first_line(report, lambda r: [1])
         assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
         assert "not a JSON object" in capsys.readouterr().err
+
+    def test_inspect_malformed_line_names_path_and_line(self, tmp_path, capsys):
+        report = scored_report(tmp_path)
+        text = report.read_text(encoding="utf-8").split("\n")
+        text[1] = "[1, "
+        report.write_text("\n".join(text), encoding="utf-8")
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert f"report error: {report}:2: " in capsys.readouterr().err
+        report.write_text("\n".join(text[:1] + ["7"] + text[2:]), encoding="utf-8")
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert f"report error: {report}:2: not a JSON object" in capsys.readouterr().err
 
     def test_inspect_non_object_sentence_exit_3(self, tmp_path, capsys):
         report = scored_report(tmp_path)

@@ -18,11 +18,14 @@ from agsc.clustering import (
     EM_MAX_ITER,
     N_INIT,
     ClusteringConfig,
+    GmmFit,
     GmmParams,
     NumericalError,
     _e_step,
+    _fit_restarts,
     _log_gaussian_prob,
     _m_step,
+    _stacked_log_prob,
     bic,
     fit_gmm,
     kmeans_hard,
@@ -186,23 +189,24 @@ class TestFitGmm:
         assert a.log_likelihood == b.log_likelihood
 
     def test_keeps_best_of_n_init_restarts(self, monkeypatch):
-        fits = []
-        real = agsc.clustering._fit_single
+        calls = []
+        real = agsc.clustering._fit_restarts
 
-        def recording(data, k, config, seed):
-            fits.append((seed, real(data, k, config, seed)))
-            return fits[-1][1]
+        def recording(data, k, config, seeds):
+            calls.append((seeds, real(data, k, config, seeds)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(agsc.clustering, "_fit_single", recording)
+        monkeypatch.setattr(agsc.clustering, "_fit_restarts", recording)
         data = np.random.default_rng(17).normal(size=(60, 2))
         best = fit_gmm(data, 3, CFG, seed=3)
         assert N_INIT == 3
+        [(seeds, fits)] = calls
         assert len(fits) == N_INIT
-        assert len({seed for seed, _ in fits}) == N_INIT
-        assert best.log_likelihood == max(fit.log_likelihood for _, fit in fits)
+        assert len(set(seeds)) == N_INIT
+        assert best.log_likelihood == max(fit.log_likelihood for fit in fits)
         # With seed 3 the middle restart wins, so keeping the first or the
         # last fit would fail here.
-        assert best is fits[1][1]
+        assert best is fits[1]
 
     def test_em_stops_at_em_max_iter(self, monkeypatch):
         # Unpatched, this fit converges only after 18 EM iterations.
@@ -322,6 +326,119 @@ class TestStackedEmMatchesLoops:
         params = GmmParams(np.full(3, 1 / 3), np.zeros((3, 3)), covs)
         with pytest.raises(NumericalError, match="component 2 covariance not PD"):
             _log_gaussian_prob(data, params)
+
+
+def _reference_fit_single(data, k, config, seed):
+    """One EM restart on its own, with the per-component loops above.
+
+    Returns the fit and how many M-steps re-seeded an empty component.
+    """
+    n, dim = data.shape
+    centers = agsc.clustering.kmeanspp_init(data, k, seed)
+    base_cov = np.cov(data.T, ddof=0).reshape(dim, dim) + config.cov_reg * np.eye(dim)
+    params = GmmParams(
+        weights=np.full(k, 1.0 / k),
+        means=centers,
+        covariances=np.repeat(base_cov[None, :, :], k, axis=0),
+    )
+
+    def e_step(params):
+        weighted = _reference_log_gaussian_prob(data, params) + np.log(params.weights)
+        point_ll = logsumexp(weighted, axis=1)
+        return np.exp(weighted - point_ll[:, None]), float(point_ll.sum()), point_ll
+
+    trace = []
+    prev_ll = None
+    converged = False
+    reseeds = 0
+    for _ in range(agsc.clustering.EM_MAX_ITER):
+        gamma, ll, point_ll = e_step(params)
+        trace.append(ll)
+        if prev_ll is not None and (ll - prev_ll) / n < config.em_tol:
+            converged = True
+            break
+        reseeds += bool((gamma.sum(axis=0) < 1e-10).any())
+        params = _reference_m_step(data, gamma, point_ll, config.cov_reg)
+        prev_ll = ll
+    else:
+        gamma, ll, _ = e_step(params)
+        trace.append(ll)
+    fit = GmmFit(params, gamma, trace[-1], trace, converged, len(trace))
+    return fit, reseeds
+
+
+class TestLockstepRestarts:
+    """Restarts fitted in lockstep give each restart's own fit, bit for bit."""
+
+    SEEDS = [1, 2, 3]
+
+    def _assert_matches_reference(self, data, k, seeds=SEEDS):
+        fits = _fit_restarts(data, k, CFG, seeds)
+        assert len(fits) == len(seeds)
+        reseeds = []
+        for fit, seed in zip(fits, seeds):
+            want, n_reseeds = _reference_fit_single(data, k, CFG, seed)
+            reseeds.append(n_reseeds)
+            assert fit.trace == want.trace
+            assert fit.log_likelihood == want.log_likelihood
+            assert (fit.n_iter, fit.converged) == (want.n_iter, want.converged)
+            np.testing.assert_array_equal(fit.params.weights, want.params.weights)
+            np.testing.assert_array_equal(fit.params.means, want.params.means)
+            np.testing.assert_array_equal(
+                fit.params.covariances, want.params.covariances
+            )
+            np.testing.assert_array_equal(fit.responsibilities, want.responsibilities)
+        return fits, reseeds
+
+    @pytest.mark.parametrize(
+        "data, k",
+        [
+            (np.random.default_rng(17).normal(size=(60, 2)), 3),
+            (_pipeline_like_data(2), 3),
+        ],
+    )
+    def test_restarts_converging_at_different_iterations(self, data, k):
+        fits, _ = self._assert_matches_reference(data, k)
+        assert all(fit.converged for fit in fits)
+        assert len({fit.n_iter for fit in fits}) > 1
+
+    def test_one_restart_hits_em_max_iter(self, monkeypatch):
+        # Unpatched, the restarts converge after 34, 32 and 23 E-steps.
+        data = np.random.default_rng(17).normal(size=(60, 2))
+        monkeypatch.setattr(agsc.clustering, "EM_MAX_ITER", 32)
+        fits, _ = self._assert_matches_reference(data, 3)
+        assert [fit.converged for fit in fits] == [False, True, True]
+        assert [fit.n_iter for fit in fits] == [33, 32, 23]
+
+    def test_empty_component_reseeded_in_one_restart_only(self, monkeypatch):
+        real = agsc.clustering.kmeanspp_init
+
+        def far_center(data, k, seed):
+            # Restart 2's first center starts where no point can reach it.
+            centers = real(data, k, seed)
+            if seed == self.SEEDS[1]:
+                centers[0] += 1e3
+            return centers
+
+        monkeypatch.setattr(agsc.clustering, "kmeanspp_init", far_center)
+        data = _pipeline_like_data(3)
+        _, reseeds = self._assert_matches_reference(data, 3)
+        assert reseeds[0] == reseeds[2] == 0
+        assert reseeds[1] >= 1
+
+    def test_zero_dimensional_data(self, capfd):
+        # Every point sits at every mean; LAPACK is not called.
+        fit = fit_gmm(np.zeros((10, 0)), 2, CFG, seed=1)
+        np.testing.assert_array_equal(fit.responsibilities, np.full((10, 2), 0.5))
+        assert capfd.readouterr() == ("", "")
+
+    def test_not_pd_error_names_the_component_of_a_stacked_batch(self):
+        data = _pipeline_like_data(0, n=10)[:, :3]
+        covs = np.tile(np.eye(3), (2, 3, 1, 1))  # two restarts, three components
+        covs[1, 2] = -np.eye(3)
+        devs = data - np.zeros((2, 3, 1, 3))
+        with pytest.raises(NumericalError, match="component 2 covariance not PD"):
+            _stacked_log_prob(devs, covs)
 
 
 class TestNonFiniteData:

@@ -216,6 +216,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="^line 2: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["prompt", "responses"])
+    def test_lone_surrogate_is_a_dataset_error(self, tmp_path, field):
+        # json.loads turns the escape into a str that UTF-8 cannot encode.
+        record = {"prompt_id": "p1", "prompt": "q", "responses": ["a", "b"]}
+        if field == "prompt":
+            record["prompt"] = "Tell me \ud800 more."
+        else:
+            record["responses"] = ["The cat sat.", "The cat sat \ud800 here."]
+        good = json.dumps({"prompt_id": "p0", "prompt": "q", "responses": ["a", "b"]})
+        path = tmp_path / "data.jsonl"
+        path.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^line 2: field '{field}' is not valid Unicode"):
+            load_dataset(path)
+
     def test_crlf_line_ends(self, tmp_path):
         rec = json.dumps({"prompt_id": "p", "prompt": "q", "responses": ["a", "b"]})
         path = tmp_path / "data.jsonl"

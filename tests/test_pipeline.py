@@ -115,6 +115,24 @@ class TestRunPrompt:
         line = json.loads(json.dumps(report_to_dict(report, sample)))
         assert report_from_dict(line) == report
 
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [
+            (None, "u_final", True),
+            (None, "u_final", "0.5"),
+            ("timing", "decomposer_calls", [1]),
+            ("timing", "nli_pairs", 1.5),
+            ("timing", "embed_calls", False),
+        ],
+    )
+    def test_report_from_dict_rejects_wrong_types(self, key, field, value):
+        sample, config = golden_inputs()
+        report = run_prompt(sample, config, marker_providers())
+        line = json.loads(json.dumps(report_to_dict(report, sample)))
+        (line[key] if key else line)[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            report_from_dict(line)
+
     def test_wall_timing_totals_dominate_components(self):
         sample, config = golden_inputs()
         config = dataclasses.replace(config, timing="wall")
