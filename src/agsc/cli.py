@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, default_config, load_config
-from .corpus import DatasetError, load_dataset
+from .corpus import DatasetError, load_dataset, parse_factuality
 from .evaluation import compare, comparison_table
 from .pipeline import build_providers, report_from_dict, run_corpus
 from .providers import CacheCorruptError
@@ -115,7 +115,7 @@ def _cmd_eval(args) -> int:
                 try:
                     report = report_from_dict(record)
                     if "factuality" in record:
-                        labels[report.prompt_id] = float(record["factuality"])
+                        labels[report.prompt_id] = parse_factuality(record["factuality"])
                 except _MALFORMED_REPORT as e:
                     raise ValueError(f"{where}: {e}") from e
                 by_variant.setdefault(report.variant, []).append(report)

@@ -217,6 +217,19 @@ def load_dataset(path: str | Path) -> list[SampleSet]:
     return samples
 
 
+def parse_factuality(raw) -> float:
+    """A factuality label read from JSON: a number, not a bool, in [0, 1].
+
+    Anything else, NaN included, raises ValueError.
+    """
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ValueError("field 'factuality' must be a number")
+    # Checked before float(): an int too large for a float would overflow.
+    if not 0.0 <= raw <= 1.0:
+        raise ValueError("field 'factuality' must lie in [0, 1]")
+    return float(raw)
+
+
 def _parse_record(obj: dict, lineno: int) -> SampleSet | None:
     for field in ("prompt_id", "prompt", "responses"):
         if field not in obj:
@@ -254,13 +267,10 @@ def _parse_record(obj: dict, lineno: int) -> SampleSet | None:
         return None
     factuality = None
     if "factuality" in obj:
-        raw = obj["factuality"]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise DatasetError(f"line {lineno}: field 'factuality' must be a number")
-        # Checked before float(): an int too large for a float would overflow.
-        if not 0.0 <= raw <= 1.0:
-            raise DatasetError(f"line {lineno}: field 'factuality' must lie in [0, 1]")
-        factuality = float(raw)
+        try:
+            factuality = parse_factuality(obj["factuality"])
+        except ValueError as e:
+            raise DatasetError(f"line {lineno}: {e}") from e
     return SampleSet(
         prompt_id=prompt_id,
         prompt=_canonical(prompt),

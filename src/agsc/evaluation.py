@@ -59,13 +59,16 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; constant input is an error, not zero."""
+    """Sample Pearson correlation; constant or non-finite input is an error."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be equal-length 1-D sequences")
     if len(x) < 2:
         raise ValueError("correlation needs at least 2 points")
+    # Checked first: a NaN r would pass the clamp below as -1.0.
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise UndefinedCorrelationError("correlation undefined for non-finite input")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)

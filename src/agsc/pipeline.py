@@ -176,13 +176,20 @@ class _Meter:
     def __init__(self, providers: ProviderBundle, timed: bool):
         self._providers = providers
         self.timed = timed
+        self._thread = threading.get_ident()  # the prompt's thread
         self.stage_ms: dict[str, float] = {}
         self.nli_pairs = 0
         self.embed_calls = 0
 
     @contextmanager
     def stage(self, name: str):
-        if not self.timed:
+        """Bill the block's wall time to `name`, in the prompt's thread only.
+
+        The pool threads of a decomposition round bill nothing; the
+        prompt's thread bills the round's wall time once, as the atom
+        stage (ResilientDecomposer.decompose_all's round_timer).
+        """
+        if not self.timed or threading.get_ident() != self._thread:
             yield
             return
         t0 = time.perf_counter()
@@ -288,7 +295,11 @@ def run_prompt(
     gran = apply_granularity(
         anchor_sentences,
         refset,
-        ResilientDecomposer(meter),
+        ResilientDecomposer(
+            meter,
+            config.decompose.transport.max_in_flight,
+            round_timer=functools.partial(meter.stage, "atom"),
+        ),
         config.granularity,
         method.granularity_mode,
         prompt_context=sample.prompt,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import AbstractContextManager, nullcontext
+from typing import Callable, Sequence
 
-from .base import DecomposerProvider, ProviderError
+from .base import DecomposerProvider, ProviderError, map_in_pool, waiting
 
 logger = logging.getLogger(__name__)
 
@@ -101,11 +103,20 @@ class ResilientDecomposer:
     """Wraps a primary decomposer with the rule-based fallback.
 
     decompose() reports whether the fallback fired so the pipeline can
-    record the degradation in its report.
+    record the degradation in its report. decompose_all() runs up to
+    max_in_flight of those calls at once; round_timer() is entered around
+    its wait for them.
     """
 
-    def __init__(self, primary: DecomposerProvider):
+    def __init__(
+        self,
+        primary: DecomposerProvider,
+        max_in_flight: int = 1,
+        round_timer: Callable[[], AbstractContextManager] = nullcontext,
+    ):
         self._primary = primary
+        self._max_in_flight = max_in_flight
+        self._round_timer = round_timer
 
     def decompose(self, sentence: str, prompt_context: str) -> tuple[list[str], bool]:
         try:
@@ -116,3 +127,22 @@ class ResilientDecomposer:
         except ProviderError as e:
             logger.warning("decomposer failed (%s); using rule-based fallback", e)
         return split_facts_rule_based(sentence), True
+
+    def decompose_all(
+        self, sentences: Sequence[str], prompt_context: str
+    ) -> list[tuple[list[str], bool]]:
+        """decompose() for each sentence, results in sentence order.
+
+        With two or more sentences and max_in_flight above one, the calls
+        run together on a short-lived pool of at most max_in_flight
+        threads while the caller gives its turn up; each call still falls
+        back on its own. Otherwise they run one after another in the
+        caller's thread.
+        """
+        workers = min(self._max_in_flight, len(sentences))
+        if workers < 2:
+            return [self.decompose(s, prompt_context) for s in sentences]
+        # The turn is given up before the timer starts, so the timer stops
+        # before the turn is taken back.
+        with waiting(), self._round_timer():
+            return map_in_pool(lambda s: self.decompose(s, prompt_context), sentences, workers)

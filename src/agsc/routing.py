@@ -166,6 +166,10 @@ def apply_granularity(
     sentences so a fully-skipped anchor still has a defined fallback
     score.
 
+    All sentences are routed first. The decompose-routed ones then go to
+    the decomposer in one round (decompose_all), and all their facts are
+    scored in one score_units call.
+
     `mode` is the variant's granularity mode, which `route` applies;
     "neutral_weight" also folds the neutral probability into unit scoring
     at half weight.
@@ -177,11 +181,27 @@ def apply_granularity(
     texts = [s.text for s in anchor_sentences]
     scores = refset.score_units(texts, neutral_weight=neutral_weight)
 
+    routed = []
     for sentence, score in zip(anchor_sentences, scores):
         signal = RoutingSignal.from_distribution(sentence, score.distribution)
-        kind, fixed_u = route(signal, config, mode)
+        routed.append((signal, *route(signal, config, mode)))
         result.sentence_uncertainties.append(score.uncertainty)
 
+    decompositions = decomposer.decompose_all(
+        [signal.sentence.text for signal, kind, _ in routed if kind == DECOMPOSE],
+        prompt_context,
+    )
+    result.decomposer_calls = len(decompositions)
+    result.decomposer_fallback = any(used for _, used in decompositions)
+    fact_scores = refset.score_units(
+        [fact for facts, _ in decompositions for fact in facts],
+        neutral_weight=neutral_weight,
+    )
+    fact_us = iter([s.uncertainty for s in fact_scores])
+    pending = iter(decompositions)
+
+    for (signal, kind, fixed_u), score in zip(routed, scores):
+        sentence = signal.sentence
         if kind == KEEP:
             u = fixed_u if fixed_u is not None else score.uncertainty
             unit = _sentence_unit(sentence)
@@ -192,11 +212,11 @@ def apply_granularity(
         elif kind == SKIP:
             result.decisions.append(RoutingDecision(signal, SKIP, (), None))
         else:
-            decision = _decompose_sentence(
-                sentence, signal, refset, decomposer, config,
-                prompt_context, neutral_weight, result,
+            facts, used_fallback = next(pending)
+            us = [next(fact_us) for _ in facts]
+            result.decisions.append(
+                _decomposed(signal, facts, us, used_fallback, config, result)
             )
-            result.decisions.append(decision)
     return result
 
 
@@ -209,21 +229,15 @@ def _sentence_unit(sentence: Sentence) -> TextUnit:
     )
 
 
-def _decompose_sentence(
-    sentence: Sentence,
+def _decomposed(
     signal: RoutingSignal,
-    refset: ReferenceSet,
-    decomposer: ResilientDecomposer,
+    facts: list[str],
+    fact_us: list[float],
+    used_fallback: bool,
     config: GranularityConfig,
-    prompt_context: str,
-    neutral_weight: float | None,
     result: GranularityResult,
 ) -> RoutingDecision:
-    facts, used_fallback = decomposer.decompose(sentence.text, prompt_context)
-    result.decomposer_calls += 1
-    result.decomposer_fallback = result.decomposer_fallback or used_fallback
-    fact_scores = refset.score_units(facts, neutral_weight=neutral_weight)
-    fact_us = [s.uncertainty for s in fact_scores]
+    sentence = signal.sentence
     u_adaptive = math.fsum(fact_us) / len(fact_us)
 
     units = tuple(

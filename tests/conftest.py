@@ -12,6 +12,8 @@ text (the hypothesis under the default pair direction):
 from __future__ import annotations
 
 import dataclasses
+import threading
+from contextlib import contextmanager
 from typing import Sequence
 
 import pytest
@@ -83,6 +85,26 @@ class CountingDecomposer:
     def decompose(self, sentence, prompt_context):
         self.calls += 1
         return self.inner.decompose(sentence, prompt_context)
+
+
+class Overlap:
+    """Counts the threads inside a block at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+
+    @contextmanager
+    def inside(self):
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._now -= 1
 
 
 def marker_providers(embed_dim: int = 32) -> ProviderBundle:

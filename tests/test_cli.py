@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from agsc.cli import main
 
@@ -188,6 +191,14 @@ class TestEval:
             code = main(["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")])
             assert code == 3
             assert f"{report}:1: field '" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, 1.5, -0.1, True, "0.5", None])
+    def test_eval_bad_factuality_label_names_path_and_line(self, tmp_path, capsys, label):
+        report = scored_report(tmp_path)
+        edit_first_line(report, lambda r: dict(r, factuality=label))
+        code = main(["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert f"{report}:1: field 'factuality' must" in capsys.readouterr().err
 
     def test_eval_invalid_json_names_path_and_line(self, tmp_path, capsys):
         report = scored_report(tmp_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import threading
 from collections import Counter
 
 import agsc
@@ -62,9 +63,13 @@ def _resolve(target: str):
     return owner, attr
 
 
+_COUNT_LOCK = threading.Lock()  # decompositions are counted from pool threads
+
+
 def _counting(fn, target: str, calls: Counter):
     def wrapper(*args, **kwargs):
-        calls[target] += 1
+        with _COUNT_LOCK:
+            calls[target] += 1
         return fn(*args, **kwargs)
 
     return wrapper
@@ -92,6 +97,8 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
     samples = [
         marker_sample("mixed", ["alpha", "omega", "zeta", "theta", "alpha"]),
         marker_sample("all-skip", ["zeta", "zeta"], topic_index=1),
+        # Two decompose-routed sentences: their decompositions run on a pool.
+        marker_sample("two-theta", ["theta", "alpha", "theta"], topic_index=2),
     ]
     for variant in ("agsc", "agsc_literal", "luq_sentence"):
         config = dataclasses.replace(
@@ -104,6 +111,8 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
     providers.close()
 
     assert [t for t in HOOK_TARGETS if calls[t] == 0] == []
+    # One call per theta sentence (1 + 2) in each of the two decomposing variants.
+    assert calls["agsc.providers.decompose:ResilientDecomposer.decompose"] == 6
 
 
 def test_report_attributes_read_by_the_benchmark():

@@ -82,6 +82,40 @@ class TestSplitSentences:
             assert collapse(joined) == collapse(fx["text"])
 
 
+class TestSplitSentencesFuzz:
+    """Seeded random texts keep the documented round trip: joining the
+    sentences with single spaces gives back the whitespace-collapsed input."""
+
+    TOKENS = (
+        "word", "Word", "ÉCOLE", "straße", "3.5", "42", "Dr.", "dr.", "e.g.",
+        "U.S.", "A.", "etc.", "Ph.D.", "vs.", "...", "?!", ".", "!", "?",
+        '"', "'", "(", ")", "«", "»", "“", "”", "‘", "’", "[", "]", "-",
+    )
+    SPACES = (" ", " ", " ", "  ", "\t", "\n", "\n\n", "\r\n", "\u00a0", "\u2028", "\u3000", "")
+
+    def _text(self, rng: random.Random) -> str:
+        parts = []
+        for _ in range(rng.randint(0, 40)):
+            parts.append(rng.choice(self.TOKENS))
+            parts.append(rng.choice(self.SPACES))
+        return "".join(parts)
+
+    def test_round_trip_on_random_text(self):
+        rng = random.Random(11)
+        split_somewhere = 0
+        for trial in range(3000):
+            text = self._text(rng)
+            sentences = split_sentences(text)
+            assert collapse(" ".join(sentences)) == collapse(text), (trial, text)
+            for sentence in sentences:
+                assert sentence and sentence == sentence.strip(), (trial, text)
+                assert "\n" not in sentence, (trial, text)
+            if any(s[-1] in ".!?" for s in sentences[:-1]):
+                split_somewhere += 1
+        # Punctuation boundaries, not just newlines, are exercised.
+        assert split_somewhere > 1000, split_somewhere
+
+
 class TestSegmentSentences:
     def test_indices(self):
         sents = segment_sentences("One fact. Two facts!", response_index=2)

@@ -45,6 +45,14 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             pearson([1, 2, 3], [5, 5, 5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_error(self, bad):
+        # max(-1.0, nan) is -1.0: a clamped NaN would read as perfect anticorrelation.
+        with pytest.raises(UndefinedCorrelationError):
+            pearson([0.1, 0.5, 0.9], [0.2, bad, 0.3])
+        with pytest.raises(UndefinedCorrelationError):
+            pearson([bad, 0.5, 0.9], [0.2, 0.4, 0.3])
+
     def test_length_checks(self):
         with pytest.raises(ValueError):
             pearson([1], [1])

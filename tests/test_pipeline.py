@@ -8,13 +8,13 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from conftest import (
     CountingDecomposer,
+    Overlap,
     CountingEmbedder,
     CountingNli,
     marker_decomposer_rule,
@@ -38,6 +38,7 @@ from agsc.pipeline import (
     run_prompt,
 )
 from agsc.providers import (
+    CachedDecomposer,
     CachedNli,
     EmbeddingVector,
     FixedLatencyDecomposer,
@@ -388,26 +389,6 @@ class TestRunCorpus:
         assert not any(isinstance(r, PromptFailure) for r in results)
 
 
-class _Overlap:
-    """Counts the threads inside a block at once."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._now = 0
-        self.peak = 0
-
-    @contextmanager
-    def inside(self):
-        with self._lock:
-            self._now += 1
-            self.peak = max(self.peak, self._now)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._now -= 1
-
-
 class TestTurn:
     """run_many keeps many prompts in flight but computes one at a time."""
 
@@ -418,7 +399,7 @@ class TestTurn:
     def test_provider_waits_overlap_and_clustering_stays_serial(
         self, agsc_config, monkeypatch
     ):
-        nli_overlap, cluster_overlap = _Overlap(), _Overlap()
+        nli_overlap, cluster_overlap = Overlap(), Overlap()
 
         class SlowNli:
             inner = ScriptedNliProvider(default=marker_nli_rule)
@@ -444,11 +425,28 @@ class TestTurn:
         assert nli_overlap.peak > 1
         assert cluster_overlap.peak == 1
 
-    @pytest.mark.parametrize("wrapped", [False, True])
+    # Three decompose-routed sentences per prompt: decompose_all's pool path.
+    THREE_THETA = ("theta", "alpha", "theta", "zeta", "theta")
+
+    @staticmethod
+    def _finishing(fn, timeout_s: float = 60.0):
+        """fn() in a helper thread; fails if it has not returned by the timeout."""
+        out = []
+        t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+        t.start()
+        t.join(timeout_s)
+        assert not t.is_alive(), f"still running after {timeout_s} s"
+        return out[0]
+
+    @pytest.mark.parametrize(
+        ("provider", "wrapped"),
+        [("nli", False), ("nli", True), ("decomposer", False), ("decomposer", True)],
+        ids=["False", "True", "decomposer-False", "decomposer-True"],
+    )
     def test_warm_cache_lookups_hold_the_turn(
-        self, agsc_config, tmp_path, monkeypatch, wrapped
+        self, agsc_config, tmp_path, monkeypatch, provider, wrapped
     ):
-        overlap = _Overlap()
+        overlap = Overlap()
         get = ResponseCache.get
 
         def recording_get(self, key):
@@ -457,19 +455,29 @@ class TestTurn:
                 return get(self, key)
 
         providers = marker_providers()
-        cached = CachedNli(providers.nli, ResponseCache(tmp_path / "nli.jsonl"))
-        # Wrapped, the meter gives the turn up and the cache takes it back.
-        providers.nli = CountingNli(cached) if wrapped else cached
-        samples = self._samples(6)
+        if provider == "nli":
+            cached = CachedNli(providers.nli, ResponseCache(tmp_path / "nli.jsonl"))
+            # Wrapped, the meter gives the turn up and the cache takes it back.
+            providers.nli = CountingNli(cached) if wrapped else cached
+            samples = self._samples(6)
+        else:
+            cached = CachedDecomposer(
+                providers.decomposer, ResponseCache(tmp_path / "decompose.jsonl")
+            )
+            providers.decomposer = CountingDecomposer(cached) if wrapped else cached
+            # A prompt that kept its turn while its pool threads look up
+            # the cache would deadlock here.
+            samples = self._samples(6, self.THREE_THETA)
         config = dataclasses.replace(agsc_config, workers=4)
         try:
-            cold = run_many(samples, config, providers)
+            cold = self._finishing(lambda: run_many(samples, config, providers))
             monkeypatch.setattr(ResponseCache, "get", recording_get)
-            warm = run_many(samples, config, providers)
+            warm = self._finishing(lambda: run_many(samples, config, providers))
         finally:
             cached.close()
         assert overlap.peak == 1
         assert warm == cold
+        assert all(isinstance(r, PromptReport) for r in warm)
 
     def test_only_a_provider_that_waits_gets_the_turn_given_up(self, tmp_path):
         turn = threading.Lock()
@@ -492,28 +500,33 @@ class TestTurn:
         assert default_config().effective_workers() == want
         assert dataclasses.replace(default_config(), workers=3).effective_workers() == 3
 
-    def test_untimed_reports_identical_for_any_worker_count(self, agsc_config):
-        samples = self._samples(7) + [marker_sample("skip", ["zeta", "zeta"])]
+    def test_untimed_reports_identical_for_any_worker_count(self, base_config):
+        samples = self._samples(7) + [
+            marker_sample("skip", ["zeta", "zeta"]),
+            marker_sample("three-theta", list(self.THREE_THETA), topic_index=3),
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
         try:
-            runs = [
-                [
-                    report_to_dict(r, s)
-                    for r, s in zip(
-                        run_many(
+            for variant in ("agsc", "luq_atomic"):
+                config = apply_variant(base_config, variant)
+                runs = [
+                    [
+                        report_to_dict(r, s)
+                        for r, s in zip(
+                            run_many(
+                                samples,
+                                dataclasses.replace(config, workers=w),
+                                marker_providers(),
+                            ),
                             samples,
-                            dataclasses.replace(agsc_config, workers=w),
-                            marker_providers(),
-                        ),
-                        samples,
-                    )
+                        )
+                    ]
+                    for w in (1, 2, 0)
                 ]
-                for w in (1, 2, 0)
-            ]
+                assert runs[0] == runs[1] == runs[2], variant
         finally:
             sys.setswitchinterval(interval)
-        assert runs[0] == runs[1] == runs[2]
 
     def test_turn_waits_are_not_billed_to_a_stage(self, agsc_config):
         providers = marker_providers()
@@ -531,3 +544,25 @@ class TestTurn:
         for r in reports:
             assert r.timing.decomposer_calls >= 1
             assert r.timing.t_atom_ms < r.timing.decomposer_calls * 20.0 + 15.0, r.timing
+
+    def test_decomposition_round_is_billed_once(self, agsc_config):
+        # Three 20 ms calls at once (max_in_flight 4): the atom stage is the
+        # round's wall time, not the 60 ms sum of its calls.
+        providers = marker_providers()
+        providers.decomposer = FixedLatencyDecomposer(providers.decomposer, latency_ms=20.0)
+        config = dataclasses.replace(agsc_config, timing="wall")
+        assert config.decompose.transport.max_in_flight == 4
+        sample = marker_sample("round", list(self.THREE_THETA))
+        report = run_prompt(sample, config, providers)
+        assert report.timing.decomposer_calls == 3
+        assert 20.0 <= report.timing.t_atom_ms < 20.0 + 15.0, report.timing
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_thread_outlives_the_run(self, agsc_config, workers):
+        providers = marker_providers()
+        providers.decomposer = FixedLatencyDecomposer(providers.decomposer, latency_ms=2.0)
+        config = dataclasses.replace(agsc_config, workers=workers)
+        before = threading.active_count()
+        results = run_many(self._samples(4, self.THREE_THETA), config, providers)
+        assert all(isinstance(r, PromptReport) for r in results)
+        assert threading.active_count() == before

@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
 from conftest import (
     AMBIG_LOGITS,
     CountingDecomposer,
+    CountingNli,
+    Overlap,
     marker_decomposer_rule,
     marker_nli_rule,
 )
 from agsc.corpus import Sentence, segment_sentences
 from agsc.providers import (
+    FixedLatencyDecomposer,
     ProviderError,
     ResilientDecomposer,
     ScriptedDecomposerProvider,
     ScriptedNliProvider,
 )
+from agsc.providers.decompose import split_facts_rule_based
 from agsc.routing import (
     DECOMPOSE,
     KEEP,
@@ -259,3 +264,88 @@ class TestApplyGranularity:
         assert len(ids) == len(set(ids))
         assert ids[0] == "r0.s0"
         assert ids[1].startswith("r0.s1.f")
+
+
+class TestDecompositionRound:
+    """A prompt's decompose-routed sentences go out together, then one NLI batch."""
+
+    KINDS = ["theta", "alpha", "theta", "zeta", "theta"]
+
+    @staticmethod
+    def _recording(overlap, latency_ms=20.0):
+        slow = FixedLatencyDecomposer(
+            ScriptedDecomposerProvider(default=marker_decomposer_rule), latency_ms
+        )
+
+        class Recording:
+            def decompose(self, sentence, prompt_context):
+                with overlap.inside():
+                    return slow.decompose(sentence, prompt_context)
+
+        return Recording()
+
+    def test_calls_overlap_up_to_max_in_flight(self):
+        sentences, refset, _ = _world(self.KINDS)
+        overlap = Overlap()
+        decomposer = ResilientDecomposer(self._recording(overlap), max_in_flight=2)
+        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        assert result.decomposer_calls == 3
+        assert overlap.peak == 2
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_round_matches_one_call_at_a_time(self, collapse):
+        sentences, refset, _ = _world(self.KINDS)
+        config = GranularityConfig(collapse_decomposed=collapse)
+        primary = ScriptedDecomposerProvider(default=marker_decomposer_rule)
+        serial = apply_granularity(
+            sentences, refset, ResilientDecomposer(primary, max_in_flight=1), config
+        )
+        together = apply_granularity(
+            sentences, refset, ResilientDecomposer(primary, max_in_flight=4), config
+        )
+        assert together == serial
+        assert [d.kind for d in together.decisions] == [
+            DECOMPOSE, KEEP, DECOMPOSE, SKIP, DECOMPOSE
+        ]
+
+    def test_a_failing_sentence_falls_back_alone(self):
+        class FailsOnSecond:
+            inner = ScriptedDecomposerProvider(default=marker_decomposer_rule)
+
+            def decompose(self, sentence, prompt_context):
+                if "detail 2 " in sentence:
+                    raise ProviderError("down", attempts=3)
+                return self.inner.decompose(sentence, prompt_context)
+
+        sentences, refset, _ = _world(self.KINDS)
+        decomposer = ResilientDecomposer(FailsOnSecond(), max_in_flight=4)
+        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        decomposed = [d for d in result.decisions if d.kind == DECOMPOSE]
+        assert [d.used_fallback_decomposer for d in decomposed] == [False, True, False]
+        assert result.decomposer_fallback
+        failed = decomposed[1]
+        assert [u.text for u in failed.resulting_units] == split_facts_rule_based(
+            failed.signal.sentence.text
+        )
+        assert all(len(d.resulting_units) == 2 for d in (decomposed[0], decomposed[2]))
+
+    def test_all_facts_reach_nli_in_one_batch(self):
+        sentences, _, _ = _world(self.KINDS)
+        nli = CountingNli(ScriptedNliProvider(default=marker_nli_rule))
+        refs = ["The valley report 0 covers it.", "The valley report 1 covers it."]
+        refset = ReferenceSet(refs, ScoringConfig(), nli)
+        decomposer = ResilientDecomposer(
+            ScriptedDecomposerProvider(default=marker_decomposer_rule), max_in_flight=4
+        )
+        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        facts = [su for su in result.units if su.unit.role == "atomic_fact"]
+        assert len(facts) == 6
+        assert nli.calls == 2  # the sentences, then every fact
+        assert nli.pairs_seen == (len(sentences) + len(facts)) * len(refs)
+
+    def test_no_pool_thread_outlives_the_round(self):
+        sentences, refset, _ = _world(self.KINDS)
+        decomposer = ResilientDecomposer(self._recording(Overlap(), 5.0), max_in_flight=4)
+        before = threading.active_count()
+        apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        assert threading.active_count() == before
