@@ -193,11 +193,14 @@ for _prov in ("nli", "embed", "decompose"):
     _KEYS[f"providers.{_prov}.kind"] = ((_prov, "kind"), "str")
     _KEYS[f"providers.{_prov}.endpoint"] = ((_prov, "transport", "endpoint"), "str")
     _KEYS[f"providers.{_prov}.auth_env_var"] = ((_prov, "transport", "auth_env_var"), "str")
-    _KEYS[f"providers.{_prov}.batch_size"] = ((_prov, "transport", "batch_size"), "int")
     _KEYS[f"providers.{_prov}.max_in_flight"] = ((_prov, "transport", "max_in_flight"), "int")
     _KEYS[f"providers.{_prov}.timeout_ms"] = ((_prov, "transport", "timeout_ms"), "int")
     _KEYS[f"providers.{_prov}.retry.max_attempts"] = ((_prov, "transport", "retry", "max_attempts"), "int")
     _KEYS[f"providers.{_prov}.retry.base_backoff_ms"] = ((_prov, "transport", "retry", "base_backoff_ms"), "int")
+
+# The decomposer posts one sentence per request, so only NLI and embed batch.
+for _prov in ("nli", "embed"):
+    _KEYS[f"providers.{_prov}.batch_size"] = ((_prov, "transport", "batch_size"), "int")
 
 # Mock settings only where _build_nli, _build_embedder and _build_decomposer read them.
 _KEYS["providers.nli.mock_seed"] = (("nli", "mock_seed"), "int")

@@ -68,7 +68,7 @@ from .providers import (
     ResponseCache,
     RuleBasedDecomposer,
 )
-from .providers.base import taking_turn, waiting_on
+from .providers.base import taking_turn, waiting, waiting_on
 from .routing import apply_granularity
 from .scoring import ReferenceSet
 
@@ -168,28 +168,25 @@ class _Meter:
     """Per-prompt provider facade: bills each call to its stage and counts
     the work requested.
 
-    It offers all three provider methods, so scoring, routing and
-    clustering call it in place of the bundle. Stage totals stay zero when
+    Scoring, clustering and routing call its nli_batch, embed_batch and
+    decompose_all in place of the bundle. Stage totals stay zero when
     timing is off; the counts are kept either way.
     """
 
-    def __init__(self, providers: ProviderBundle, timed: bool):
+    def __init__(self, providers: ProviderBundle, config: PipelineConfig):
         self._providers = providers
-        self.timed = timed
-        self._thread = threading.get_ident()  # the prompt's thread
+        self._decomposer = ResilientDecomposer(
+            providers.decomposer, config.decompose.transport.max_in_flight
+        )
+        self.timed = config.timing == TIMING_WALL
         self.stage_ms: dict[str, float] = {}
         self.nli_pairs = 0
         self.embed_calls = 0
 
     @contextmanager
     def stage(self, name: str):
-        """Bill the block's wall time to `name`, in the prompt's thread only.
-
-        The pool threads of a decomposition round bill nothing; the
-        prompt's thread bills the round's wall time once, as the atom
-        stage (ResilientDecomposer.decompose_all's round_timer).
-        """
-        if not self.timed or threading.get_ident() != self._thread:
+        """Bill the block's wall time to `name`."""
+        if not self.timed:
             yield
             return
         t0 = time.perf_counter()
@@ -218,10 +215,18 @@ class _Meter:
         with waiting_on(embedder), self.stage("embed"):
             return embedder.embed_batch(texts)
 
-    def decompose(self, sentence: str, prompt_context: str):
-        decomposer = self._providers.decomposer
-        with waiting_on(decomposer), self.stage("atom"):
-            return decomposer.decompose(sentence, prompt_context)
+    def decompose_all(self, sentences: Sequence[str], prompt_context: str):
+        """The prompt's decomposition round (ResilientDecomposer.decompose_all).
+
+        The turn is given up once for the whole round, its calls and
+        their fallbacks included, and the round's wall time is billed once
+        to the atom stage. With no sentences there is no round, and the
+        turn is kept.
+        """
+        if not sentences:
+            return []
+        with waiting(), self.stage("atom"):
+            return self._decomposer.decompose_all(sentences, prompt_context)
 
 
 def build_providers(config: PipelineConfig) -> ProviderBundle:
@@ -279,7 +284,7 @@ def run_prompt(
     records.
     """
     method = config.method
-    meter = _Meter(providers, timed=config.timing == TIMING_WALL)
+    meter = _Meter(providers, config)
     t0 = time.perf_counter() if meter.timed else 0.0
 
     anchor_sentences = segment_sentences(sample.anchor, response_index=0)
@@ -295,11 +300,7 @@ def run_prompt(
     gran = apply_granularity(
         anchor_sentences,
         refset,
-        ResilientDecomposer(
-            meter,
-            config.decompose.transport.max_in_flight,
-            round_timer=functools.partial(meter.stage, "atom"),
-        ),
+        meter,
         config.granularity,
         method.granularity_mode,
         prompt_context=sample.prompt,

@@ -155,34 +155,23 @@ def taking_turn(lock: threading.Lock):
         _turn.lock = None
 
 
-@contextmanager
-def joining_turn(lock: threading.Lock | None):
-    """Share `lock` as this thread's turn for the block, without holding it.
-
-    For a helper thread of a thread that has given its turn up: inside,
-    computing() takes the shared turn, so the helper computes one at a
-    time with the other threads. A None lock (no turn) changes nothing.
-    """
-    _turn.lock, _turn.held = lock, False
-    try:
-        yield
-    finally:
-        _turn.lock = None
-
-
 def map_in_pool(fn, items: Sequence, workers: int) -> list:
     """[fn(item) for item in items] on a short-lived pool of `workers` threads.
 
-    The caller gives its turn up while it waits, and each pool thread
-    joins that turn (joining_turn). A caller that kept its turn would
-    deadlock a pool thread that takes the turn in computing(), as a cache
-    lookup does.
+    The caller gives its turn up while it waits. Each pool thread shares
+    that turn without holding it: inside fn, computing() takes the shared
+    turn, so the pool threads compute one at a time with the other
+    threads. A caller that kept its turn would deadlock a pool thread that
+    takes the turn in computing(), as a cache lookup does.
     """
     lock = _turn.lock
 
     def joined(item):
-        with joining_turn(lock):
+        _turn.lock, _turn.held = lock, False
+        try:
             return fn(item)
+        finally:
+            _turn.lock = None
 
     with waiting(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(joined, items))

@@ -18,7 +18,7 @@ import unicodedata
 from pathlib import Path
 from typing import Sequence
 
-from .base import EmbeddingVector, NliLogits, computing, waiting
+from .base import EmbeddingVector, NliLogits, ProtocolError, computing, waiting
 
 logger = logging.getLogger(__name__)
 
@@ -106,10 +106,6 @@ class ResponseCache:
                 self._file.close()
                 self._file = None
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
 
 class _CachedProvider:
     """Base of the caching wrappers: serves hits from the cache and sends
@@ -129,7 +125,9 @@ class _CachedProvider:
 
         Each key is looked up once; fetch(indices) returns the inner
         provider's results for the missed indices in one call, and each is
-        stored as encode(result). Hits are rebuilt with decode(value).
+        stored as encode(result). Hits are rebuilt with decode(value); a
+        record that decode rejects (TypeError or ValueError) raises
+        ProtocolError naming the cache file.
         """
         results: list = [None] * len(keys)
         missing: list[int] = []
@@ -138,8 +136,13 @@ class _CachedProvider:
                 hit = self._cache.get(key)
                 if hit is None:
                     missing.append(i)
-                else:
+                    continue
+                try:
                     results[i] = decode(hit)
+                except (TypeError, ValueError) as e:
+                    raise ProtocolError(
+                        f"{self._cache._path}: cache record malformed: {e}"
+                    ) from e
             if missing:
                 with waiting():
                     fetched = fetch(missing)
@@ -188,6 +191,12 @@ class CachedDecomposer(_CachedProvider):
             [content_key("decompose", sentence, prompt_context)],
             lambda missing: [self._inner.decompose(sentence, prompt_context)],
             list,
-            list,
+            _facts,
         )
         return facts
+
+
+def _facts(hit) -> list[str]:
+    if not (isinstance(hit, list) and hit and all(isinstance(f, str) for f in hit)):
+        raise ValueError(f"expected a non-empty list of strings, got {hit!r}")
+    return list(hit)

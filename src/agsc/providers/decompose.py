@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import logging
 import re
-from contextlib import AbstractContextManager, nullcontext
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .base import DecomposerProvider, ProviderError, map_in_pool, waiting
+from .base import DecomposerProvider, ProviderError, map_in_pool
 
 logger = logging.getLogger(__name__)
 
@@ -104,19 +103,12 @@ class ResilientDecomposer:
 
     decompose() reports whether the fallback fired so the pipeline can
     record the degradation in its report. decompose_all() runs up to
-    max_in_flight of those calls at once; round_timer() is entered around
-    its wait for them.
+    max_in_flight of those calls at once.
     """
 
-    def __init__(
-        self,
-        primary: DecomposerProvider,
-        max_in_flight: int = 1,
-        round_timer: Callable[[], AbstractContextManager] = nullcontext,
-    ):
+    def __init__(self, primary: DecomposerProvider, max_in_flight: int = 1):
         self._primary = primary
         self._max_in_flight = max_in_flight
-        self._round_timer = round_timer
 
     def decompose(self, sentence: str, prompt_context: str) -> tuple[list[str], bool]:
         try:
@@ -135,14 +127,10 @@ class ResilientDecomposer:
 
         With two or more sentences and max_in_flight above one, the calls
         run together on a short-lived pool of at most max_in_flight
-        threads while the caller gives its turn up; each call still falls
-        back on its own. Otherwise they run one after another in the
-        caller's thread.
+        threads (map_in_pool); each call still falls back on its own.
+        Otherwise they run one after another in the caller's thread.
         """
         workers = min(self._max_in_flight, len(sentences))
         if workers < 2:
             return [self.decompose(s, prompt_context) for s in sentences]
-        # The turn is given up before the timer starts, so the timer stops
-        # before the turn is taken back.
-        with waiting(), self._round_timer():
-            return map_in_pool(lambda s: self.decompose(s, prompt_context), sentences, workers)
+        return map_in_pool(lambda s: self.decompose(s, prompt_context), sentences, workers)

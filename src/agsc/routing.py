@@ -168,7 +168,9 @@ def apply_granularity(
 
     All sentences are routed first. The decompose-routed ones then go to
     the decomposer in one round (decompose_all), and all their facts are
-    scored in one score_units call.
+    scored in one score_units call. `decomposer` is a ResilientDecomposer
+    or anything with its decompose_all, such as the pipeline's per-prompt
+    meter, which also bills the round.
 
     `mode` is the variant's granularity mode, which `route` applies;
     "neutral_weight" also folds the neutral probability into unit scoring

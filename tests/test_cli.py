@@ -153,6 +153,28 @@ class TestScore:
         assert "cache error" in err
         assert f"{nli}:2:" in err
 
+    def test_wrong_shaped_cache_record_fails_only_its_prompt(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        cache = tmp_path / "cache"
+        config = write_config(tmp_path / "run.cfg", extra=f"cache_dir = {cache}\n")
+        args = ["score", "--dataset", str(dataset), "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "first")]) == 0
+        # The first record is p0's first pair: its premise, a reference, names p0.
+        nli = cache / "nli.jsonl"
+        first, rest = nli.read_text(encoding="utf-8").split("\n", 1)
+        nli.write_text(
+            json.dumps(dict(json.loads(first), v=[1.0, 2.0])) + "\n" + rest, encoding="utf-8"
+        )
+        capsys.readouterr()
+        out = tmp_path / "second"
+        assert main(args + ["--out", str(out)]) == 0
+        assert "scored 2/3 prompts (1 failed)" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert [f["prompt_id"] for f in summary["failures"]] == ["p0"]
+        assert f"{nli}: cache record malformed" in summary["failures"][0]["error"]
+        reports = (out / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["prompt_id"] for line in reports] == ["p1", "p2"]
+
 
 class TestEval:
     def _scored_dir(self, tmp_path, variant: str) -> Path:

@@ -56,7 +56,6 @@ def test_config_keys_are_pinned():
         "granularity.collapse_decomposed",
         "granularity.tau",
         "providers.decompose.auth_env_var",
-        "providers.decompose.batch_size",
         "providers.decompose.endpoint",
         "providers.decompose.kind",
         "providers.decompose.max_in_flight",
@@ -190,6 +189,7 @@ class TestProviderKeys:
             "report.debug_clusters",
             "clustering.n_init",
             "clustering.em_max_iter",
+            "providers.decompose.batch_size",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
 import threading
 from collections import Counter
+from pathlib import Path
 
 import agsc
 from conftest import (
@@ -40,6 +42,9 @@ HOOK_TARGETS = (
     "agsc.pipeline:apply_granularity",
     "agsc.pipeline:reduce_embeddings",
     "agsc.pipeline:select_k",
+    "agsc.clustering:fit_gmm",
+    "agsc.clustering:kmeanspp_init",
+    "agsc.clustering:bic",
     "agsc.pipeline:aggregate_global",
     "agsc.pipeline:aggregate_literal",
     "agsc.pipeline:aggregate_uniform",
@@ -52,6 +57,18 @@ HOOK_TARGETS = (
     "agsc.providers.cache:ResponseCache.get",
     "agsc.providers.cache:ResponseCache.put",
 )
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_hook_targets_match_the_benchmark_hooks():
+    # Loaded by path, not installed as a module: perfbench is not a package.
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert {target for target, *_ in tracing.HOOKS} == set(HOOK_TARGETS)
+    assert len(set(HOOK_TARGETS)) == len(HOOK_TARGETS)
 
 
 def _resolve(target: str):

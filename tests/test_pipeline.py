@@ -427,6 +427,8 @@ class TestTurn:
 
     # Three decompose-routed sentences per prompt: decompose_all's pool path.
     THREE_THETA = ("theta", "alpha", "theta", "zeta", "theta")
+    # One: decompose_all's inline path, in the prompt's own thread.
+    ONE_THETA = ("alpha", "theta", "omega", "zeta", "alpha")
 
     @staticmethod
     def _finishing(fn, timeout_s: float = 60.0):
@@ -439,12 +441,26 @@ class TestTurn:
         return out[0]
 
     @pytest.mark.parametrize(
-        ("provider", "wrapped"),
-        [("nli", False), ("nli", True), ("decomposer", False), ("decomposer", True)],
-        ids=["False", "True", "decomposer-False", "decomposer-True"],
+        ("provider", "wrapped", "kinds"),
+        [
+            ("nli", False, ONE_THETA),
+            ("nli", True, ONE_THETA),
+            ("decomposer", False, THREE_THETA),
+            ("decomposer", True, THREE_THETA),
+            ("decomposer", False, ONE_THETA),
+            ("decomposer", True, ONE_THETA),
+        ],
+        ids=[
+            "False",
+            "True",
+            "decomposer-False",
+            "decomposer-True",
+            "decomposer-one-theta-False",
+            "decomposer-one-theta-True",
+        ],
     )
     def test_warm_cache_lookups_hold_the_turn(
-        self, agsc_config, tmp_path, monkeypatch, provider, wrapped
+        self, agsc_config, tmp_path, monkeypatch, provider, wrapped, kinds
     ):
         overlap = Overlap()
         get = ResponseCache.get
@@ -459,15 +475,17 @@ class TestTurn:
             cached = CachedNli(providers.nli, ResponseCache(tmp_path / "nli.jsonl"))
             # Wrapped, the meter gives the turn up and the cache takes it back.
             providers.nli = CountingNli(cached) if wrapped else cached
-            samples = self._samples(6)
         else:
             cached = CachedDecomposer(
                 providers.decomposer, ResponseCache(tmp_path / "decompose.jsonl")
             )
+            # The prompt gives its turn up for its decomposition round and
+            # the cache takes it back for its lookups, in a pool thread with
+            # three thetas and in the prompt's own thread with one. A prompt
+            # that kept its turn while pool threads look up the cache would
+            # deadlock here.
             providers.decomposer = CountingDecomposer(cached) if wrapped else cached
-            # A prompt that kept its turn while its pool threads look up
-            # the cache would deadlock here.
-            samples = self._samples(6, self.THREE_THETA)
+        samples = self._samples(6, kinds)
         config = dataclasses.replace(agsc_config, workers=4)
         try:
             cold = self._finishing(lambda: run_many(samples, config, providers))
@@ -556,6 +574,36 @@ class TestTurn:
         report = run_prompt(sample, config, providers)
         assert report.timing.decomposer_calls == 3
         assert 20.0 <= report.timing.t_atom_ms < 20.0 + 15.0, report.timing
+        # One call, made inline, is a round too.
+        report = run_prompt(marker_sample("one", list(self.ONE_THETA)), config, providers)
+        assert report.timing.decomposer_calls == 1
+        assert 20.0 <= report.timing.t_atom_ms < 20.0 + 15.0, report.timing
+
+    def test_no_round_keeps_the_turn(self, agsc_config, monkeypatch):
+        turn = threading.Lock()
+        gave_up, seen = [], []
+        real_waiting = agsc.pipeline.waiting
+
+        def recording_waiting():
+            gave_up.append(True)
+            return real_waiting()
+
+        class Stub:
+            def decompose_all(self, sentences, prompt_context):
+                seen.append(turn.locked())
+                return [([s], False) for s in sentences]
+
+        monkeypatch.setattr(agsc.pipeline, "waiting", recording_waiting)
+        config = dataclasses.replace(agsc_config, timing="wall")
+        meter = agsc.pipeline._Meter(marker_providers(), config)
+        meter._decomposer = Stub()
+        with taking_turn(turn):
+            assert meter.decompose_all([], "ctx") == []
+            assert (gave_up, seen, meter.stage_ms) == ([], [], {})
+            assert meter.decompose_all(["s"], "ctx") == [(["s"], False)]
+            assert turn.locked()
+        # A round gives the turn up once and is billed to the atom stage.
+        assert (gave_up, seen, list(meter.stage_ms)) == ([True], [False], ["atom"])
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_no_thread_outlives_the_run(self, agsc_config, workers):

@@ -19,6 +19,7 @@ from agsc.providers import (
     HashEmbeddingProvider,
     HashNliProvider,
     NliLogits,
+    ProtocolError,
     ProviderConfig,
     ProviderError,
     ResilientDecomposer,
@@ -221,7 +222,6 @@ class TestCache:
         reopened = new_cache("nli.jsonl")
         assert reopened.get("old") == [1.0, 2.0, 3.0]
         assert reopened.get("new") == [6.0]
-        assert len(reopened) == 2
         assert [json.loads(l)["k"] for l in path.read_text().splitlines()] == ["old", "new"]
 
     def test_unterminated_last_record_kept(self, tmp_path, new_cache):
@@ -263,7 +263,8 @@ class TestCache:
         cache.put("k5", [5.0])  # a put after close() opens the handle again
         assert opened == ["a", "a"]
         cache.close()
-        assert len(ResponseCache(tmp_path / "nli.jsonl")) == 6
+        reopened = ResponseCache(tmp_path / "nli.jsonl")
+        assert [reopened.get(f"k{i}") for i in range(6)] == [[float(i)] for i in range(6)]
 
     def test_fetched_batch_is_on_disk_when_returned(self, tmp_path, new_cache):
         cached = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
@@ -314,7 +315,29 @@ class TestCache:
         cached.nli_batch([("a1", "h"), ("a2", "h")])
         b.join()
         assert seen[1] == ([keys[0]], [])  # B saw A's first record, on disk
-        assert len(ResponseCache(path)) == 3
+        reopened = ResponseCache(path)
+        assert all(reopened.get(k) == [1.0, 0.0, 0.0] for k in keys)
+
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0], "abc", 5, [1.0, "x", 2.0]])
+    def test_wrong_shaped_nli_record_is_a_protocol_error(self, new_cache, value):
+        cache = new_cache("nli.jsonl")
+        cache.put(cache_module.content_key("nli", "p", "h"), value)
+        cached = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.0)), cache)
+        with pytest.raises(ProtocolError, match=r"nli\.jsonl: cache record malformed"):
+            cached.nli_batch([("p", "h")])
+
+    @pytest.mark.parametrize("value", ["ab", [], ["f", 2], 5, {"f": "g"}])
+    def test_wrong_shaped_decomposer_record_falls_back(self, new_cache, value):
+        cache = new_cache("dec.jsonl")
+        cache.put(cache_module.content_key("decompose", "a and b", "ctx"), value)
+        inner = CountingDecomposer(ScriptedDecomposerProvider(script={"a and b": ["f1"]}))
+        cached = CachedDecomposer(inner, cache)
+        with pytest.raises(ProtocolError, match=r"dec\.jsonl: cache record malformed"):
+            cached.decompose("a and b", "ctx")
+        facts, fallback = ResilientDecomposer(cached).decompose("a and b", "ctx")
+        assert (facts, fallback) == (["a", "b"], True)
+        assert inner.calls == 0
 
 
 class TestDecomposition:
