@@ -65,11 +65,16 @@ def _cmd_score(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        samples = load_dataset(args.dataset)
-    except (DatasetError, OSError) as e:
-        print(f"dataset error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
+        try:
+            samples = load_dataset(args.dataset)
+        except (DatasetError, OSError) as e:
+            print(f"dataset error: {e}", file=sys.stderr)
+            return EXIT_DATA
+        try:  # before any prompt is scored
+            Path(config.report_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            print(f"report error: {e}", file=sys.stderr)
+            return EXIT_DATA
         reports, summary = run_corpus(samples, config, providers)
     finally:
         providers.close()
@@ -126,7 +131,11 @@ def _cmd_eval(args) -> int:
         print(f"report error: no report lines under {root}", file=sys.stderr)
         return EXIT_DATA
     table = comparison_table(compare(by_variant, labels))
-    Path(args.out).write_text(table, encoding="utf-8")
+    try:
+        Path(args.out).write_text(table, encoding="utf-8")
+    except OSError as e:
+        print(f"report error: {e}", file=sys.stderr)
+        return EXIT_DATA
     print(table, end="")
     return EXIT_OK
 

@@ -1,10 +1,12 @@
 """End-to-end orchestration: score one prompt or a whole corpus.
 
 Stages per prompt: segment -> NLI-score sentences -> route granularity
-(keep / skip / decompose) -> score surviving units -> embed -> cluster ->
-aggregate. Per-stage wall time is attributed to the stage issuing the
-provider call; with timing disabled all durations are zero and reports
-become byte-reproducible given the same seed, config, and providers.
+(keep / skip / decompose) -> decompose -> NLI-score the atomic facts, and
+meanwhile embed and cluster the units -> aggregate. Per-stage wall time is
+attributed to the stage issuing the provider call, so the facts' NLI time
+overlaps the embed and cluster times; with timing disabled all durations
+are zero and reports become byte-reproducible given the same seed,
+config, and providers.
 
 Corpus runs fan prompts out over a bounded worker pool (one prompt
 computes at a time while the others wait on providers), write one report
@@ -63,13 +65,14 @@ from .providers import (
     HttpEmbeddingProvider,
     HttpNliProvider,
     NliProvider,
+    ProtocolError,
     ProviderError,
     ResilientDecomposer,
     ResponseCache,
     RuleBasedDecomposer,
 )
-from .providers.base import taking_turn, waiting, waiting_on
-from .routing import apply_granularity
+from .providers.base import computing, map_in_pool, taking_turn, waiting, waiting_on
+from .routing import apply_granularity, route_sentences
 from .scoring import ReferenceSet
 
 logger = logging.getLogger(__name__)
@@ -84,7 +87,10 @@ class TimingBreakdown:
     """Per-stage durations (ms) and logical workload counts.
 
     Counts reflect requested work, not network traffic, so a warm cache
-    changes wall time but never the recorded counts.
+    changes wall time but never the recorded counts. The stages need not
+    add up to t_total_ms: a prompt's facts are scored while its units are
+    embedded and clustered, so t_nli_ms overlaps t_embed_ms and
+    t_cluster_ms.
     """
 
     t_nli_ms: float = 0.0
@@ -171,6 +177,12 @@ class _Meter:
     Scoring, clustering and routing call its nli_batch, embed_batch and
     decompose_all in place of the bundle. Stage totals stay zero when
     timing is off; the counts are kept either way.
+
+    While a prompt's facts are scored alongside its clustering, two
+    threads use the meter at once. The fact-scoring branch touches only
+    the "nli" stage and nli_pairs, the clustering branch only the "embed"
+    and "cluster" stages and embed_calls, so neither updates what the
+    other does and no lock is needed.
     """
 
     def __init__(self, providers: ProviderBundle, config: PipelineConfig):
@@ -297,14 +309,33 @@ def run_prompt(
     refset = ReferenceSet(
         sample.references, config.scoring, meter, first_reference_index=1
     )
-    gran = apply_granularity(
+    routing_args = (
         anchor_sentences,
         refset,
         meter,
         config.granularity,
         method.granularity_mode,
-        prompt_context=sample.prompt,
+        sample.prompt,
     )
+    routing = route_sentences(*routing_args)
+    # Given the routing, apply_granularity only scores the facts. It is
+    # called by this module's name, which traced runs hook for the
+    # routing counts.
+    score = functools.partial(apply_granularity, *routing_args, routing=routing)
+    cluster = None
+    if routing.units and method.clustering_mode != CLUSTER_NONE:
+        cluster = functools.partial(
+            _embed_and_cluster,
+            sample, config, method, meter, routing.units, ref_sentences,
+        )
+    # Clustering needs only the units' texts, so the facts are scored while
+    # the units are embedded and clustered. Without facts, or without
+    # clustering, there is nothing to overlap.
+    if cluster and routing.facts:
+        gran, clustered = map_in_pool(lambda branch: branch(), [score, cluster], 2)
+    else:
+        gran = score()
+        clustered = cluster() if cluster else None
 
     memberships: list[tuple[float, ...]] = [() for _ in gran.units]
     summaries: list[ClusterSummary] = []
@@ -312,12 +343,11 @@ def run_prompt(
 
     if gran.all_skipped:
         final = all_skip_fallback(gran.sentence_uncertainties)
-    elif method.clustering_mode == CLUSTER_NONE:
+    elif clustered is None:
         final = aggregate_uniform([su.uncertainty for su in gran.units])
     else:
-        final, summaries, memberships, selected_k = _cluster_and_aggregate(
-            sample, config, method, meter, gran, ref_sentences
-        )
+        gamma, selected_k = clustered
+        final, summaries, memberships = _aggregate(method, gran, gamma)
 
     total_ms = (time.perf_counter() - t0) * 1000.0 if meter.timed else 0.0
     timing = TimingBreakdown(
@@ -353,25 +383,46 @@ def run_prompt(
     )
 
 
-def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences):
-    anchor_texts = [su.unit.text for su in gran.units]
-    ref_texts = [s.text for sents in ref_sentences for s in sents]
-    vectors = meter.embed_batch(anchor_texts + ref_texts)
-    data = np.array([v.values for v in vectors], dtype=np.float64)
+def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
+    """Embed the prompt's units and reference sentences and cluster them.
 
+    Returns the responsibilities (anchor units first, in order) and K.
+    The computation holds the turn, which matters when this runs in a
+    helper thread while the prompt's thread scores the facts.
+    """
+    texts = [u.text for u in units] + [s.text for sents in ref_sentences for s in sents]
+    vectors = meter.embed_batch(texts)
     seed = prompt_seed(config.seed, sample.prompt_id)
-    with meter.stage("cluster"):
-        reduced = reduce_embeddings(data, config.clustering.target_dim)
-        selection = select_k(reduced, config.clustering, seed)
-        k = selection.fit.params.n_components
-        if method.clustering_mode == CLUSTER_KMEANS:
-            gamma = kmeans_hard(reduced, k, seed)
-        else:
-            gamma = selection.fit.responsibilities
+    with computing():
+        data = _embedding_matrix(vectors, len(texts))
+        with meter.stage("cluster"):
+            reduced = reduce_embeddings(data, config.clustering.target_dim)
+            selection = select_k(reduced, config.clustering, seed)
+            k = selection.fit.params.n_components
+            if method.clustering_mode == CLUSTER_KMEANS:
+                return kmeans_hard(reduced, k, seed), k
+            return selection.fit.responsibilities, k
 
+
+def _embedding_matrix(vectors, n_texts: int) -> np.ndarray:
+    """The embedder's answer as an (n_texts, dim) array, or ProtocolError."""
+    if len(vectors) != n_texts:
+        raise ProtocolError(
+            f"embedding provider returned {len(vectors)} vectors for {n_texts} texts"
+        )
+    dims = {v.dim for v in vectors}
+    if len(dims) > 1:
+        raise ProtocolError(
+            f"embedding provider returned vectors of dimensions {sorted(dims)}"
+        )
+    return np.array([v.values for v in vectors], dtype=np.float64)
+
+
+def _aggregate(method, gran, gamma):
+    """The final score, cluster summaries and anchor memberships."""
     n_anchor = len(gran.units)
     uncertainties = [su.uncertainty for su in gran.units]
-    anchor_mask = [True] * n_anchor + [False] * len(ref_texts)
+    anchor_mask = [True] * n_anchor + [False] * (len(gamma) - n_anchor)
     if method.aggregation_mode == MODE_LITERAL:
         final, summaries = aggregate_literal(gamma[:n_anchor], uncertainties)
     else:
@@ -382,7 +433,7 @@ def _cluster_and_aggregate(sample, config, method, meter, gran, ref_sentences):
             summaries = []
 
     memberships = [tuple(float(g) for g in row) for row in gamma[:n_anchor]]
-    return final, summaries, memberships, k
+    return final, summaries, memberships
 
 
 def _sentence_record(decision) -> SentenceRecord:

@@ -156,13 +156,15 @@ def taking_turn(lock: threading.Lock):
 
 
 def map_in_pool(fn, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items] on a short-lived pool of `workers` threads.
+    """[fn(item) for item in items], at most `workers` (>= 2) at once.
 
-    The caller gives its turn up while it waits. Each pool thread shares
-    that turn without holding it: inside fn, computing() takes the shared
-    turn, so the pool threads compute one at a time with the other
-    threads. A caller that kept its turn would deadlock a pool thread that
-    takes the turn in computing(), as a cache lookup does.
+    The caller gives its turn up, runs the first item itself and waits for
+    a short-lived pool of workers - 1 threads to run the rest. Every one
+    of these threads shares the caller's turn without holding it: inside
+    fn, computing() takes the shared turn, so they compute one at a time
+    with the other threads. A caller that kept its turn would deadlock a
+    pool thread that takes the turn in computing(), as a cache lookup
+    does. An error of the first item wins over the others' errors.
     """
     lock = _turn.lock
 
@@ -173,8 +175,9 @@ def map_in_pool(fn, items: Sequence, workers: int) -> list:
         finally:
             _turn.lock = None
 
-    with waiting(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(joined, items))
+    with waiting(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(joined, items[1:])
+        return [fn(items[0]), *rest]
 
 
 @contextmanager

@@ -148,6 +148,43 @@ class GranularityResult:
         return not self.units
 
 
+@dataclass(frozen=True)
+class RoutedSentence:
+    """One anchor sentence routed, and decomposed if so routed.
+
+    `units` are what the sentence brings to aggregation: none when
+    skipped, the sentence when kept or collapsed, else one per fact.
+    `uncertainty` is a kept sentence's; a decomposed sentence's comes from
+    scoring its facts, and a skipped one has none.
+    """
+
+    signal: RoutingSignal
+    kind: str
+    units: tuple[TextUnit, ...]
+    uncertainty: float | None = None
+    facts: tuple[str, ...] = ()
+    used_fallback: bool = False
+
+
+@dataclass(frozen=True)
+class Routing:
+    """The first half of apply_granularity: the final units, in order,
+    before the decomposed sentences' facts are scored."""
+
+    sentences: tuple[RoutedSentence, ...]
+    sentence_uncertainties: tuple[float, ...]
+    neutral_weight: float | None
+    collapse_decomposed: bool
+
+    @property
+    def units(self) -> list[TextUnit]:
+        return [unit for s in self.sentences for unit in s.units]
+
+    @property
+    def facts(self) -> list[str]:
+        return [fact for s in self.sentences for fact in s.facts]
+
+
 def apply_granularity(
     anchor_sentences: Sequence[Sentence],
     refset: ReferenceSet,
@@ -155,6 +192,8 @@ def apply_granularity(
     config: GranularityConfig,
     mode: str = MODE_ADAPTIVE,
     prompt_context: str = "",
+    *,
+    routing: Routing | None = None,
 ) -> GranularityResult:
     """Route every anchor sentence under `mode` and score the surviving units.
 
@@ -166,59 +205,101 @@ def apply_granularity(
     sentences so a fully-skipped anchor still has a defined fallback
     score.
 
-    All sentences are routed first. The decompose-routed ones then go to
-    the decomposer in one round (decompose_all), and all their facts are
-    scored in one score_units call. `decomposer` is a ResilientDecomposer
-    or anything with its decompose_all, such as the pipeline's per-prompt
-    meter, which also bills the round.
-
-    `mode` is the variant's granularity mode, which `route` applies;
-    "neutral_weight" also folds the neutral probability into unit scoring
-    at half weight.
+    This is route_sentences followed by score_facts. A caller that has
+    already run route_sentences passes its result as `routing`, and only
+    score_facts runs: the pipeline clusters the units meanwhile.
     """
-    result = GranularityResult()
-    if not anchor_sentences:
-        return result
-    neutral_weight = NEUTRAL_WEIGHT if mode == MODE_NEUTRAL_WEIGHT else None
-    texts = [s.text for s in anchor_sentences]
-    scores = refset.score_units(texts, neutral_weight=neutral_weight)
+    if routing is None:
+        routing = route_sentences(
+            anchor_sentences, refset, decomposer, config, mode, prompt_context
+        )
+    return score_facts(routing, refset)
 
+
+def route_sentences(
+    anchor_sentences: Sequence[Sentence],
+    refset: ReferenceSet,
+    decomposer: ResilientDecomposer,
+    config: GranularityConfig,
+    mode: str = MODE_ADAPTIVE,
+    prompt_context: str = "",
+) -> Routing:
+    """Score and route every anchor sentence, then decompose the
+    decompose-routed ones in one round (decompose_all).
+
+    `decomposer` is a ResilientDecomposer or anything with its
+    decompose_all, such as the pipeline's per-prompt meter, which also
+    bills the round. `mode` is the variant's granularity mode, which
+    `route` applies; "neutral_weight" also folds the neutral probability
+    into unit scoring at half weight.
+    """
+    neutral_weight = NEUTRAL_WEIGHT if mode == MODE_NEUTRAL_WEIGHT else None
+    scores = refset.score_units(
+        [s.text for s in anchor_sentences], neutral_weight=neutral_weight
+    )
     routed = []
     for sentence, score in zip(anchor_sentences, scores):
         signal = RoutingSignal.from_distribution(sentence, score.distribution)
-        routed.append((signal, *route(signal, config, mode)))
-        result.sentence_uncertainties.append(score.uncertainty)
+        kind, fixed_u = route(signal, config, mode)
+        routed.append((signal, kind, score.uncertainty if fixed_u is None else fixed_u))
 
-    decompositions = decomposer.decompose_all(
-        [signal.sentence.text for signal, kind, _ in routed if kind == DECOMPOSE],
-        prompt_context,
+    decompositions = iter(
+        decomposer.decompose_all(
+            [signal.sentence.text for signal, kind, _ in routed if kind == DECOMPOSE],
+            prompt_context,
+        )
     )
-    result.decomposer_calls = len(decompositions)
-    result.decomposer_fallback = any(used for _, used in decompositions)
-    fact_scores = refset.score_units(
-        [fact for facts, _ in decompositions for fact in facts],
-        neutral_weight=neutral_weight,
-    )
-    fact_us = iter([s.uncertainty for s in fact_scores])
-    pending = iter(decompositions)
-
-    for (signal, kind, fixed_u), score in zip(routed, scores):
-        sentence = signal.sentence
+    sentences = []
+    for signal, kind, u in routed:
         if kind == KEEP:
-            u = fixed_u if fixed_u is not None else score.uncertainty
-            unit = _sentence_unit(sentence)
-            result.units.append(ScoredUnit(unit, u))
-            result.decisions.append(
-                RoutingDecision(signal, KEEP, (unit,), u)
+            routed_sentence = RoutedSentence(
+                signal, KEEP, (_sentence_unit(signal.sentence),), u
             )
         elif kind == SKIP:
-            result.decisions.append(RoutingDecision(signal, SKIP, (), None))
+            routed_sentence = RoutedSentence(signal, SKIP, ())
         else:
-            facts, used_fallback = next(pending)
-            us = [next(fact_us) for _ in facts]
-            result.decisions.append(
-                _decomposed(signal, facts, us, used_fallback, config, result)
+            facts, used_fallback = next(decompositions)
+            routed_sentence = RoutedSentence(
+                signal,
+                DECOMPOSE,
+                _decomposed_units(signal.sentence, facts, config),
+                facts=tuple(facts),
+                used_fallback=used_fallback,
             )
+        sentences.append(routed_sentence)
+    return Routing(
+        sentences=tuple(sentences),
+        sentence_uncertainties=tuple(score.uncertainty for score in scores),
+        neutral_weight=neutral_weight,
+        collapse_decomposed=config.collapse_decomposed,
+    )
+
+
+def score_facts(routing: Routing, refset: ReferenceSet) -> GranularityResult:
+    """Score all of routing's facts in one score_units call and fill in
+    every unit's uncertainty and every sentence's decision."""
+    fact_scores = refset.score_units(
+        routing.facts, neutral_weight=routing.neutral_weight
+    )
+    fact_us = iter([s.uncertainty for s in fact_scores])
+    result = GranularityResult(
+        sentence_uncertainties=list(routing.sentence_uncertainties)
+    )
+    for s in routing.sentences:
+        u, unit_us = s.uncertainty, [s.uncertainty] * len(s.units)
+        if s.kind == DECOMPOSE:
+            unit_us = [next(fact_us) for _ in s.facts]
+            u = math.fsum(unit_us) / len(unit_us)
+            result.decomposer_calls += 1
+            result.decomposer_fallback |= s.used_fallback
+            if routing.collapse_decomposed:
+                unit_us = [u]
+        result.units.extend(
+            ScoredUnit(unit, unit_u) for unit, unit_u in zip(s.units, unit_us)
+        )
+        result.decisions.append(
+            RoutingDecision(s.signal, s.kind, s.units, u, s.used_fallback)
+        )
     return result
 
 
@@ -231,18 +312,12 @@ def _sentence_unit(sentence: Sentence) -> TextUnit:
     )
 
 
-def _decomposed(
-    signal: RoutingSignal,
-    facts: list[str],
-    fact_us: list[float],
-    used_fallback: bool,
-    config: GranularityConfig,
-    result: GranularityResult,
-) -> RoutingDecision:
-    sentence = signal.sentence
-    u_adaptive = math.fsum(fact_us) / len(fact_us)
-
-    units = tuple(
+def _decomposed_units(
+    sentence: Sentence, facts: list[str], config: GranularityConfig
+) -> tuple[TextUnit, ...]:
+    if config.collapse_decomposed:
+        return (_sentence_unit(sentence),)
+    return tuple(
         TextUnit(
             unit_id=(
                 f"r{sentence.response_index}.s{sentence.sentence_index}.f{j}"
@@ -253,12 +328,3 @@ def _decomposed(
         )
         for j, fact in enumerate(facts)
     )
-    if config.collapse_decomposed:
-        collapsed = _sentence_unit(sentence)
-        result.units.append(ScoredUnit(collapsed, u_adaptive))
-        return RoutingDecision(
-            signal, DECOMPOSE, (collapsed,), u_adaptive, used_fallback
-        )
-    for unit, u in zip(units, fact_us):
-        result.units.append(ScoredUnit(unit, u))
-    return RoutingDecision(signal, DECOMPOSE, units, u_adaptive, used_fallback)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import split_sentences
-from .providers import NliLogits, NliProvider
+from .providers import NliLogits, NliProvider, ProtocolError
 
 REFERENCE_PREMISE = "reference_premise"
 UNIT_PREMISE = "unit_premise"
@@ -260,7 +260,8 @@ class ReferenceSet:
 
         With neutral_weight set, per-reference entailment uses the
         weighted-neutral form instead of the binary normalization (the
-        routing distributions are unaffected).
+        routing distributions are unaffected). An NLI answer with the
+        wrong number of results raises ProtocolError.
         """
         if not texts:
             return []
@@ -271,7 +272,7 @@ class ReferenceSet:
                     pairs.append(_pair(text, chunk.text, self.config.nli_direction))
         logits = self._nli.nli_batch(pairs)
         if len(logits) != len(pairs):
-            raise ValueError(
+            raise ProtocolError(
                 f"NLI provider returned {len(logits)} results for {len(pairs)} pairs"
             )
         out = []

@@ -151,6 +151,19 @@ def marker_sample(
     )
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running which was not there before it."""
+    before = set(threading.enumerate())
+    yield
+    new = [t for t in threading.enumerate() if t not in before]
+    for thread in new:
+        thread.join(timeout=1.0)  # one on its way out may still be finishing
+    running = [t.name for t in new if t.is_alive()]
+    if running:
+        pytest.fail(f"threads left running: {running}", pytrace=False)
+
+
 @pytest.fixture
 def base_config():
     return dataclasses.replace(default_config(), timing="off", workers=1)

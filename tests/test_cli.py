@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import agsc.pipeline
 from agsc.cli import main
+from agsc.providers import content_key
 
 BASE_CONFIG = """
 seed = 5
@@ -175,6 +177,45 @@ class TestScore:
         reports = (out / "reports.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["prompt_id"] for line in reports] == ["p1", "p2"]
 
+    def test_tampered_embedding_record_fails_only_its_prompt(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        cache = tmp_path / "cache"
+        config = write_config(tmp_path / "run.cfg", extra=f"cache_dir = {cache}\n")
+        args = ["score", "--dataset", str(dataset), "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "first")]) == 0
+        # Cut the embedding of a sentence only p0's references hold to one entry.
+        embed = cache / "embed.jsonl"
+        key = content_key("embed", "Subject 0 lives in a big city.")
+        records = [json.loads(line) for line in embed.read_text(encoding="utf-8").splitlines()]
+        assert key in [r["k"] for r in records]
+        embed.write_text(
+            "".join(json.dumps(dict(r, v=[1.0]) if r["k"] == key else r) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        out = tmp_path / "second"
+        assert main(args + ["--out", str(out)]) == 0
+        assert "scored 2/3 prompts (1 failed)" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert [f["prompt_id"] for f in summary["failures"]] == ["p0"]
+        assert "vectors of dimensions [1, " in summary["failures"][0]["error"]
+        reports = (out / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["prompt_id"] for line in reports] == ["p1", "p2"]
+
+    def test_out_below_a_file_exit_3_before_scoring(self, tmp_path, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a prompt was scored")
+
+        monkeypatch.setattr(agsc.pipeline, "run_prompt", no_scoring)
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        config = write_config(tmp_path / "run.cfg")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("report error: ")
+
 
 class TestEval:
     def _scored_dir(self, tmp_path, variant: str) -> Path:
@@ -239,6 +280,19 @@ class TestEval:
         assert "\u2028" in (out / "reports.jsonl").read_text(encoding="utf-8")
         assert main(["eval", "--reports", str(out), "--out", str(tmp_path / "t.csv")]) == 0
         assert main(["inspect", "--report", str(out / "reports.jsonl"), "--sentence", "0"]) == 0
+
+    @pytest.mark.parametrize("target", ["below-a-file", "a-directory"])
+    def test_eval_unwritable_out_exit_3(self, tmp_path, capsys, target):
+        scored_report(tmp_path)
+        out = tmp_path / "table.csv"
+        if target == "below-a-file":
+            out.write_text("", encoding="utf-8")
+            out = out / "table.csv"
+        else:
+            out.mkdir()
+        capsys.readouterr()
+        assert main(["eval", "--reports", str(tmp_path / "out"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("report error: ")
 
     def test_eval_missing_dir_exit_3(self, tmp_path):
         code = main(["eval", "--reports", str(tmp_path / "none"), "--out", str(tmp_path / "t.csv")])

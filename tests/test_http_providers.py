@@ -110,6 +110,21 @@ def server():
         srv.server_close()
 
 
+@pytest.fixture
+def closing():
+    """closing(client) returns the client and closes it after the test,
+    stopping its posting-pool threads."""
+    clients = []
+
+    def register(client):
+        clients.append(client)
+        return client
+
+    yield register
+    for client in clients:
+        client.close()
+
+
 def _config(server, **kwargs) -> ProviderConfig:
     host, port = server.server_address
     defaults = dict(
@@ -122,8 +137,8 @@ def _config(server, **kwargs) -> ProviderConfig:
 
 
 class TestHttpNli:
-    def test_roundtrip_order_aligned(self, server):
-        client = HttpNliProvider(_config(server))
+    def test_roundtrip_order_aligned(self, server, closing):
+        client = closing(HttpNliProvider(_config(server)))
         out = client.nli_batch([("aa", "b"), ("c", "dddd"), ("ee", "ff")])
         assert [o.as_tuple() for o in out] == [
             (2.0, 1.0, 0.0),
@@ -139,34 +154,34 @@ class TestHttpNli:
             ]
         }
 
-    def test_retry_then_success(self, server):
+    def test_retry_then_success(self, server, closing):
         server.state["fail_next"] = 2
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         out = client.nli_batch([("aa", "b")])
         assert out[0].entail == 2.0
         assert len(server.state["requests"]) == 3
 
-    def test_failure_carries_attempt_count(self, server):
+    def test_failure_carries_attempt_count(self, server, closing):
         server.state["fail_next"] = 99
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         with pytest.raises(ProviderError) as exc:
             client.nli_batch([("aa", "b")])
         assert exc.value.attempts == 3
         assert not isinstance(exc.value, ProtocolError)
 
-    def test_unfixable_4xx_fails_fast(self, server):
+    def test_unfixable_4xx_fails_fast(self, server, closing):
         server.state["fail_next"] = 99
         server.state["fail_status"] = 401
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         with pytest.raises(ProviderError, match="HTTP 401") as exc:
             client.nli_batch([("aa", "b")])
         assert exc.value.attempts == 1
         assert len(server.state["requests"]) == 1
 
-    def test_rate_limit_is_retried(self, server):
+    def test_rate_limit_is_retried(self, server, closing):
         server.state["fail_next"] = 1
         server.state["fail_status"] = 429
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         assert client.nli_batch([("aa", "b")])[0].entail == 2.0
         assert len(server.state["requests"]) == 2
 
@@ -180,21 +195,21 @@ class TestHttpNli:
             b'{"logits": [[null, 0.0, 0.0]]}',
         ],
     )
-    def test_bad_payload_is_protocol_error(self, server, body):
+    def test_bad_payload_is_protocol_error(self, server, closing, body):
         server.state["respond"] = lambda path, req: body
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         with pytest.raises(ProtocolError):
             client.nli_batch([("a", "b")])
         assert len(server.state["requests"]) == 1
 
-    def test_arity_mismatch_is_protocol_error(self, server):
+    def test_arity_mismatch_is_protocol_error(self, server, closing):
         server.state["respond"] = lambda path, body: {"logits": [[1.0, 0.0, 0.0]]}
-        client = HttpNliProvider(_config(server))
+        client = closing(HttpNliProvider(_config(server)))
         with pytest.raises(ProtocolError, match="arity"):
             client.nli_batch([("a", "b"), ("c", "d")])
 
-    def test_batching_splits_requests(self, server):
-        client = HttpNliProvider(_config(server, batch_size=2, max_in_flight=2))
+    def test_batching_splits_requests(self, server, closing):
+        client = closing(HttpNliProvider(_config(server, batch_size=2, max_in_flight=2)))
         pairs = [(f"p{i}", f"h{i}") for i in range(5)]
         out = client.nli_batch(pairs)
         assert len(out) == 5
@@ -203,14 +218,14 @@ class TestHttpNli:
         assert [o.entail for o in out] == [2.0, 2.0, 2.0, 2.0, 2.0]
         assert [o.contradict for o in out] == [2.0, 2.0, 2.0, 2.0, 2.0]
 
-    def test_auth_header_from_env(self, server, monkeypatch):
+    def test_auth_header_from_env(self, server, closing, monkeypatch):
         monkeypatch.setenv("TEST_NLI_TOKEN", "sekrit")
-        client = HttpNliProvider(_config(server, auth_env_var="TEST_NLI_TOKEN"))
+        client = closing(HttpNliProvider(_config(server, auth_env_var="TEST_NLI_TOKEN")))
         client.nli_batch([("a", "b")])
         assert server.state["requests"][0]["auth"] == "Bearer sekrit"
 
-    def test_empty_batch_no_network(self, server):
-        client = HttpNliProvider(_config(server))
+    def test_empty_batch_no_network(self, server, closing):
+        client = closing(HttpNliProvider(_config(server)))
         assert client.nli_batch([]) == []
         assert server.state["requests"] == []
 
@@ -293,13 +308,13 @@ class TestPostingPool:
 
 
 class TestHttpEmbedding:
-    def test_roundtrip(self, server):
-        client = HttpEmbeddingProvider(_config(server))
+    def test_roundtrip(self, server, closing):
+        client = closing(HttpEmbeddingProvider(_config(server)))
         out = client.embed_batch(["abc", "de"])
         assert [v.values for v in out] == [(3.0, 1.0, 0.0), (2.0, 1.0, 0.0)]
 
-    def test_dimension_drift_rejected(self, server):
-        client = HttpEmbeddingProvider(_config(server))
+    def test_dimension_drift_rejected(self, server, closing):
+        client = closing(HttpEmbeddingProvider(_config(server)))
         client.embed_batch(["abc"])
         server.state["respond"] = lambda path, body: {
             "vectors": [[1.0, 2.0]],
@@ -308,12 +323,12 @@ class TestHttpEmbedding:
         with pytest.raises(ProtocolError, match="drift"):
             client.embed_batch(["xy"])
 
-    def test_vector_length_must_match_dim(self, server):
+    def test_vector_length_must_match_dim(self, server, closing):
         server.state["respond"] = lambda path, body: {
             "vectors": [[1.0, 2.0, 3.0]],
             "dim": 4,
         }
-        client = HttpEmbeddingProvider(_config(server))
+        client = closing(HttpEmbeddingProvider(_config(server)))
         with pytest.raises(ProtocolError):
             client.embed_batch(["abc"])
 
@@ -326,16 +341,16 @@ class TestHttpEmbedding:
             b'{"vectors": [7], "dim": 1}',
         ],
     )
-    def test_bad_vector_is_protocol_error(self, server, body):
+    def test_bad_vector_is_protocol_error(self, server, closing, body):
         server.state["respond"] = lambda path, req: body
-        client = HttpEmbeddingProvider(_config(server))
+        client = closing(HttpEmbeddingProvider(_config(server)))
         with pytest.raises(ProtocolError):
             client.embed_batch(["abc"])
 
 
 class TestHttpDecomposer:
-    def test_parses_fact_lines(self, server):
-        client = HttpDecomposerProvider(_config(server))
+    def test_parses_fact_lines(self, server, closing):
+        client = closing(HttpDecomposerProvider(_config(server)))
         facts = client.decompose("A long sentence here.", "topic")
         assert facts == ["fact one", "fact two"]
         body = server.state["requests"][0]["body"]
@@ -344,14 +359,14 @@ class TestHttpDecomposer:
         assert roles[-1] == "user"
         assert "A long sentence here." in body["messages"][-1]["content"]
 
-    def test_empty_text_is_protocol_error(self, server):
+    def test_empty_text_is_protocol_error(self, server, closing):
         server.state["respond"] = lambda path, body: {"text": "\n\n"}
-        client = HttpDecomposerProvider(_config(server))
+        client = closing(HttpDecomposerProvider(_config(server)))
         with pytest.raises(ProtocolError):
             client.decompose("Sentence.", "topic")
 
 
-def test_bad_response_fails_one_prompt_not_the_run(server):
+def test_bad_response_fails_one_prompt_not_the_run(server, closing):
     """A NaN logit for one prompt's pairs yields a PromptFailure for that
     prompt only; the other prompt is still scored."""
 
@@ -368,7 +383,7 @@ def test_bad_response_fails_one_prompt_not_the_run(server):
     good = marker_sample("good", ["alpha", "omega"])
     bad = marker_sample("bad", ["alpha", "poisoned alpha"], topic_index=1)
     providers = marker_providers()
-    providers.nli = HttpNliProvider(_config(server))
+    providers.nli = closing(HttpNliProvider(_config(server)))
     config = apply_variant(default_config(), "luq_sentence")
     results = run_many([good, bad], config, providers)
     assert isinstance(results[0], PromptReport)

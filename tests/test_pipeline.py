@@ -525,9 +525,17 @@ class TestTurn:
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        adaptive = apply_variant(base_config, "agsc")
+        collapsed = dataclasses.replace(
+            adaptive,
+            granularity=dataclasses.replace(adaptive.granularity, collapse_decomposed=True),
+        )
+        configs = [adaptive, collapsed] + [
+            apply_variant(base_config, v)
+            for v in ("luq_atomic", "ablate_kmeans", "agsc_literal")
+        ]
         try:
-            for variant in ("agsc", "luq_atomic"):
-                config = apply_variant(base_config, variant)
+            for config in configs:
                 runs = [
                     [
                         report_to_dict(r, s)
@@ -542,7 +550,7 @@ class TestTurn:
                     ]
                     for w in (1, 2, 0)
                 ]
-                assert runs[0] == runs[1] == runs[2], variant
+                assert runs[0] == runs[1] == runs[2], (config.variant, config.granularity)
         finally:
             sys.setswitchinterval(interval)
 
@@ -614,3 +622,181 @@ class TestTurn:
         results = run_many(self._samples(4, self.THREE_THETA), config, providers)
         assert all(isinstance(r, PromptReport) for r in results)
         assert threading.active_count() == before
+
+
+class _FactNli:
+    """Scripted NLI whose fact batch (the one without the theta sentence)
+    takes `fact_ms` and may fail; `open` is set while that call runs."""
+
+    inner = ScriptedNliProvider(default=marker_nli_rule)
+
+    def __init__(self, fact_ms: float = 0.0, error: str | None = None):
+        self.fact_ms = fact_ms
+        self.error = error
+        self.open = threading.Event()
+
+    def nli_batch(self, pairs):
+        if any("theta" in hypothesis for _, hypothesis in pairs):
+            return self.inner.nli_batch(pairs)
+        self.open.set()
+        try:
+            time.sleep(self.fact_ms / 1000.0)
+            if self.error:
+                raise ProviderError(self.error)
+            return self.inner.nli_batch(pairs)
+        finally:
+            self.open.clear()
+
+
+class TestFactsScoredWhileClustering:
+    """run_prompt scores a prompt's facts alongside its embed-and-cluster step."""
+
+    @staticmethod
+    def _providers(nli, embed_ms: float = 0.0, embed_error: str | None = None, seen=None):
+        inner = HashEmbeddingProvider(dim=32)
+
+        class Embedder:
+            def embed_batch(self, texts):
+                if seen is not None:
+                    nli.open.wait(1.0)  # the latch: wait for the fact call
+                    seen.append(("embed", nli.open.is_set()))
+                time.sleep(embed_ms / 1000.0)
+                if embed_error:
+                    raise ProviderError(embed_error)
+                return inner.embed_batch(texts)
+
+        providers = marker_providers()
+        providers.nli, providers.embedder = nli, Embedder()
+        return providers
+
+    def test_embed_and_select_k_run_while_the_fact_call_is_open(
+        self, agsc_config, monkeypatch
+    ):
+        nli, seen = _FactNli(fact_ms=30.0), []
+        select_k = agsc.pipeline.select_k
+
+        def recording_select_k(*args, **kwargs):
+            seen.append(("select_k", nli.open.is_set()))
+            return select_k(*args, **kwargs)
+
+        monkeypatch.setattr(agsc.pipeline, "select_k", recording_select_k)
+        providers = self._providers(nli, embed_ms=10.0, seen=seen)
+        sample = marker_sample("o", list(TestTurn.ONE_THETA))
+        report = run_prompt(sample, agsc_config, providers)
+        assert report.timing.decomposer_calls == 1
+        assert seen == [("embed", True), ("select_k", True)]
+
+    def test_total_time_is_below_the_sum_of_the_stages(self, agsc_config):
+        config = dataclasses.replace(agsc_config, timing="wall")
+        providers = self._providers(_FactNli(fact_ms=30.0), embed_ms=10.0)
+        t = run_prompt(marker_sample("o", list(TestTurn.ONE_THETA)), config, providers).timing
+        assert t.t_nli_ms >= 30.0 and t.t_embed_ms >= 10.0, t
+        assert t.t_total_ms < t.t_nli_ms + t.t_atom_ms + t.t_embed_ms + t.t_cluster_ms, t
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("embed_fails", [False, True])
+    def test_a_failing_fact_call_fails_its_prompt(self, agsc_config, workers, embed_fails):
+        # When both branches fail, the fact call's error is the one reported,
+        # as it would be with the branches run one after the other.
+        providers = self._providers(
+            _FactNli(fact_ms=5.0, error="fact scoring down"),
+            embed_error="embedder down" if embed_fails else None,
+        )
+        config = dataclasses.replace(agsc_config, workers=workers)
+        samples = [
+            marker_sample(f"f{i}", list(TestTurn.ONE_THETA), topic_index=i) for i in range(3)
+        ]
+        results = run_many(samples, config, providers)
+        assert [(r.prompt_id, r.error) for r in results] == [
+            (s.prompt_id, "fact scoring down") for s in samples
+        ]
+
+    @pytest.mark.parametrize(
+        ("variant", "kinds", "threads"),
+        [
+            ("agsc", ("alpha", "omega", "zeta", "alpha"), 0),
+            ("ablate_no_cluster", TestTurn.ONE_THETA, 0),
+            ("agsc", TestTurn.ONE_THETA, 1),
+        ],
+        ids=["no-facts", "no-clustering", "facts-and-clustering"],
+    )
+    def test_only_a_prompt_with_facts_and_clustering_starts_a_thread(
+        self, base_config, monkeypatch, variant, kinds, threads
+    ):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        config = apply_variant(base_config, variant)
+        report = run_prompt(marker_sample("t", list(kinds)), config, marker_providers())
+        assert isinstance(report, PromptReport)
+        assert len(started) == threads, started
+
+
+class TestMalformedAnswers:
+    """A provider answer of the wrong shape fails its prompt, not the run."""
+
+    @staticmethod
+    def _samples(kinds):
+        # p1's texts, and only p1's, mention the harbor.
+        return [marker_sample(f"p{i}", list(kinds), topic_index=i) for i in range(3)]
+
+    @staticmethod
+    def _assert_only_p1_failed(results, message):
+        assert [type(r).__name__ for r in results] == [
+            "PromptReport", "PromptFailure", "PromptReport"
+        ]
+        assert message in results[1].error
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("batch", ["sentences", "facts"])
+    def test_nli_answer_one_short(self, agsc_config, workers, batch):
+        class ShortForHarbor:
+            inner = ScriptedNliProvider(default=marker_nli_rule)
+
+            def nli_batch(self, pairs):
+                logits = self.inner.nli_batch(pairs)
+                hypotheses = [h for _, h in pairs]
+                facts = not any("theta" in h for h in hypotheses)
+                if any("harbor" in h for h in hypotheses) and facts == (batch == "facts"):
+                    return logits[:-1]
+                return logits
+
+        providers = marker_providers()
+        providers.nli = ShortForHarbor()
+        config = dataclasses.replace(agsc_config, workers=workers)
+        results = run_many(self._samples(TestTurn.ONE_THETA), config, providers)
+        self._assert_only_p1_failed(results, "NLI provider returned")
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "kinds",
+        [TestTurn.ONE_THETA, ("alpha", "omega", "alpha")],
+        ids=["overlapped", "inline"],
+    )
+    @pytest.mark.parametrize(
+        ("fault", "message"),
+        [("one-short", "vectors for"), ("one-length-1", "dimensions [1, 32]")],
+        ids=["one-short", "one-length-1"],
+    )
+    def test_embedding_answer_malformed(self, agsc_config, workers, kinds, fault, message):
+        inner = HashEmbeddingProvider(dim=32)
+
+        class MalformedForHarbor:
+            def embed_batch(self, texts):
+                vectors = inner.embed_batch(texts)
+                if not any("harbor" in t for t in texts):
+                    return vectors
+                if fault == "one-short":
+                    return vectors[:-1]
+                return [EmbeddingVector((1.0,))] + vectors[1:]
+
+        providers = marker_providers()
+        providers.embedder = MalformedForHarbor()
+        config = dataclasses.replace(agsc_config, workers=workers)
+        results = run_many(self._samples(kinds), config, providers)
+        self._assert_only_p1_failed(results, message)
