@@ -70,12 +70,11 @@ def _cmd_score(args) -> int:
         except (DatasetError, OSError) as e:
             print(f"dataset error: {e}", file=sys.stderr)
             return EXIT_DATA
-        try:  # before any prompt is scored
-            Path(config.report_dir).mkdir(parents=True, exist_ok=True)
+        try:  # the report file is opened before any prompt is scored
+            reports, summary = run_corpus(samples, config, providers)
         except OSError as e:
             print(f"report error: {e}", file=sys.stderr)
             return EXIT_DATA
-        reports, summary = run_corpus(samples, config, providers)
     finally:
         providers.close()
     print(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +35,10 @@ CLUSTER_NONE = "none"
 
 TIMING_WALL = "wall"
 TIMING_OFF = "off"
+
+# Prompts in flight when `workers = 0`: enough that the turn stays busy
+# while the others wait on providers (README "Concurrency").
+DEFAULT_WORKERS = 24
 
 
 class ConfigError(Exception):
@@ -107,7 +110,7 @@ class PipelineConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     variant: str = "agsc"
     seed: int = 0
-    workers: int = 0  # prompts in flight; 0 = min(32, logical cores + 4)
+    workers: int = 0  # prompts in flight; 0 = DEFAULT_WORKERS on any host
     timing: str = TIMING_WALL
     cache_dir: str = ""
     report_dir: str = "reports"
@@ -132,10 +135,13 @@ class PipelineConfig:
     def effective_workers(self) -> int:
         """Prompts in flight in a corpus run.
 
-        Only one of them computes at a time and the rest wait on providers,
-        so the default is the standard library's for I/O-bound thread pools.
+        Only one of them computes at a time (the turn) and the rest wait on
+        providers, so the core count does not set how many must be in
+        flight to keep the turn busy: the ratio of provider wait to compute
+        per prompt does. The default is sized from that (README
+        "Concurrency") and is the same on any host.
         """
-        return self.workers if self.workers > 0 else min(32, (os.cpu_count() or 1) + 4)
+        return self.workers if self.workers > 0 else DEFAULT_WORKERS
 
 
 def default_config() -> PipelineConfig:

@@ -306,9 +306,7 @@ def run_prompt(
         segment_sentences(text, response_index=i + 1)
         for i, text in enumerate(sample.references)
     ]
-    refset = ReferenceSet(
-        sample.references, config.scoring, meter, first_reference_index=1
-    )
+    refset = ReferenceSet(sample.references, config.scoring, meter)
     routing_args = (
         anchor_sentences,
         refset,
@@ -613,13 +611,18 @@ def run_corpus(
 
     Failed prompts are listed in the summary and omitted from the report
     file; the run keeps going. An empty corpus yields an empty summary.
+    The report file is opened before any prompt is scored, so an OSError
+    for it comes before the run, not after it.
     """
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    results = run_many(samples, config, providers)
     reports: list[PromptReport] = []
     failures: list[PromptFailure] = []
-    with open(report_dir / "reports.jsonl", "w", encoding="utf-8") as f:
+    # Appending and truncating after the run keeps an earlier run's
+    # reports if this one dies before it has any to write.
+    with open(report_dir / "reports.jsonl", "a", encoding="utf-8") as f:
+        results = run_many(samples, config, providers)
+        f.truncate(0)
         for sample, result in zip(samples, results):
             if isinstance(result, PromptFailure):
                 failures.append(result)

@@ -239,15 +239,14 @@ class ReferenceSet:
         references: Sequence[str],
         config: ScoringConfig,
         nli: NliProvider,
-        first_reference_index: int = 1,
     ):
         if not references:
             raise ValueError("at least one reference is required")
         self.config = config
         self._nli = nli
+        # Response 0 is the anchor; references are numbered from 1.
         self.chunks: list[list[Chunk]] = [
-            make_chunks(r, config, first_reference_index + i)
-            for i, r in enumerate(references)
+            make_chunks(r, config, i + 1) for i, r in enumerate(references)
         ]
         for i, chunks in enumerate(self.chunks):
             if not chunks:

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CountingDecomposer, CountingNli
+import agsc.cli
 import agsc.pipeline
 from agsc.cli import main
+from agsc.pipeline import build_providers
 from agsc.providers import content_key
 
 BASE_CONFIG = """
@@ -215,6 +218,43 @@ class TestScore:
         code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err.startswith("report error: ")
+
+    def test_report_file_that_is_a_directory_exit_3_before_scoring(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        counters = []
+
+        def counting_providers(config):
+            bundle = build_providers(config)
+            bundle.nli = CountingNli(bundle.nli)
+            bundle.decomposer = CountingDecomposer(bundle.decomposer)
+            counters.extend([bundle.nli, bundle.decomposer])
+            return bundle
+
+        monkeypatch.setattr(agsc.cli, "build_providers", counting_providers)
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        config = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "out"
+        (out / "reports.jsonl").mkdir(parents=True)
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("report error: ")
+        assert [c.calls for c in counters] == [0, 0]
+        assert not (out / "summary.json").exists()
+
+    def test_failed_run_keeps_the_previous_reports(self, tmp_path, monkeypatch):
+        report = scored_report(tmp_path)
+        before = report.read_bytes()
+
+        def dies(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(agsc.pipeline, "run_many", dies)
+        dataset = tmp_path / "data.jsonl"
+        config = tmp_path / "run.cfg"
+        with pytest.raises(KeyboardInterrupt):
+            main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(report.parent)])
+        assert report.read_bytes() == before
 
 
 class TestEval:

@@ -512,11 +512,36 @@ class TestTurn:
         finally:
             cached.close()
 
-    @pytest.mark.parametrize(("cpus", "want"), [(1, 5), (2, 6), (28, 32), (64, 32), (None, 5)])
+    @pytest.mark.parametrize(("cpus", "want"), [(1, 24), (2, 24), (28, 24), (64, 24), (None, 24)])
     def test_zero_workers_is_the_io_pool_default(self, monkeypatch, cpus, want):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert default_config().effective_workers() == want
         assert dataclasses.replace(default_config(), workers=3).effective_workers() == 3
+
+    def test_zero_workers_keeps_24_prompts_in_flight(self, agsc_config):
+        # The first 24 NLI calls each wait until all 24 are inside at once.
+        # A prompt makes one call at a time, so they come from 24 prompts;
+        # with fewer in flight the barrier times out and the run raises.
+        barrier = threading.Barrier(24, timeout=10.0)
+        lock = threading.Lock()
+        calls = [0]
+
+        class GatheringNli:
+            inner = ScriptedNliProvider(default=marker_nli_rule)
+
+            def nli_batch(self, pairs):
+                with lock:
+                    calls[0] += 1
+                    gather = calls[0] <= 24
+                if gather:
+                    barrier.wait()
+                return self.inner.nli_batch(pairs)
+
+        providers = marker_providers()
+        providers.nli = GatheringNli()
+        config = dataclasses.replace(agsc_config, workers=0)
+        results = run_many(self._samples(24), config, providers)
+        assert all(isinstance(r, PromptReport) for r in results)
 
     def test_untimed_reports_identical_for_any_worker_count(self, base_config):
         samples = self._samples(7) + [
@@ -613,7 +638,7 @@ class TestTurn:
         # A round gives the turn up once and is billed to the atom stage.
         assert (gave_up, seen, list(meter.stage_ms)) == ([True], [False], ["atom"])
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_no_thread_outlives_the_run(self, agsc_config, workers):
         providers = marker_providers()
         providers.decomposer = FixedLatencyDecomposer(providers.decomposer, latency_ms=2.0)
