@@ -190,7 +190,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "scoring.chunk_budget_chars": (("scoring", "chunk_budget_chars"), "int"),
     "scoring.chunk_stride_chars": (("scoring", "chunk_stride_chars"), "int"),
     "scoring.nli_direction": (("scoring", "nli_direction"), "str"),
-    "scoring.routing_chunk_agg": (("scoring", "routing_chunk_agg"), "str"),
     "granularity.tau": (("granularity", "tau"), "float"),
     "granularity.collapse_decomposed": (("granularity", "collapse_decomposed"), "bool"),
 }

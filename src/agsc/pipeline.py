@@ -307,7 +307,7 @@ def run_prompt(
         for i, text in enumerate(sample.references)
     ]
     refset = ReferenceSet(sample.references, config.scoring, meter)
-    routing_args = (
+    routing = route_sentences(
         anchor_sentences,
         refset,
         meter,
@@ -315,11 +315,7 @@ def run_prompt(
         method.granularity_mode,
         sample.prompt,
     )
-    routing = route_sentences(*routing_args)
-    # Given the routing, apply_granularity only scores the facts. It is
-    # called by this module's name, which traced runs hook for the
-    # routing counts.
-    score = functools.partial(apply_granularity, *routing_args, routing=routing)
+    score = functools.partial(apply_granularity, routing, refset)
     cluster = None
     if routing.units and method.clustering_mode != CLUSTER_NONE:
         cluster = functools.partial(
@@ -441,8 +437,8 @@ def _sentence_record(decision) -> SentenceRecord:
         dominant=decision.signal.dominant,
         gap=decision.signal.gap,
         decision=decision.kind,
-        units=tuple(unit.unit_id for unit in decision.resulting_units),
-        u_adaptive=decision.adaptive_uncertainty,
+        units=tuple(unit.unit_id for unit in decision.units),
+        u_adaptive=decision.uncertainty,
     )
 
 

@@ -125,9 +125,10 @@ class _CachedProvider:
 
         Each key is looked up once; fetch(indices) returns the inner
         provider's results for the missed indices in one call, and each is
-        stored as encode(result). Hits are rebuilt with decode(value); a
-        record that decode rejects (TypeError or ValueError) raises
-        ProtocolError naming the cache file.
+        stored as encode(result). An answer of the wrong length raises
+        ProtocolError before anything is stored. Hits are rebuilt with
+        decode(value); a record that decode rejects (TypeError or
+        ValueError) raises ProtocolError naming the cache file.
         """
         results: list = [None] * len(keys)
         missing: list[int] = []
@@ -146,6 +147,11 @@ class _CachedProvider:
             if missing:
                 with waiting():
                     fetched = fetch(missing)
+                if len(fetched) != len(missing):
+                    raise ProtocolError(
+                        f"provider behind {self._cache._path} returned"
+                        f" {len(fetched)} results for {len(missing)} requests"
+                    )
                 for i, value in zip(missing, fetched):
                     self._cache.put(keys[i], encode(value))
                     results[i] = value

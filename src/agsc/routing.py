@@ -10,6 +10,7 @@ responses always contribute sentence-level units.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,7 +44,7 @@ class GranularityConfig:
     uncertainty instead of the individual facts.
 
     The routing mode is not a setting: it belongs to the method variant
-    (agsc.config.VARIANTS) and is an argument of apply_granularity.
+    (agsc.config.VARIANTS) and is an argument of route_sentences.
     """
 
     tau: float = 0.1
@@ -122,23 +123,12 @@ class ScoredUnit:
     uncertainty: float
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
-    """Outcome of routing one anchor sentence."""
-
-    signal: RoutingSignal
-    kind: str
-    resulting_units: tuple[TextUnit, ...]
-    adaptive_uncertainty: float | None  # None for a skipped sentence
-    used_fallback_decomposer: bool = False
-
-
 @dataclass
 class GranularityResult:
     """All units surviving granularity plus per-sentence bookkeeping."""
 
     units: list[ScoredUnit] = field(default_factory=list)
-    decisions: list[RoutingDecision] = field(default_factory=list)
+    decisions: list[RoutedSentence] = field(default_factory=list)
     sentence_uncertainties: list[float] = field(default_factory=list)
     decomposer_calls: int = 0
     decomposer_fallback: bool = False
@@ -154,8 +144,8 @@ class RoutedSentence:
 
     `units` are what the sentence brings to aggregation: none when
     skipped, the sentence when kept or collapsed, else one per fact.
-    `uncertainty` is a kept sentence's; a decomposed sentence's comes from
-    scoring its facts, and a skipped one has none.
+    `uncertainty` is a kept sentence's; a decomposed sentence's is the mean
+    over its facts, filled in by apply_granularity; a skipped one has none.
     """
 
     signal: RoutingSignal
@@ -168,8 +158,8 @@ class RoutedSentence:
 
 @dataclass(frozen=True)
 class Routing:
-    """The first half of apply_granularity: the final units, in order,
-    before the decomposed sentences' facts are scored."""
+    """What route_sentences hands to apply_granularity: the final units, in
+    order, before the decomposed sentences' facts are scored."""
 
     sentences: tuple[RoutedSentence, ...]
     sentence_uncertainties: tuple[float, ...]
@@ -183,37 +173,6 @@ class Routing:
     @property
     def facts(self) -> list[str]:
         return [fact for s in self.sentences for fact in s.facts]
-
-
-def apply_granularity(
-    anchor_sentences: Sequence[Sentence],
-    refset: ReferenceSet,
-    decomposer: ResilientDecomposer,
-    config: GranularityConfig,
-    mode: str = MODE_ADAPTIVE,
-    prompt_context: str = "",
-    *,
-    routing: Routing | None = None,
-) -> GranularityResult:
-    """Route every anchor sentence under `mode` and score the surviving units.
-
-    Kept sentences become single units carrying their sentence-level
-    uncertainty. Decomposed sentences contribute one scored unit per
-    atomic fact (or one collapsed unit if configured); their diagnostic
-    adaptive uncertainty is the mean over facts. Skipped sentences
-    contribute nothing. Sentence-level uncertainties are retained for all
-    sentences so a fully-skipped anchor still has a defined fallback
-    score.
-
-    This is route_sentences followed by score_facts. A caller that has
-    already run route_sentences passes its result as `routing`, and only
-    score_facts runs: the pipeline clusters the units meanwhile.
-    """
-    if routing is None:
-        routing = route_sentences(
-            anchor_sentences, refset, decomposer, config, mode, prompt_context
-        )
-    return score_facts(routing, refset)
 
 
 def route_sentences(
@@ -239,7 +198,7 @@ def route_sentences(
     )
     routed = []
     for sentence, score in zip(anchor_sentences, scores):
-        signal = RoutingSignal.from_distribution(sentence, score.distribution)
+        signal = RoutingSignal.from_distribution(sentence, score.distribution())
         kind, fixed_u = route(signal, config, mode)
         routed.append((signal, kind, score.uncertainty if fixed_u is None else fixed_u))
 
@@ -275,9 +234,18 @@ def route_sentences(
     )
 
 
-def score_facts(routing: Routing, refset: ReferenceSet) -> GranularityResult:
+def apply_granularity(routing: Routing, refset: ReferenceSet) -> GranularityResult:
     """Score all of routing's facts in one score_units call and fill in
-    every unit's uncertainty and every sentence's decision."""
+    every unit's uncertainty.
+
+    Kept sentences become single units carrying their sentence-level
+    uncertainty. Decomposed sentences contribute one scored unit per
+    atomic fact (or one collapsed unit if configured), and their
+    uncertainty becomes the mean over their facts. Skipped sentences
+    contribute nothing. Sentence-level uncertainties are retained for all
+    sentences so a fully-skipped anchor still has a defined fallback
+    score.
+    """
     fact_scores = refset.score_units(
         routing.facts, neutral_weight=routing.neutral_weight
     )
@@ -286,20 +254,18 @@ def score_facts(routing: Routing, refset: ReferenceSet) -> GranularityResult:
         sentence_uncertainties=list(routing.sentence_uncertainties)
     )
     for s in routing.sentences:
-        u, unit_us = s.uncertainty, [s.uncertainty] * len(s.units)
+        unit_us = [s.uncertainty] * len(s.units)
         if s.kind == DECOMPOSE:
             unit_us = [next(fact_us) for _ in s.facts]
-            u = math.fsum(unit_us) / len(unit_us)
+            s = dataclasses.replace(s, uncertainty=math.fsum(unit_us) / len(unit_us))
             result.decomposer_calls += 1
             result.decomposer_fallback |= s.used_fallback
             if routing.collapse_decomposed:
-                unit_us = [u]
+                unit_us = [s.uncertainty]
         result.units.extend(
             ScoredUnit(unit, unit_u) for unit, unit_u in zip(s.units, unit_us)
         )
-        result.decisions.append(
-            RoutingDecision(s.signal, s.kind, s.units, u, s.used_fallback)
-        )
+        result.decisions.append(s)
     return result
 
 

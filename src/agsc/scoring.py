@@ -7,13 +7,15 @@ entailment probability is binary-normalized (the neutral class is
 discarded), support is the mean over references, and the unit's
 uncertainty is one minus its support.
 
-For granularity routing, each sentence also gets a full three-class
-distribution per reference (softmax of the most polarized chunk), averaged
-across references.
+Only the anchor sentences are routed, and only for them is the routing
+distribution computed: the three-class softmax of each reference's most
+polarized chunk, averaged across references (UnitScores.distribution).
+Atomic facts keep their chunk logits but never pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,10 +26,6 @@ from .providers import NliLogits, NliProvider, ProtocolError
 REFERENCE_PREMISE = "reference_premise"
 UNIT_PREMISE = "unit_premise"
 
-AGG_MOST_POLARIZED = "most_polarized"
-AGG_MEAN = "mean"
-AGG_MAX_ENTAIL = "max_entail"
-
 
 @dataclass(frozen=True)
 class ScoringConfig:
@@ -35,15 +33,12 @@ class ScoringConfig:
 
     nli_direction picks which side of the NLI pair the reference chunk
     takes: "reference_premise" asks whether the evidence supports the
-    claim; "unit_premise" reverses the roles. routing_chunk_agg selects
-    how per-chunk distributions collapse into one per reference when
-    building routing signals.
+    claim; "unit_premise" reverses the roles.
     """
 
     chunk_budget_chars: int = 1000
     chunk_stride_chars: int = 500
     nli_direction: str = REFERENCE_PREMISE
-    routing_chunk_agg: str = AGG_MOST_POLARIZED
 
     def __post_init__(self) -> None:
         if self.chunk_budget_chars < 1 or self.chunk_stride_chars < 1:
@@ -52,8 +47,6 @@ class ScoringConfig:
             raise ValueError("chunk_stride_chars must be <= chunk_budget_chars")
         if self.nli_direction not in (REFERENCE_PREMISE, UNIT_PREMISE):
             raise ValueError(f"unknown nli_direction {self.nli_direction!r}")
-        if self.routing_chunk_agg not in (AGG_MOST_POLARIZED, AGG_MEAN, AGG_MAX_ENTAIL):
-            raise ValueError(f"unknown routing_chunk_agg {self.routing_chunk_agg!r}")
 
 
 @dataclass(frozen=True)
@@ -184,46 +177,33 @@ def _pair(unit_text: str, chunk_text: str, direction: str) -> tuple[str, str]:
     return (unit_text, chunk_text)
 
 
-def max_binary_entail(logits_per_chunk: Sequence[NliLogits]) -> float:
-    """Best binary-normalized entailment across a reference's chunks."""
+def routing_distribution(logits_per_chunk: Sequence[NliLogits]) -> NliDistribution:
+    """A reference's routing distribution: the three-class softmax of its
+    most polarized chunk, the one with the largest entail+contradict mass
+    (ties go to the earliest chunk)."""
     if not logits_per_chunk:
         raise ValueError("reference has no chunks")
-    return max(binary_entail(l) for l in logits_per_chunk)
-
-
-def routing_distribution(
-    logits_per_chunk: Sequence[NliLogits], agg: str = AGG_MOST_POLARIZED
-) -> NliDistribution:
-    """Collapse per-chunk three-class distributions into one per reference.
-
-    "most_polarized" keeps the chunk with the largest entail+contradict
-    mass (ties go to the earliest chunk), "max_entail" the chunk with the
-    largest entail probability, "mean" averages across chunks.
-    """
-    if not logits_per_chunk:
-        raise ValueError("reference has no chunks")
-    dists = [three_class_softmax(l) for l in logits_per_chunk]
-    if agg == AGG_MEAN:
-        return mean_distribution(dists)
-    if agg == AGG_MAX_ENTAIL:
-        key = lambda d: d.p_entail
-    else:
-        key = lambda d: d.p_entail + d.p_contradict
-    best = dists[0]
-    for d in dists[1:]:
-        if key(d) > key(best):
-            best = d
-    return best
+    # max keeps the first of equal maxima.
+    return max(
+        map(three_class_softmax, logits_per_chunk),
+        key=lambda d: d.p_entail + d.p_contradict,
+    )
 
 
 @dataclass(frozen=True)
 class UnitScores:
-    """Everything scoring produces for one unit in one pass."""
+    """What scoring produces for one unit in one pass.
 
-    support: float
+    chunk_logits holds, per reference, the NLI logits of the unit against
+    each of that reference's chunks.
+    """
+
     uncertainty: float
-    per_reference: tuple[float, ...]
-    distribution: NliDistribution
+    chunk_logits: tuple[Sequence[NliLogits], ...]
+
+    def distribution(self) -> NliDistribution:
+        """The routing distribution, averaged across references."""
+        return mean_distribution([routing_distribution(l) for l in self.chunk_logits])
 
 
 class ReferenceSet:
@@ -259,7 +239,7 @@ class ReferenceSet:
 
         With neutral_weight set, per-reference entailment uses the
         weighted-neutral form instead of the binary normalization (the
-        routing distributions are unaffected). An NLI answer with the
+        routing distribution is unaffected). An NLI answer with the
         wrong number of results raises ProtocolError.
         """
         if not texts:
@@ -274,30 +254,17 @@ class ReferenceSet:
             raise ProtocolError(
                 f"NLI provider returned {len(logits)} results for {len(pairs)} pairs"
             )
+        if neutral_weight is None:
+            entail = binary_entail
+        else:
+            entail = functools.partial(weighted_neutral_entail, neutral_weight=neutral_weight)
         out = []
         pos = 0
         for _ in texts:
-            per_ref_entail = []
-            per_ref_dist = []
+            per_ref_logits = []
             for chunks in self.chunks:
-                chunk_l = logits[pos : pos + len(chunks)]
+                per_ref_logits.append(logits[pos : pos + len(chunks)])
                 pos += len(chunks)
-                if neutral_weight is None:
-                    per_ref_entail.append(max_binary_entail(chunk_l))
-                else:
-                    per_ref_entail.append(
-                        max(weighted_neutral_entail(l, neutral_weight) for l in chunk_l)
-                    )
-                per_ref_dist.append(
-                    routing_distribution(chunk_l, self.config.routing_chunk_agg)
-                )
-            s = math.fsum(per_ref_entail) / len(per_ref_entail)
-            out.append(
-                UnitScores(
-                    support=s,
-                    uncertainty=1.0 - s,
-                    per_reference=tuple(per_ref_entail),
-                    distribution=mean_distribution(per_ref_dist),
-                )
-            )
+            s = math.fsum(max(map(entail, l)) for l in per_ref_logits) / len(self.chunks)
+            out.append(UnitScores(1.0 - s, tuple(per_ref_logits)))
         return out

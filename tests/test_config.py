@@ -85,7 +85,6 @@ def test_config_keys_are_pinned():
         "scoring.chunk_budget_chars",
         "scoring.chunk_stride_chars",
         "scoring.nli_direction",
-        "scoring.routing_chunk_agg",
         "seed",
         "timing",
         "variant",
@@ -190,6 +189,7 @@ class TestProviderKeys:
             "clustering.n_init",
             "clustering.em_max_iter",
             "providers.decompose.batch_size",
+            "scoring.routing_chunk_agg",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):

@@ -17,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import agsc
+import agsc.pipeline
 from conftest import (
     marker_decomposer_rule,
     marker_nli_rule,
@@ -35,6 +36,7 @@ from agsc.providers import (
     ScriptedDecomposerProvider,
     ScriptedNliProvider,
 )
+from agsc.scoring import ReferenceSet
 
 HOOK_TARGETS = (
     "agsc.pipeline:run_prompt",
@@ -62,11 +64,16 @@ HOOK_TARGETS = (
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_hook_targets_match_the_benchmark_hooks():
+def _tracing():
     # Loaded by path, not installed as a module: perfbench is not a package.
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_hook_targets_match_the_benchmark_hooks():
+    tracing = _tracing()
     assert {target for target, *_ in tracing.HOOKS} == set(HOOK_TARGETS)
     assert len(set(HOOK_TARGETS)) == len(HOOK_TARGETS)
 
@@ -130,6 +137,50 @@ def test_hook_targets_are_called_through_their_names(monkeypatch, tmp_path):
     assert [t for t in HOOK_TARGETS if calls[t] == 0] == []
     # One call per theta sentence (1 + 2) in each of the two decomposing variants.
     assert calls["agsc.providers.decompose:ResilientDecomposer.decompose"] == 6
+
+
+def test_benchmark_routing_and_scoring_counts_match_the_report(monkeypatch):
+    tracing = _tracing()
+
+    class Tracer:
+        def __init__(self):
+            self.counts = Counter()
+
+        def count(self, name, n=1):
+            self.counts[name] += n
+
+    tracer = Tracer()
+
+    def feeding(fn, after):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            after(tracer, args, kwargs, out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(
+        agsc.pipeline,
+        "apply_granularity",
+        feeding(agsc.pipeline.apply_granularity, tracing._after_granularity),
+    )
+    monkeypatch.setattr(
+        ReferenceSet,
+        "score_units",
+        feeding(ReferenceSet.score_units, tracing._after_score_units),
+    )
+    sample = marker_sample("p", ["alpha", "omega", "zeta", "theta", "alpha", "theta"])
+    config = dataclasses.replace(
+        apply_variant(default_config(), "agsc"), timing="off", workers=1
+    )
+    report = run_prompt(sample, config, marker_providers())
+
+    tally = Counter(s.decision for s in report.sentences)
+    assert tally == {"keep": 3, "skip": 1, "decompose": 2}
+    assert {kind: tracer.counts[f"routing.{kind}"] for kind in tally} == tally
+    # The sentences, then the facts.
+    assert tracer.counts["scoring.score_units_calls"] == 2
+    assert tracer.counts["scoring.nli_pairs"] == report.timing.nli_pairs
 
 
 def test_report_attributes_read_by_the_benchmark():

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from conftest import (
 )
 from agsc import SampleSet, default_config
 import agsc.pipeline
+import agsc.scoring
 from agsc.config import PipelineConfig
 from agsc.evaluation import apply_variant
 from agsc.pipeline import (
@@ -39,6 +41,7 @@ from agsc.pipeline import (
 )
 from agsc.providers import (
     CachedDecomposer,
+    CachedEmbedding,
     CachedNli,
     EmbeddingVector,
     FixedLatencyDecomposer,
@@ -47,8 +50,10 @@ from agsc.providers import (
     ResponseCache,
     ScriptedDecomposerProvider,
     ScriptedNliProvider,
+    content_key,
 )
 from agsc.providers.base import taking_turn, waiting_on
+from agsc.scoring import ScoringConfig, make_chunks
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +158,29 @@ class TestRunPrompt:
         assert report.timing.decomposer_calls == 1
         # 5 anchor units (3 keeps + 2 facts) + 2 sentences x 3 references.
         assert report.timing.embed_calls == 11
+
+    def test_only_anchor_sentences_get_routing_distributions(
+        self, agsc_config, monkeypatch
+    ):
+        softmax = agsc.scoring.three_class_softmax
+        calls = []
+
+        def counting(logits):
+            calls.append(logits)
+            return softmax(logits)
+
+        monkeypatch.setattr(agsc.scoring, "three_class_softmax", counting)
+        # Budget 30 puts each reference sentence in its own chunk.
+        config = dataclasses.replace(
+            agsc_config, scoring=ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
+        )
+        sample = marker_sample("p", ["alpha", "theta", "omega", "zeta", "theta"])
+        report = run_prompt(sample, config, marker_providers())
+        assert [s.decision for s in report.sentences].count("decompose") == 2
+        n_chunks = sum(len(make_chunks(r, config.scoring)) for r in sample.references)
+        assert n_chunks == 2 * len(sample.references)
+        # One softmax per anchor sentence and chunk; the four facts add none.
+        assert len(calls) == len(report.sentences) * n_chunks
 
     def test_unit_memberships_row_lengths(self):
         sample, config = golden_inputs()
@@ -825,3 +853,44 @@ class TestMalformedAnswers:
         config = dataclasses.replace(agsc_config, workers=workers)
         results = run_many(self._samples(kinds), config, providers)
         self._assert_only_p1_failed(results, message)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("service", ["nli", "embed"])
+    @pytest.mark.parametrize("fault", ["one-short", "one-long"])
+    def test_wrong_length_answer_behind_a_cache(
+        self, agsc_config, tmp_path, workers, service, fault
+    ):
+        bad_keys = []  # cache keys of the batch answered with the wrong length
+
+        def wrong_length_for_harbor(batch, key):
+            def answer(items):
+                results = batch(items)
+                if not any("harbor" in str(item) for item in items):
+                    return results
+                bad_keys.extend(key(item) for item in items)
+                return results[:-1] if fault == "one-short" else results + results[:1]
+
+            return answer
+
+        providers = marker_providers()
+        cache = ResponseCache(tmp_path / f"{service}.jsonl")
+        if service == "nli":
+            inner = SimpleNamespace(nli_batch=wrong_length_for_harbor(
+                providers.nli.nli_batch, lambda pair: content_key("nli", *pair)
+            ))
+            providers.nli = CachedNli(inner, cache)
+        else:
+            inner = SimpleNamespace(embed_batch=wrong_length_for_harbor(
+                providers.embedder.embed_batch, lambda text: content_key("embed", text)
+            ))
+            providers.embedder = CachedEmbedding(inner, cache)
+        config = dataclasses.replace(agsc_config, workers=workers)
+        results = run_many(self._samples(TestTurn.ONE_THETA), config, providers)
+        providers.close()
+
+        self._assert_only_p1_failed(results, f"{service}.jsonl returned")
+        lines = (tmp_path / f"{service}.jsonl").read_text(encoding="utf-8").splitlines()
+        stored = {json.loads(line)["k"] for line in lines}
+        assert bad_keys
+        assert stored  # the other prompts' answers were stored
+        assert not stored & set(bad_keys)

@@ -34,6 +34,7 @@ from agsc.routing import (
     apply_granularity,
     dominant_label,
     route,
+    route_sentences,
 )
 from agsc.scoring import NliDistribution, ReferenceSet, ScoringConfig
 
@@ -144,11 +145,18 @@ def _world(anchor_kinds, n_refs=2):
     return sentences, refset, decomposer
 
 
+def granularity(sentences, refset, decomposer, config, mode="adaptive"):
+    """One prompt's routing: route_sentences, then apply_granularity."""
+    return apply_granularity(
+        route_sentences(sentences, refset, decomposer, config, mode), refset
+    )
+
+
 class TestApplyGranularity:
     def test_all_entail_keeps_sentences_without_decomposer(self):
         sentences, refset, _ = _world(["alpha", "alpha", "alpha"])
         counting = CountingDecomposer(ScriptedDecomposerProvider())
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, ResilientDecomposer(counting), GranularityConfig()
         )
         assert [su.unit.text for su in result.units] == [s.text for s in sentences]
@@ -158,44 +166,44 @@ class TestApplyGranularity:
 
     def test_decomposed_sentence_mean_uncertainty(self):
         sentences, refset, decomposer = _world(["theta"])
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         (decision,) = result.decisions
         assert decision.kind == DECOMPOSE
         # facts: one alpha (U ~ 0) and one omega (U ~ 1)
         us = [su.uncertainty for su in result.units]
         assert len(us) == 2
-        assert abs(decision.adaptive_uncertainty - sum(us) / 2) < 1e-12
-        assert abs(decision.adaptive_uncertainty - 0.5) < 1e-3
+        assert abs(decision.uncertainty - sum(us) / 2) < 1e-12
+        assert abs(decision.uncertainty - 0.5) < 1e-3
         assert all(su.unit.role == "atomic_fact" for su in result.units)
 
     def test_all_skip_raises_flag(self):
         sentences, refset, decomposer = _world(["zeta", "zeta"])
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         assert result.all_skipped
         assert result.units == []
         assert all(d.kind == SKIP for d in result.decisions)
-        assert all(d.adaptive_uncertainty is None for d in result.decisions)
+        assert all(d.uncertainty is None for d in result.decisions)
         assert len(result.sentence_uncertainties) == 2
 
     def test_skip_never_yields_units(self):
         sentences, refset, decomposer = _world(["zeta", "alpha", "zeta"])
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         for d in result.decisions:
             if d.kind == SKIP:
-                assert d.resulting_units == ()
+                assert d.units == ()
         assert len(result.units) == 1
 
     def test_decomposer_calls_bounded_by_sentences(self):
         kinds = ["theta", "alpha", "theta", "zeta", "omega", "theta"]
         sentences, refset, decomposer = _world(kinds)
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         assert result.decomposer_calls == 3
         assert result.decomposer_calls <= len(sentences)
 
     def test_mode_off_keeps_skip_fixture_with_own_uncertainty(self):
         sentences, refset, decomposer = _world(["zeta"])
-        adaptive = apply_granularity(sentences, refset, decomposer, GranularityConfig())
-        off = apply_granularity(
+        adaptive = granularity(sentences, refset, decomposer, GranularityConfig())
+        off = granularity(
             sentences, refset, decomposer, GranularityConfig(), "off"
         )
         assert adaptive.all_skipped
@@ -204,7 +212,7 @@ class TestApplyGranularity:
 
     def test_mode_neutral_guess_fixed_half(self):
         sentences, refset, decomposer = _world(["zeta", "alpha"])
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "neutral_guess"
         )
         us = {su.unit.unit_id: su.uncertainty for su in result.units}
@@ -218,7 +226,7 @@ class TestApplyGranularity:
         nli = ScriptedNliProvider(default=(0.0, 0.0, 0.0))
         refset = ReferenceSet(["One reference sentence."], ScoringConfig(), nli)
         decomposer = ResilientDecomposer(ScriptedDecomposerProvider())
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "neutral_weight"
         )
         (kept,) = result.units
@@ -227,7 +235,7 @@ class TestApplyGranularity:
     def test_mode_all_atomic_decomposes_everything(self):
         kinds = ["alpha", "omega", "zeta"]
         sentences, refset, decomposer = _world(kinds)
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "all_atomic"
         )
         assert result.decomposer_calls == 3
@@ -235,7 +243,7 @@ class TestApplyGranularity:
 
     def test_collapse_decomposed_mode(self):
         sentences, refset, decomposer = _world(["theta", "alpha"])
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, decomposer,
             GranularityConfig(collapse_decomposed=True),
         )
@@ -250,16 +258,16 @@ class TestApplyGranularity:
                 raise ProviderError("down", attempts=2)
 
         sentences, refset, _ = _world(["theta"])
-        result = apply_granularity(
+        result = granularity(
             sentences, refset, ResilientDecomposer(Failing()), GranularityConfig()
         )
         assert result.decomposer_fallback
-        assert result.decisions[0].used_fallback_decomposer
+        assert result.decisions[0].used_fallback
 
     def test_unit_ids_are_stable_and_unique(self):
         kinds = ["alpha", "theta", "omega"]
         sentences, refset, decomposer = _world(kinds)
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         ids = [su.unit.unit_id for su in result.units]
         assert len(ids) == len(set(ids))
         assert ids[0] == "r0.s0"
@@ -288,7 +296,7 @@ class TestDecompositionRound:
         sentences, refset, _ = _world(self.KINDS)
         overlap = Overlap()
         decomposer = ResilientDecomposer(self._recording(overlap), max_in_flight=2)
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         assert result.decomposer_calls == 3
         assert overlap.peak == 2
 
@@ -297,10 +305,10 @@ class TestDecompositionRound:
         sentences, refset, _ = _world(self.KINDS)
         config = GranularityConfig(collapse_decomposed=collapse)
         primary = ScriptedDecomposerProvider(default=marker_decomposer_rule)
-        serial = apply_granularity(
+        serial = granularity(
             sentences, refset, ResilientDecomposer(primary, max_in_flight=1), config
         )
-        together = apply_granularity(
+        together = granularity(
             sentences, refset, ResilientDecomposer(primary, max_in_flight=4), config
         )
         assert together == serial
@@ -319,15 +327,15 @@ class TestDecompositionRound:
 
         sentences, refset, _ = _world(self.KINDS)
         decomposer = ResilientDecomposer(FailsOnSecond(), max_in_flight=4)
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         decomposed = [d for d in result.decisions if d.kind == DECOMPOSE]
-        assert [d.used_fallback_decomposer for d in decomposed] == [False, True, False]
+        assert [d.used_fallback for d in decomposed] == [False, True, False]
         assert result.decomposer_fallback
         failed = decomposed[1]
-        assert [u.text for u in failed.resulting_units] == split_facts_rule_based(
+        assert [u.text for u in failed.units] == split_facts_rule_based(
             failed.signal.sentence.text
         )
-        assert all(len(d.resulting_units) == 2 for d in (decomposed[0], decomposed[2]))
+        assert all(len(d.units) == 2 for d in (decomposed[0], decomposed[2]))
 
     def test_all_facts_reach_nli_in_one_batch(self):
         sentences, _, _ = _world(self.KINDS)
@@ -337,7 +345,7 @@ class TestDecompositionRound:
         decomposer = ResilientDecomposer(
             ScriptedDecomposerProvider(default=marker_decomposer_rule), max_in_flight=4
         )
-        result = apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        result = granularity(sentences, refset, decomposer, GranularityConfig())
         facts = [su for su in result.units if su.unit.role == "atomic_fact"]
         assert len(facts) == 6
         assert nli.calls == 2  # the sentences, then every fact
@@ -347,5 +355,5 @@ class TestDecompositionRound:
         sentences, refset, _ = _world(self.KINDS)
         decomposer = ResilientDecomposer(self._recording(Overlap(), 5.0), max_in_flight=4)
         before = threading.active_count()
-        apply_granularity(sentences, refset, decomposer, GranularityConfig())
+        granularity(sentences, refset, decomposer, GranularityConfig())
         assert threading.active_count() == before

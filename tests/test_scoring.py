@@ -185,7 +185,7 @@ class TestPairEntail:
     CFG = ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
 
     def entail(self, ref, config, nli) -> float:
-        return score_one("The claim.", [ref], config, nli).per_reference[0]
+        return 1 - score_one("The claim.", [ref], config, nli).uncertainty
 
     def test_max_over_chunks(self):
         ref = " ".join(self.SENTS)
@@ -262,22 +262,22 @@ class TestSupport:
         refs = [f"Ref number {i} sentence." for i in range(4)]
         nli = self._nli_per_reference("Claim.", refs, [1.0, 1.0, 1.0, 1.0])
         s = score_one("Claim.", refs, ScoringConfig(), nli)
-        assert s.support == 1.0
+        assert 1 - s.uncertainty == 1.0
         assert s.uncertainty == 0.0
 
     def test_mixed_scores(self):
         refs = [f"Ref number {i} sentence." for i in range(4)]
         nli = self._nli_per_reference("Claim.", refs, [0.8, 0.6, 1.0, 0.6])
         s = score_one("Claim.", refs, ScoringConfig(), nli)
-        assert abs(s.support - 0.75) < 1e-12
+        assert abs((1 - s.uncertainty) - 0.75) < 1e-12
         assert abs(s.uncertainty - 0.25) < 1e-12
-        assert len(s.per_reference) == 4
+        assert len(s.chunk_logits) == 4
 
     def test_fully_contradicted(self):
         refs = ["Ref zero sentence.", "Ref one sentence."]
         nli = self._nli_per_reference("Claim.", refs, [0.0, 0.0])
         s = score_one("Claim.", refs, ScoringConfig(), nli)
-        assert s.support == 0.0
+        assert 1 - s.uncertainty == 0.0
         assert s.uncertainty == 1.0
 
     def test_permutation_invariance(self):
@@ -287,7 +287,7 @@ class TestSupport:
         s1 = score_one("Claim.", refs, ScoringConfig(), nli)
         shuffled = [refs[i] for i in (3, 0, 4, 1, 2)]
         s2 = score_one("Claim.", shuffled, ScoringConfig(), nli)
-        assert abs(s1.support - s2.support) < 1e-12
+        assert abs((1 - s1.uncertainty) - (1 - s2.uncertainty)) < 1e-12
 
     def test_zero_references_rejected(self):
         with pytest.raises(ValueError):
@@ -298,7 +298,7 @@ class TestReferenceDistribution:
     def test_flat_logits(self):
         ref = "Only one sentence here."
         nli = ScriptedNliProvider(script={(ref, "Claim."): (1.0, 1.0, 1.0)})
-        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution
+        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution()
         assert abs(d.p_entail - 1 / 3) < 1e-12
 
     def test_most_polarized_chunk_wins(self):
@@ -310,7 +310,7 @@ class TestReferenceDistribution:
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(0.0, 0.0, 3.0), (0.0, 3.0, 0.0)]
         )
-        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
+        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli))
         expected = three_class_softmax(NliLogits(0.0, 3.0, 0.0))
         assert d == expected
 
@@ -321,28 +321,15 @@ class TestReferenceDistribution:
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(3.0, 0.0, 0.0), (0.0, 3.0, 0.0)]
         )
-        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
+        d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli))
         assert d == three_class_softmax(NliLogits(3.0, 0.0, 0.0))
 
     def test_softmax_example(self):
         ref = "Only one sentence here."
         nli = ScriptedNliProvider(script={(ref, "Claim."): (2.0, 0.0, 0.0)})
-        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution
+        d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution()
         assert abs(d.p_entail - 0.7870) < 5e-5
         assert abs(d.p_contradict - 0.1065) < 5e-5
-
-    def test_mean_aggregation_mode(self):
-        cfg = ScoringConfig(
-            chunk_budget_chars=30, chunk_stride_chars=10, routing_chunk_agg="mean"
-        )
-        ref = "First chunk fact here. Second chunk fact here."
-        chunks = make_chunks(ref, cfg)
-        nli = scripted_for_chunks(
-            "Claim.", [c.text for c in chunks], [(1000.0, 0.0, 0.0), (0.0, 1000.0, 0.0)]
-        )
-        d = score_one("Claim.", [ref], cfg, nli).distribution
-        assert abs(d.p_entail - 0.5) < 1e-9
-        assert abs(d.p_contradict - 0.5) < 1e-9
 
 
 class TestAvgDistribution:
@@ -354,7 +341,7 @@ class TestAvgDistribution:
                 (refs[1], "Claim."): (0.0, 0.0, 1000.0),
             }
         )
-        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution
+        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution()
         assert abs(d.p_entail - 0.5) < 1e-9
         assert d.p_contradict < 1e-12
         assert abs(d.p_neutral - 0.5) < 1e-9
@@ -366,8 +353,8 @@ class TestAvgDistribution:
         ref = "Ref zero sentence."
         cfg = ScoringConfig()
         nli = ScriptedNliProvider(script={(ref, "Claim."): (0.3, -0.8, 1.1)})
-        d1 = score_one("Claim.", [ref], cfg, nli).distribution
-        d2 = routing_distribution(chunk_logits("Claim.", ref, cfg, nli), cfg.routing_chunk_agg)
+        d1 = score_one("Claim.", [ref], cfg, nli).distribution()
+        d2 = routing_distribution(chunk_logits("Claim.", ref, cfg, nli))
         assert d1 == d2
 
     def test_four_reference_mean(self):
@@ -376,7 +363,7 @@ class TestAvgDistribution:
         nli = ScriptedNliProvider(
             script={(r, "Claim."): t for r, t in zip(refs, triples)}
         )
-        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution
+        d = score_one("Claim.", refs, ScoringConfig(), nli).distribution()
         per_ref = [three_class_softmax(NliLogits(*t)) for t in triples]
         for got, idx in zip(d.as_tuple(), range(3)):
             expected = sum(p.as_tuple()[idx] for p in per_ref) / 4.0
@@ -404,9 +391,8 @@ class TestReferenceSet:
                 per_ref.append(max(binary_entail(l) for l in logits))
                 soft = [three_class_softmax(l) for l in logits]
                 dists.append(max(soft, key=lambda d: d.p_entail + d.p_contradict))
-            assert abs(scores.support - math.fsum(per_ref) / len(per_ref)) < 1e-12
-            assert scores.per_reference == tuple(per_ref)
-            assert scores.distribution == mean_distribution(dists)
+            assert abs(scores.uncertainty - (1 - math.fsum(per_ref) / len(per_ref))) < 1e-12
+            assert scores.distribution() == mean_distribution(dists)
 
     def test_empty_unit_list(self):
         refs = ["Ref zero sentence."]
