@@ -189,7 +189,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "clustering.target_dim": (("clustering", "target_dim"), "int"),
     "scoring.chunk_budget_chars": (("scoring", "chunk_budget_chars"), "int"),
     "scoring.chunk_stride_chars": (("scoring", "chunk_stride_chars"), "int"),
-    "scoring.nli_direction": (("scoring", "nli_direction"), "str"),
     "granularity.tau": (("granularity", "tau"), "float"),
     "granularity.collapse_decomposed": (("granularity", "collapse_decomposed"), "bool"),
 }

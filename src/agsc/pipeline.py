@@ -299,14 +299,15 @@ def run_prompt(
     meter = _Meter(providers, config)
     t0 = time.perf_counter() if meter.timed else 0.0
 
-    anchor_sentences = segment_sentences(sample.anchor, response_index=0)
+    # Each response is segmented once; chunking and clustering share it.
+    # Response 0 is the anchor, so references are numbered from 1.
+    anchor_sentences, *ref_sentences = [
+        segment_sentences(text, response_index=i)
+        for i, text in enumerate(sample.responses)
+    ]
     if not anchor_sentences:
         raise PipelineError(f"prompt {sample.prompt_id!r}: anchor has no sentences")
-    ref_sentences = [
-        segment_sentences(text, response_index=i + 1)
-        for i, text in enumerate(sample.references)
-    ]
-    refset = ReferenceSet(sample.references, config.scoring, meter)
+    refset = ReferenceSet(ref_sentences, config.scoring, meter)
     routing = route_sentences(
         anchor_sentences,
         refset,

@@ -26,7 +26,7 @@ _SEP = "\x1f"
 
 
 class CacheCorruptError(ValueError):
-    """A cache file holds an unparsable record before its last line."""
+    """A cache file holds a record that is not {"k": str, "v": ...}."""
 
 
 def content_key(*parts: str) -> str:
@@ -42,6 +42,8 @@ class ResponseCache:
     unparsable last line is skipped with a warning and cut off before the
     next put(), so the new record starts on a fresh line; an unparsable
     line anywhere else raises CacheCorruptError naming the file and line.
+    So does a line that parses but is not a record: no torn append can
+    leave one.
 
     Records go through one append handle, opened at the first put() and
     released by close(); a put() after close() opens it again.
@@ -71,6 +73,12 @@ class ResponseCache:
                     except ValueError as e:  # bad JSON or a cut UTF-8 sequence
                         bad, self._torn_at = (lineno, e), start
                         continue
+                    if not (isinstance(rec, dict) and isinstance(rec.get("k"), str)
+                            and "v" in rec):
+                        raise CacheCorruptError(
+                            f"{self._path}:{lineno}: not a cache record"
+                            " (expected an object with a string 'k' and a 'v')"
+                        )
                     self._data[rec["k"]] = rec["v"]
             if bad is not None:
                 logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
@@ -125,10 +133,12 @@ class _CachedProvider:
 
         Each key is looked up once; fetch(indices) returns the inner
         provider's results for the missed indices in one call, and each is
-        stored as encode(result). An answer of the wrong length raises
-        ProtocolError before anything is stored. Hits are rebuilt with
-        decode(value); a record that decode rejects (TypeError or
-        ValueError) raises ProtocolError naming the cache file.
+        stored as encode(result). A result that encode rejects (ValueError)
+        is returned but not stored, so a later call asks again. An answer
+        of the wrong length raises ProtocolError before anything is
+        stored. Hits are rebuilt with decode(value); a record that decode
+        rejects (TypeError or ValueError) raises ProtocolError naming the
+        cache file.
         """
         results: list = [None] * len(keys)
         missing: list[int] = []
@@ -153,8 +163,12 @@ class _CachedProvider:
                         f" {len(fetched)} results for {len(missing)} requests"
                     )
                 for i, value in zip(missing, fetched):
-                    self._cache.put(keys[i], encode(value))
                     results[i] = value
+                    try:
+                        record = encode(value)
+                    except ValueError:
+                        continue
+                    self._cache.put(keys[i], record)
         return results
 
     def close(self) -> None:
@@ -190,13 +204,17 @@ class CachedEmbedding(_CachedProvider):
 
 
 class CachedDecomposer(_CachedProvider):
-    """Decomposer wrapper that serves repeated sentences from the cache."""
+    """Decomposer wrapper that serves repeated sentences from the cache.
+
+    An answer that is not a non-empty list of strings, which the caller
+    replaces with the rule-based fallback, is not stored.
+    """
 
     def decompose(self, sentence: str, prompt_context: str) -> list[str]:
         (facts,) = self._through(
             [content_key("decompose", sentence, prompt_context)],
             lambda missing: [self._inner.decompose(sentence, prompt_context)],
-            list,
+            _facts,
             _facts,
         )
         return facts

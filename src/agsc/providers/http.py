@@ -195,13 +195,6 @@ class HttpEmbeddingProvider(_HttpClient):
             )
         with _malformed("embed"):
             dim = data.get("dim", len(vectors[0]) if vectors else 0)
-            with self._dim_lock:
-                if self._dim is None:
-                    self._dim = dim
-                elif dim != self._dim:
-                    raise ProtocolError(
-                        f"embedding dimension drift: expected {self._dim}, got {dim}"
-                    )
             out = []
             for vec in vectors:
                 if len(vec) != dim:
@@ -209,6 +202,14 @@ class HttpEmbeddingProvider(_HttpClient):
                         f"embedding vector length {len(vec)} != reported dim {dim}"
                     )
                 out.append(EmbeddingVector(tuple(float(v) for v in vec)))
+        # Only a valid answer sets the dimension the later ones must match.
+        with self._dim_lock:
+            if self._dim is None:
+                self._dim = dim
+            elif dim != self._dim:
+                raise ProtocolError(
+                    f"embedding dimension drift: expected {self._dim}, got {dim}"
+                )
         return out
 
 

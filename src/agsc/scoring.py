@@ -20,33 +20,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import split_sentences
+from .corpus import Sentence
 from .providers import NliLogits, NliProvider, ProtocolError
-
-REFERENCE_PREMISE = "reference_premise"
-UNIT_PREMISE = "unit_premise"
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    """Chunking and NLI-orientation settings.
-
-    nli_direction picks which side of the NLI pair the reference chunk
-    takes: "reference_premise" asks whether the evidence supports the
-    claim; "unit_premise" reverses the roles.
-    """
+    """Chunking settings."""
 
     chunk_budget_chars: int = 1000
     chunk_stride_chars: int = 500
-    nli_direction: str = REFERENCE_PREMISE
 
     def __post_init__(self) -> None:
         if self.chunk_budget_chars < 1 or self.chunk_stride_chars < 1:
             raise ValueError("chunk budget and stride must be >= 1")
         if self.chunk_stride_chars > self.chunk_budget_chars:
             raise ValueError("chunk_stride_chars must be <= chunk_budget_chars")
-        if self.nli_direction not in (REFERENCE_PREMISE, UNIT_PREMISE):
-            raise ValueError(f"unknown nli_direction {self.nli_direction!r}")
 
 
 @dataclass(frozen=True)
@@ -83,21 +72,21 @@ class NliDistribution:
         return (self.p_entail, self.p_contradict, self.p_neutral)
 
 
-def make_chunks(
-    reference: str, config: ScoringConfig, reference_index: int = 0
-) -> list[Chunk]:
-    """Cut one reference into greedy sentence-aligned windows.
+def make_chunks(reference: Sequence[Sentence], config: ScoringConfig) -> list[Chunk]:
+    """Cut one segmented reference into greedy sentence-aligned windows.
 
-    Each window holds as many whole sentences as fit in
+    The chunks carry the sentences' response_index as their
+    reference_index. Each window holds as many whole sentences as fit in
     chunk_budget_chars (joined with single spaces); the start then
     advances by the smallest sentence count whose cumulative text length
     reaches chunk_stride_chars. The final window always ends at the last
     sentence. A lone sentence longer than the budget becomes its own
-    chunk, unsplit. An empty reference yields no chunks.
+    chunk, unsplit. A reference without sentences yields no chunks.
     """
-    sentences = split_sentences(reference)
-    if not sentences:
+    if not reference:
         return []
+    reference_index = reference[0].response_index
+    sentences = [s.text for s in reference]
     chunks: list[Chunk] = []
     start = 0
     n = len(sentences)
@@ -171,12 +160,6 @@ def mean_distribution(distributions: Sequence[NliDistribution]) -> NliDistributi
     return NliDistribution(e / z, c / z, u / z)
 
 
-def _pair(unit_text: str, chunk_text: str, direction: str) -> tuple[str, str]:
-    if direction == REFERENCE_PREMISE:
-        return (chunk_text, unit_text)
-    return (unit_text, chunk_text)
-
-
 def routing_distribution(logits_per_chunk: Sequence[NliLogits]) -> NliDistribution:
     """A reference's routing distribution: the three-class softmax of its
     most polarized chunk, the one with the largest entail+contradict mass
@@ -209,25 +192,23 @@ class UnitScores:
 class ReferenceSet:
     """Pre-chunked references with batched scoring of many units at once.
 
-    All (unit, reference, chunk) NLI pairs of one call are submitted as a
-    single batch in a fixed order, so results are deterministic and
-    providers see maximal batches.
+    Each reference arrives as its Sentence records, segmented once by the
+    caller. Every (unit, reference, chunk) NLI pair of one call is
+    submitted, chunk as premise and unit as hypothesis, in a single batch
+    in a fixed order, so results are deterministic and providers see
+    maximal batches.
     """
 
     def __init__(
         self,
-        references: Sequence[str],
+        references: Sequence[Sequence[Sentence]],
         config: ScoringConfig,
         nli: NliProvider,
     ):
         if not references:
             raise ValueError("at least one reference is required")
-        self.config = config
         self._nli = nli
-        # Response 0 is the anchor; references are numbered from 1.
-        self.chunks: list[list[Chunk]] = [
-            make_chunks(r, config, i + 1) for i, r in enumerate(references)
-        ]
+        self.chunks: list[list[Chunk]] = [make_chunks(r, config) for r in references]
         for i, chunks in enumerate(self.chunks):
             if not chunks:
                 raise ValueError(f"reference {i} has no sentence content")
@@ -244,11 +225,12 @@ class ReferenceSet:
         """
         if not texts:
             return []
-        pairs = []
-        for text in texts:
-            for chunks in self.chunks:
-                for chunk in chunks:
-                    pairs.append(_pair(text, chunk.text, self.config.nli_direction))
+        pairs = [
+            (chunk.text, text)
+            for text in texts
+            for chunks in self.chunks
+            for chunk in chunks
+        ]
         logits = self._nli.nli_batch(pairs)
         if len(logits) != len(pairs):
             raise ProtocolError(

@@ -19,6 +19,7 @@ from typing import Sequence
 import pytest
 
 from agsc import SampleSet, default_config
+from agsc.corpus import segment_sentences
 from agsc.evaluation import apply_variant
 from agsc.pipeline import ProviderBundle
 from agsc.providers import (
@@ -149,6 +150,11 @@ def marker_sample(
         responses=(anchor,) + references,
         factuality=factuality,
     )
+
+
+def segmented(references: Sequence[str]):
+    """Each reference's Sentence records, numbered from 1 as run_prompt does."""
+    return [segment_sentences(r, response_index=i + 1) for i, r in enumerate(references)]
 
 
 @pytest.fixture(autouse=True)

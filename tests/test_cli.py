@@ -138,6 +138,13 @@ class TestScore:
         assert code == 2
         assert "unknown key 'report.debug_clusters'" in capsys.readouterr().err
 
+    def test_nli_direction_key_exit_2(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        config = write_config(tmp_path / "run.cfg", extra="scoring.nli_direction = unit_premise\n")
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key 'scoring.nli_direction'" in capsys.readouterr().err
+
     def test_missing_dataset_exit_3(self, tmp_path):
         config = write_config(tmp_path / "run.cfg")
         code = main(["score", "--dataset", str(tmp_path / "nope.jsonl"), "--config", str(config), "--out", str(tmp_path / "o")])
@@ -157,6 +164,21 @@ class TestScore:
         err = capsys.readouterr().err
         assert "cache error" in err
         assert f"{nli}:2:" in err
+
+    @pytest.mark.parametrize("record", ['{"x": 1}', "[1, 2]"])
+    def test_cache_line_that_is_not_a_record_exit_3(self, tmp_path, capsys, record):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        cache = tmp_path / "cache"
+        config = write_config(tmp_path / "run.cfg", extra=f"cache_dir = {cache}\n")
+        args = ["score", "--dataset", str(dataset), "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / "first")]) == 0
+        nli = cache / "nli.jsonl"
+        nli.write_text(nli.read_text(encoding="utf-8") + record + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "second")]) == 3
+        err = capsys.readouterr().err
+        n_lines = len(nli.read_text(encoding="utf-8").splitlines())
+        assert f"cache error: {nli}:{n_lines}: not a cache record" in err
 
     def test_wrong_shaped_cache_record_fails_only_its_prompt(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path / "data.jsonl")

@@ -84,7 +84,6 @@ def test_config_keys_are_pinned():
         "report_dir",
         "scoring.chunk_budget_chars",
         "scoring.chunk_stride_chars",
-        "scoring.nli_direction",
         "seed",
         "timing",
         "variant",
@@ -96,7 +95,7 @@ class TestOverrides:
     def test_nested_keys(self):
         text = (
             "clustering.k_limit = 8\n"
-            "scoring.nli_direction = unit_premise\n"
+            "scoring.chunk_stride_chars = 400\n"
             "granularity.tau = 0.2\n"
             "providers.nli.kind = http\n"
             "providers.nli.endpoint = http://example.test\n"
@@ -104,7 +103,7 @@ class TestOverrides:
         )
         cfg = parse_config_text(text)
         assert cfg.clustering.k_limit == 8
-        assert cfg.scoring.nli_direction == "unit_premise"
+        assert cfg.scoring.chunk_stride_chars == 400
         assert cfg.granularity.tau == 0.2
         assert cfg.nli.kind == "http"
         assert cfg.nli.transport.endpoint == "http://example.test"
@@ -190,6 +189,7 @@ class TestProviderKeys:
             "clustering.em_max_iter",
             "providers.decompose.batch_size",
             "scoring.routing_chunk_agg",
+            "scoring.nli_direction",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):

@@ -332,6 +332,14 @@ class TestHttpEmbedding:
         with pytest.raises(ProtocolError):
             client.embed_batch(["abc"])
 
+    def test_bad_answer_leaves_the_dimension_unset(self, server, closing):
+        client = closing(HttpEmbeddingProvider(_config(server)))
+        server.state["respond"] = lambda path, body: {"vectors": [[1.0, 2.0, 3.0]], "dim": 5}
+        with pytest.raises(ProtocolError, match="!= reported dim 5"):
+            client.embed_batch(["abc"])
+        server.state["respond"] = _echo_nli  # a correct answer of dimension 3
+        assert [v.values for v in client.embed_batch(["abc"])] == [(3.0, 1.0, 0.0)]
+        assert [v.values for v in client.embed_batch(["de"])] == [(2.0, 1.0, 0.0)]
 
     @pytest.mark.parametrize(
         "body",

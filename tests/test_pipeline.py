@@ -24,9 +24,11 @@ from conftest import (
     marker_sample,
 )
 from agsc import SampleSet, default_config
+import agsc.corpus
 import agsc.pipeline
 import agsc.scoring
 from agsc.config import PipelineConfig
+from agsc.corpus import segment_sentences
 from agsc.evaluation import apply_variant
 from agsc.pipeline import (
     PromptFailure,
@@ -159,6 +161,31 @@ class TestRunPrompt:
         # 5 anchor units (3 keeps + 2 facts) + 2 sentences x 3 references.
         assert report.timing.embed_calls == 11
 
+    def test_each_response_is_split_once(self, agsc_config, monkeypatch):
+        # Budget 30 puts each reference sentence in its own chunk.
+        config = dataclasses.replace(
+            agsc_config, scoring=ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
+        )
+        sample = marker_sample("p", ["alpha", "theta", "omega", "zeta", "theta"])
+        n_chunks = sum(
+            len(make_chunks(segment_sentences(r, response_index=1), config.scoring))
+            for r in sample.references
+        )
+        assert n_chunks > len(sample.references)
+        real = agsc.corpus.split_sentences
+        split = []
+
+        def counting(text):
+            split.append(text)
+            return real(text)
+
+        # Every agsc module that binds the splitter, wherever it is called from.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("agsc") and getattr(module, "split_sentences", None) is real:
+                monkeypatch.setattr(module, "split_sentences", counting)
+        run_prompt(sample, config, marker_providers())
+        assert sorted(split) == sorted(sample.responses)
+
     def test_only_anchor_sentences_get_routing_distributions(
         self, agsc_config, monkeypatch
     ):
@@ -177,7 +204,10 @@ class TestRunPrompt:
         sample = marker_sample("p", ["alpha", "theta", "omega", "zeta", "theta"])
         report = run_prompt(sample, config, marker_providers())
         assert [s.decision for s in report.sentences].count("decompose") == 2
-        n_chunks = sum(len(make_chunks(r, config.scoring)) for r in sample.references)
+        n_chunks = sum(
+            len(make_chunks(segment_sentences(r, response_index=1), config.scoring))
+            for r in sample.references
+        )
         assert n_chunks == 2 * len(sample.references)
         # One softmax per anchor sentence and chunk; the four facts add none.
         assert len(calls) == len(report.sentences) * n_chunks

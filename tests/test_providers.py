@@ -245,6 +245,19 @@ class TestCache:
         with pytest.raises(CacheCorruptError, match=r"nli\.jsonl:3: unparsable"):
             ResponseCache(path)
 
+    @pytest.mark.parametrize(
+        "line", ['{"x": 1}', "[1, 2]", '"k"', "7", "null", '{"k": 3, "v": 1}', '{"k": "b"}']
+    )
+    @pytest.mark.parametrize("last", [False, True])
+    def test_parsable_non_record_names_file_and_line(self, tmp_path, line, last):
+        # No torn append parses, so a wrong-shaped line is corruption even
+        # as the last line.
+        path = tmp_path / "nli.jsonl"
+        lines = ['{"k": "a", "v": 1}', line] + ([] if last else ['{"k": "c", "v": 3}'])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CacheCorruptError, match=r"nli\.jsonl:2: not a cache record"):
+            ResponseCache(path)
+
     def test_one_append_handle_per_cache(self, tmp_path, monkeypatch):
         opened = []
 
@@ -338,6 +351,27 @@ class TestCache:
         facts, fallback = ResilientDecomposer(cached).decompose("a and b", "ctx")
         assert (facts, fallback) == (["a", "b"], True)
         assert inner.calls == 0
+
+    def test_empty_decomposer_answer_is_not_stored(self, tmp_path, new_cache, caplog):
+        class Empty:
+            calls = 0
+
+            def decompose(self, sentence, prompt_context):
+                self.calls += 1
+                return []
+
+        inner = Empty()
+        runs = []
+        with caplog.at_level("WARNING"):
+            for _ in range(2):
+                cached = CachedDecomposer(inner, new_cache("dec.jsonl"))
+                runs.append(ResilientDecomposer(cached).decompose("a and b", "ctx"))
+                cached.close()
+        assert runs == [(["a", "b"], True)] * 2
+        assert inner.calls == 2  # the warm run asks again
+        assert not (tmp_path / "dec.jsonl").exists()
+        assert "malformed" not in caplog.text
+        assert "returned no facts" in caplog.text
 
 
 class TestDecomposition:

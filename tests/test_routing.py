@@ -15,6 +15,7 @@ from conftest import (
     Overlap,
     marker_decomposer_rule,
     marker_nli_rule,
+    segmented,
 )
 from agsc.corpus import Sentence, segment_sentences
 from agsc.providers import (
@@ -138,7 +139,7 @@ def _world(anchor_kinds, n_refs=2):
     refs = [f"The valley report {r} covers it." for r in range(n_refs)]
     sentences = segment_sentences(anchor, response_index=0)
     nli = ScriptedNliProvider(default=marker_nli_rule)
-    refset = ReferenceSet(refs, ScoringConfig(), nli)
+    refset = ReferenceSet(segmented(refs), ScoringConfig(), nli)
     decomposer = ResilientDecomposer(
         ScriptedDecomposerProvider(default=marker_decomposer_rule)
     )
@@ -224,7 +225,7 @@ class TestApplyGranularity:
         anchor = "The valley is plain here."
         sentences = segment_sentences(anchor, response_index=0)
         nli = ScriptedNliProvider(default=(0.0, 0.0, 0.0))
-        refset = ReferenceSet(["One reference sentence."], ScoringConfig(), nli)
+        refset = ReferenceSet(segmented(["One reference sentence."]), ScoringConfig(), nli)
         decomposer = ResilientDecomposer(ScriptedDecomposerProvider())
         result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "neutral_weight"
@@ -341,7 +342,7 @@ class TestDecompositionRound:
         sentences, _, _ = _world(self.KINDS)
         nli = CountingNli(ScriptedNliProvider(default=marker_nli_rule))
         refs = ["The valley report 0 covers it.", "The valley report 1 covers it."]
-        refset = ReferenceSet(refs, ScoringConfig(), nli)
+        refset = ReferenceSet(segmented(refs), ScoringConfig(), nli)
         decomposer = ResilientDecomposer(
             ScriptedDecomposerProvider(default=marker_decomposer_rule), max_in_flight=4
         )

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from conftest import segmented
+from agsc.corpus import segment_sentences
 from agsc.providers import NliLogits, ScriptedNliProvider
 from agsc.scoring import (
     ReferenceSet,
@@ -20,15 +22,19 @@ from agsc.scoring import (
 )
 
 
+def chunks_of(reference: str, config: ScoringConfig):
+    return make_chunks(segment_sentences(reference, response_index=1), config)
+
+
 def score_one(text: str, references: list[str], config: ScoringConfig, nli):
     """Scores of one unit against `references`, through ReferenceSet."""
-    (scores,) = ReferenceSet(references, config, nli).score_units([text])
+    (scores,) = ReferenceSet(segmented(references), config, nli).score_units([text])
     return scores
 
 
 def chunk_logits(text: str, reference: str, config: ScoringConfig, nli) -> list[NliLogits]:
     """Logits of one unit against each chunk of `reference` (chunk as premise)."""
-    return nli.nli_batch([(c.text, text) for c in make_chunks(reference, config)])
+    return nli.nli_batch([(c.text, text) for c in chunks_of(reference, config)])
 
 
 def logits_for_binary(score: float) -> tuple[float, float, float]:
@@ -122,7 +128,7 @@ def _sent(i: int, length: int) -> str:
 class TestMakeChunks:
     def test_short_reference_single_chunk(self):
         text = "A first short fact. A second short fact. A third one."
-        chunks = make_chunks(text, ScoringConfig())
+        chunks = chunks_of(text, ScoringConfig())
         assert len(chunks) == 1
         assert chunks[0].text == text
         assert chunks[0].sentence_span == (0, 3)
@@ -131,7 +137,7 @@ class TestMakeChunks:
         sents = [_sent(i, 300) for i in range(5)]
         assert all(len(s) == 300 for s in sents)
         text = " ".join(sents)
-        chunks = make_chunks(
+        chunks = chunks_of(
             text, ScoringConfig(chunk_budget_chars=1000, chunk_stride_chars=500)
         )
         assert [c.sentence_span for c in chunks] == [(0, 3), (2, 5)]
@@ -139,13 +145,13 @@ class TestMakeChunks:
         assert chunks[1].text == " ".join(sents[2:5])
 
     def test_empty_reference(self):
-        assert make_chunks("", ScoringConfig()) == []
-        assert make_chunks("   \n ", ScoringConfig()) == []
+        assert chunks_of("", ScoringConfig()) == []
+        assert chunks_of("   \n ", ScoringConfig()) == []
 
     def test_overlong_sentence_is_own_chunk(self):
         long_sent = _sent(0, 1500)
         text = long_sent + " " + _sent(1, 100)
-        chunks = make_chunks(
+        chunks = chunks_of(
             text, ScoringConfig(chunk_budget_chars=1000, chunk_stride_chars=500)
         )
         assert chunks[0].text == long_sent
@@ -158,7 +164,7 @@ class TestMakeChunks:
             sents = [_sent(i, rng.randint(40, 400)) for i in range(n)]
             text = " ".join(sents)
             cfg = ScoringConfig(chunk_budget_chars=600, chunk_stride_chars=300)
-            chunks = make_chunks(text, cfg)
+            chunks = chunks_of(text, cfg)
             assert chunks[0].sentence_span[0] == 0
             assert chunks[-1].sentence_span[1] == n
             for a, b in zip(chunks, chunks[1:]):
@@ -168,6 +174,17 @@ class TestMakeChunks:
     def test_stride_must_not_exceed_budget(self):
         with pytest.raises(ValueError):
             ScoringConfig(chunk_budget_chars=100, chunk_stride_chars=200)
+
+    def test_reference_index_is_the_response_index(self):
+        sents = segment_sentences(" ".join(_sent(i, 300) for i in range(5)), response_index=4)
+        chunks = make_chunks(sents, ScoringConfig())
+        assert len(chunks) == 2
+        assert [(c.reference_index, c.chunk_index) for c in chunks] == [(4, 0), (4, 1)]
+
+    def test_plain_text_is_rejected(self):
+        # A str is a sequence too; chunking its characters must not pass silently.
+        with pytest.raises(AttributeError):
+            make_chunks("One sentence. Another one.", ScoringConfig())
 
 
 def scripted_for_chunks(
@@ -189,7 +206,7 @@ class TestPairEntail:
 
     def test_max_over_chunks(self):
         ref = " ".join(self.SENTS)
-        chunks = make_chunks(ref, self.CFG)
+        chunks = chunks_of(ref, self.CFG)
         assert len(chunks) == 3
         nli = scripted_for_chunks(
             "The claim.",
@@ -206,7 +223,7 @@ class TestPairEntail:
 
     def test_specific_chunk_supports(self):
         ref = " ".join(self.SENTS)
-        chunks = make_chunks(ref, self.CFG)
+        chunks = chunks_of(ref, self.CFG)
         nli = scripted_for_chunks(
             "The claim.",
             [c.text for c in chunks],
@@ -215,23 +232,9 @@ class TestPairEntail:
         got = self.entail(ref, self.CFG, nli)
         assert abs(got - 0.97) < 1e-12
 
-    def test_direction_switch(self):
-        ref = "Only one sentence here."
-        nli = ScriptedNliProvider(
-            script={
-                (ref, "The claim."): logits_for_binary(0.9),
-                ("The claim.", ref): logits_for_binary(0.2),
-            },
-            default=(0.0, 0.0, 0.0),
-        )
-        fwd = self.entail(ref, ScoringConfig(nli_direction="reference_premise"), nli)
-        rev = self.entail(ref, ScoringConfig(nli_direction="unit_premise"), nli)
-        assert abs(fwd - 0.9) < 1e-12
-        assert abs(rev - 0.2) < 1e-12
-
     def test_monotone_in_any_chunk_entail_logit(self):
         ref = " ".join(self.SENTS)
-        chunks = make_chunks(ref, self.CFG)
+        chunks = chunks_of(ref, self.CFG)
         rng = random.Random(21)
         for _ in range(50):
             triples = [
@@ -293,6 +296,11 @@ class TestSupport:
         with pytest.raises(ValueError):
             ReferenceSet([], ScoringConfig(), ScriptedNliProvider())
 
+    def test_reference_without_sentences_rejected(self):
+        refs = [segment_sentences("Ref zero sentence.", response_index=1), []]
+        with pytest.raises(ValueError, match="reference 1 has no sentence content"):
+            ReferenceSet(refs, ScoringConfig(), ScriptedNliProvider())
+
 
 class TestReferenceDistribution:
     def test_flat_logits(self):
@@ -304,7 +312,7 @@ class TestReferenceDistribution:
     def test_most_polarized_chunk_wins(self):
         cfg = ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
         ref = "First chunk fact here. Second chunk fact here."
-        chunks = make_chunks(ref, cfg)
+        chunks = chunks_of(ref, cfg)
         assert len(chunks) == 2
         # chunk 0 mostly neutral, chunk 1 polarized toward contradiction
         nli = scripted_for_chunks(
@@ -317,7 +325,7 @@ class TestReferenceDistribution:
     def test_tie_prefers_earliest(self):
         cfg = ScoringConfig(chunk_budget_chars=30, chunk_stride_chars=10)
         ref = "First chunk fact here. Second chunk fact here."
-        chunks = make_chunks(ref, cfg)
+        chunks = chunks_of(ref, cfg)
         nli = scripted_for_chunks(
             "Claim.", [c.text for c in chunks], [(3.0, 0.0, 0.0), (0.0, 3.0, 0.0)]
         )
@@ -379,7 +387,7 @@ class TestReferenceSet:
             default=lambda p, h: (0.3 * len(p) % 3.0, 0.1 * len(h) % 2.0, 0.5)
         )
         cfg = ScoringConfig()
-        refset = ReferenceSet(refs, cfg, nli)
+        refset = ReferenceSet(segmented(refs), cfg, nli)
         batch = refset.score_units(texts)
         for text, scores in zip(texts, batch):
             # Independent reference: best chunk per reference, mean over
@@ -396,5 +404,5 @@ class TestReferenceSet:
 
     def test_empty_unit_list(self):
         refs = ["Ref zero sentence."]
-        refset = ReferenceSet(refs, ScoringConfig(), ScriptedNliProvider())
+        refset = ReferenceSet(segmented(refs), ScoringConfig(), ScriptedNliProvider())
         assert refset.score_units([]) == []
