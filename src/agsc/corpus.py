@@ -92,6 +92,13 @@ _TERMINALS = ".!?"
 _CLOSERS = "\"')]»’”"
 _OPENERS = "\"'([«‘“"
 
+# A candidate boundary: a run of terminals, any closers, then whitespace
+# (group 1; \s is str.isspace). A run with no whitespace after it, as in
+# "3.5", is never a boundary, so the scan passes it without a match.
+_BOUNDARY_RE = re.compile(
+    f"[{re.escape(_TERMINALS)}]+[{re.escape(_CLOSERS)}]*(\\s+)"
+)
+
 # Tokens that end in a period without ending a sentence. Checked lowercase.
 _ABBREVIATIONS = frozenset({
     "dr.", "mr.", "mrs.", "ms.", "prof.", "rev.", "gen.", "sen.", "gov.",
@@ -132,35 +139,16 @@ def split_sentences(text: str) -> list[str]:
 def _split_block(block: str) -> list[str]:
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(block)
-    while i < n:
-        if block[i] not in _TERMINALS:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and block[j] in _TERMINALS:
-            j += 1
-        while j < n and block[j] in _CLOSERS:
-            j += 1
-        k = j
-        while k < n and block[k].isspace():
-            k += 1
-        if k == j or k == n:
-            # No whitespace after the punctuation (e.g. "3.5"), or end of
-            # block; the tail is closed out below.
-            i = j
-            continue
-        nxt = block[k]
-        if not (nxt.isupper() or nxt in _OPENERS):
-            i = j
-            continue
-        if block[i] == "." and j - i == 1 and _is_abbreviation(block, i):
-            i = j
-            continue
-        sentences.append(block[start:j])
-        start = k
-        i = k
+    match = _BOUNDARY_RE.search(block)
+    while match is not None:
+        i, j, k = match.start(), match.start(1), match.end()
+        if k < n and (block[k].isupper() or block[k] in _OPENERS) and not (
+            j - i == 1 and block[i] == "." and _is_abbreviation(block, i)
+        ):
+            sentences.append(block[start:j])
+            start = k
+        match = _BOUNDARY_RE.search(block, k)
     tail = block[start:].strip()
     if tail:
         sentences.append(tail)
@@ -168,10 +156,7 @@ def _split_block(block: str) -> list[str]:
 
 
 def _is_abbreviation(block: str, period_index: int) -> bool:
-    w = period_index
-    while w > 0 and not block[w - 1].isspace():
-        w -= 1
-    token = block[w : period_index + 1].lstrip(_OPENERS).lower()
+    token = block[: period_index + 1].rsplit(None, 1)[-1].lstrip(_OPENERS).lower()
     return token in _ABBREVIATIONS or _INITIALS_RE.fullmatch(token) is not None
 
 

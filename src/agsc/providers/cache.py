@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .base import EmbeddingVector, NliLogits, ProtocolError, computing, waiting
+from .decompose import checked_facts
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +34,31 @@ def content_key(*parts: str) -> str:
     """Hash of NFC-canonicalized text parts; the cache lookup key."""
     joined = _SEP.join(unicodedata.normalize("NFC", p) for p in parts)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+
+def pair_keys(kind: str, pairs: Sequence[tuple[str, str]]) -> list[str]:
+    """[content_key(kind, a, b) for a, b in pairs], key for key.
+
+    Each distinct text is normalized once, and the hash of each distinct
+    first part's prefix "kind SEP a SEP" is computed once and copied for
+    every pair that shares it.
+    """
+    kind = unicodedata.normalize("NFC", kind)
+    prefixes = {}  # a -> the hash state of its prefix
+    seconds = {}  # b -> its normalized UTF-8 bytes
+    keys = []
+    for a, b in pairs:
+        prefix = prefixes.get(a)
+        if prefix is None:
+            text = _SEP.join((kind, unicodedata.normalize("NFC", a), ""))
+            prefix = prefixes[a] = hashlib.sha256(text.encode("utf-8"))
+        tail = seconds.get(b)
+        if tail is None:
+            tail = seconds[b] = unicodedata.normalize("NFC", b).encode("utf-8")
+        h = prefix.copy()
+        h.update(tail)
+        keys.append(h.hexdigest())
+    return keys
 
 
 class ResponseCache:
@@ -184,7 +210,7 @@ class CachedNli(_CachedProvider):
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliLogits]:
         return self._through(
-            [content_key("nli", p, h) for p, h in pairs],
+            pair_keys("nli", pairs),
             lambda missing: self._inner.nli_batch([pairs[i] for i in missing]),
             lambda logits: list(logits.as_tuple()),
             lambda hit: NliLogits(*hit),
@@ -206,21 +232,15 @@ class CachedEmbedding(_CachedProvider):
 class CachedDecomposer(_CachedProvider):
     """Decomposer wrapper that serves repeated sentences from the cache.
 
-    An answer that is not a non-empty list of strings, which the caller
-    replaces with the rule-based fallback, is not stored.
+    An answer that checked_facts rejects, which the caller replaces with
+    the rule-based fallback, is not stored.
     """
 
     def decompose(self, sentence: str, prompt_context: str) -> list[str]:
         (facts,) = self._through(
             [content_key("decompose", sentence, prompt_context)],
             lambda missing: [self._inner.decompose(sentence, prompt_context)],
-            _facts,
-            _facts,
+            checked_facts,
+            checked_facts,
         )
         return facts
-
-
-def _facts(hit) -> list[str]:
-    if not (isinstance(hit, list) and hit and all(isinstance(f, str) for f in hit)):
-        raise ValueError(f"expected a non-empty list of strings, got {hit!r}")
-    return list(hit)

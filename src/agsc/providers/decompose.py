@@ -91,6 +91,15 @@ def split_facts_rule_based(sentence: str) -> list[str]:
     return pieces
 
 
+def checked_facts(answer) -> list[str]:
+    """A decomposer's answer as a list of facts: it must be a non-empty
+    list of strings that are not blank, or ValueError is raised."""
+    if not (isinstance(answer, list) and answer
+            and all(isinstance(f, str) and f.strip() for f in answer)):
+        raise ValueError(f"expected a non-empty list of non-blank strings, got {answer!r}")
+    return list(answer)
+
+
 class RuleBasedDecomposer:
     """DecomposerProvider backed by the rule-based splitter; never fails."""
 
@@ -111,14 +120,18 @@ class ResilientDecomposer:
         self._max_in_flight = max_in_flight
 
     def decompose(self, sentence: str, prompt_context: str) -> tuple[list[str], bool]:
+        """The primary's facts, or the rule-based split if the primary
+        fails or its answer is not one checked_facts accepts."""
         try:
-            facts = self._primary.decompose(sentence, prompt_context)
-            if facts:
-                return facts, False
-            logger.warning("decomposer returned no facts; using rule-based fallback")
+            answer = self._primary.decompose(sentence, prompt_context)
         except ProviderError as e:
             logger.warning("decomposer failed (%s); using rule-based fallback", e)
-        return split_facts_rule_based(sentence), True
+            return split_facts_rule_based(sentence), True
+        try:
+            return checked_facts(answer), False
+        except ValueError as e:
+            logger.warning("decomposer returned no facts (%s); using rule-based fallback", e)
+            return split_facts_rule_based(sentence), True
 
     def decompose_all(
         self, sentences: Sequence[str], prompt_context: str

@@ -138,14 +138,15 @@ def weighted_neutral_entail(logits: NliLogits, neutral_weight: float = 0.5) -> f
     return ee / (ee + ec + neutral_weight * en)
 
 
-def three_class_softmax(logits: NliLogits) -> NliDistribution:
-    """Softmax over (entail, contradict, neutral), max-subtracted."""
+def three_class_softmax(logits: NliLogits) -> tuple[float, float, float]:
+    """Softmax over (entail, contradict, neutral), max-subtracted, as
+    plain floats in that order."""
     m = max(logits.entail, logits.contradict, logits.neutral)
     ee = math.exp(logits.entail - m)
     ec = math.exp(logits.contradict - m)
     en = math.exp(logits.neutral - m)
     z = ee + ec + en
-    return NliDistribution(ee / z, ec / z, en / z)
+    return (ee / z, ec / z, en / z)
 
 
 def mean_distribution(distributions: Sequence[NliDistribution]) -> NliDistribution:
@@ -167,9 +168,8 @@ def routing_distribution(logits_per_chunk: Sequence[NliLogits]) -> NliDistributi
     if not logits_per_chunk:
         raise ValueError("reference has no chunks")
     # max keeps the first of equal maxima.
-    return max(
-        map(three_class_softmax, logits_per_chunk),
-        key=lambda d: d.p_entail + d.p_contradict,
+    return NliDistribution(
+        *max(map(three_class_softmax, logits_per_chunk), key=lambda p: p[0] + p[1])
     )
 
 

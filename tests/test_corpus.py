@@ -5,11 +5,16 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from agsc.corpus import (
+    _ABBREVIATIONS,
+    _CLOSERS,
+    _INITIALS_RE,
+    _OPENERS,
     DatasetError,
     SampleSet,
     Sentence,
@@ -114,6 +119,93 @@ class TestSplitSentencesFuzz:
                 split_somewhere += 1
         # Punctuation boundaries, not just newlines, are exercised.
         assert split_somewhere > 1000, split_somewhere
+
+
+def _oracle_split(text: str) -> list[str]:
+    """The splitter as a loop that steps one character at a time."""
+    sentences: list[str] = []
+    for block in text.split("\n"):
+        block = block.strip()
+        if block:
+            sentences.extend(_oracle_split_block(block))
+    return sentences
+
+
+def _oracle_split_block(block: str) -> list[str]:
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(block)
+    while i < n:
+        if block[i] not in ".!?":
+            i += 1
+            continue
+        j = i + 1
+        while j < n and block[j] in ".!?":
+            j += 1
+        while j < n and block[j] in _CLOSERS:
+            j += 1
+        k = j
+        while k < n and block[k].isspace():
+            k += 1
+        if k == j or k == n:
+            i = j
+            continue
+        nxt = block[k]
+        if not (nxt.isupper() or nxt in _OPENERS):
+            i = j
+            continue
+        if block[i] == "." and j - i == 1 and _oracle_is_abbreviation(block, i):
+            i = j
+            continue
+        sentences.append(block[start:j])
+        start = k
+        i = k
+    tail = block[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _oracle_is_abbreviation(block: str, period_index: int) -> bool:
+    w = period_index
+    while w > 0 and not block[w - 1].isspace():
+        w -= 1
+    token = block[w : period_index + 1].lstrip(_OPENERS).lower()
+    return token in _ABBREVIATIONS or _INITIALS_RE.fullmatch(token) is not None
+
+
+class TestSplitSentencesOracle:
+    """split_sentences agrees with the character-stepping oracle above."""
+
+    def test_fuzz_texts(self):
+        rng = random.Random(11)
+        fuzz = TestSplitSentencesFuzz()
+        for trial in range(3000):
+            text = fuzz._text(rng)
+            assert split_sentences(text) == _oracle_split(text), (trial, text)
+
+    def test_every_whitespace_code_point(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        for ws in ("\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"):
+            assert ws in spaces
+        # Look-alikes that str.isspace rejects must not act as whitespace.
+        others = ["\u200b", "\ufeff", "\x1b", "\u180e", "_"]
+        templates = (
+            "Hello.{w}World", "Hello!{w}{w}World", "Why?!{w}Yes", "One.{w}(Two",
+            'He said "Hi."{w}Then', "End.){w}«Next»", "See Dr.{w}Smith today.",
+            "The U.S.{w}Army", "e.g.{w}Foo", "Fig.{w}2 etc.{w}Next", "It is 3.5{w}Big",
+            "Stop.{w}lower case", "{w}Lead.{w}Tail{w}", "A.{w}B.{w}C", "x.{w}",
+            "Ph.D.{w}Then (Dr.{w}Who.){w}Yes", "“Quote.”{w}‘Next’",
+        )
+        split = 0
+        for w in spaces + others:
+            for template in templates:
+                text = template.replace("{w}", w)
+                got = split_sentences(text)
+                assert got == _oracle_split(text), (hex(ord(w)), text)
+                split += len(got) > 1
+        assert split > len(spaces) * 5, split
 
 
 class TestSegmentSentences:

@@ -836,6 +836,24 @@ class TestMalformedAnswers:
         assert message in results[1].error
 
     @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("answer", [["fine fact", 2], ["fine fact", " "]],
+                             ids=["non-string", "blank"])
+    def test_unusable_fact_falls_back(self, agsc_config, workers, answer):
+        class Unusable:
+            def decompose(self, sentence, prompt_context):
+                return answer
+
+        providers = marker_providers()
+        providers.decomposer = Unusable()
+        config = dataclasses.replace(agsc_config, workers=workers)
+        samples = [
+            marker_sample(f"d{i}", list(TestTurn.ONE_THETA), topic_index=i) for i in range(2)
+        ]
+        results = run_many(samples, config, providers)
+        assert [type(r).__name__ for r in results] == ["PromptReport", "PromptReport"]
+        assert all(r.decomposer_fallback for r in results)
+
+    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("batch", ["sentences", "facts"])
     def test_nli_answer_one_short(self, agsc_config, workers, batch):
         class ShortForHarbor:

@@ -192,6 +192,34 @@ class TestCache:
         cached.nli_batch([("Café", "h")])
         assert inner.pairs_seen == 1
 
+    PAIR_BATCHES = {
+        "repeats": [("p1", "h1"), ("p2", "h1"), ("p1", "h2"), ("p1", "h1"), ("p2", "h2")],
+        "nfd": [("Cafe\u0301", "e\u0301"), ("Caf\u00e9", "\u00e9"), ("e\u0301", "Cafe\u0301")],
+        "non_ascii": [("Ελλάδα", "日本語"), ("emoji \U0001f642", "Ελλάδα"), ("", "")],
+        "separator": [("a\x1fb", "c"), ("a", "b\x1fc"), ("\x1f", "\x1f\x1f"), ("", "\x1f")],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIR_BATCHES))
+    def test_pair_keys_are_content_keys(self, name):
+        pairs = self.PAIR_BATCHES[name]
+        assert cache_module.pair_keys("nli", pairs) == [
+            cache_module.content_key("nli", p, h) for p, h in pairs
+        ]
+
+    def test_content_key_records_serve_a_whole_batch(self, tmp_path, new_cache):
+        pairs = [pair for batch in self.PAIR_BATCHES.values() for pair in batch]
+        writer = ResponseCache(tmp_path / "nli.jsonl")
+        for i, (p, h) in enumerate(pairs):
+            writer.put(cache_module.content_key("nli", p, h), [float(i), 0.0, 0.0])
+        writer.close()
+        expected = [
+            NliLogits(*writer.get(cache_module.content_key("nli", p, h))) for p, h in pairs
+        ]
+        inner = CountingNli(ScriptedNliProvider(default=(9.0, 9.0, 9.0)))
+        cached = CachedNli(inner, new_cache("nli.jsonl"))
+        assert cached.nli_batch(pairs) == expected
+        assert inner.calls == 0
+
     def test_cached_batching_invariance(self, new_cache):
         mock = ScriptedNliProvider(default=lambda p, h: (len(p), len(h), 0.0))
         cached = CachedNli(mock, new_cache("nli.jsonl"))
@@ -340,7 +368,7 @@ class TestCache:
         with pytest.raises(ProtocolError, match=r"nli\.jsonl: cache record malformed"):
             cached.nli_batch([("p", "h")])
 
-    @pytest.mark.parametrize("value", ["ab", [], ["f", 2], 5, {"f": "g"}])
+    @pytest.mark.parametrize("value", ["ab", [], ["f", 2], 5, {"f": "g"}, ["f", " "]])
     def test_wrong_shaped_decomposer_record_falls_back(self, new_cache, value):
         cache = new_cache("dec.jsonl")
         cache.put(cache_module.content_key("decompose", "a and b", "ctx"), value)

@@ -11,6 +11,7 @@ from conftest import segmented
 from agsc.corpus import segment_sentences
 from agsc.providers import NliLogits, ScriptedNliProvider
 from agsc.scoring import (
+    NliDistribution,
     ReferenceSet,
     ScoringConfig,
     binary_entail,
@@ -35,6 +36,11 @@ def score_one(text: str, references: list[str], config: ScoringConfig, nli):
 def chunk_logits(text: str, reference: str, config: ScoringConfig, nli) -> list[NliLogits]:
     """Logits of one unit against each chunk of `reference` (chunk as premise)."""
     return nli.nli_batch([(c.text, text) for c in chunks_of(reference, config)])
+
+
+def softmax_distribution(logits: NliLogits) -> NliDistribution:
+    """three_class_softmax's floats as a validated distribution."""
+    return NliDistribution(*three_class_softmax(logits))
 
 
 def logits_for_binary(score: float) -> tuple[float, float, float]:
@@ -91,12 +97,12 @@ class TestWeightedNeutral:
 
 class TestSoftmax:
     def test_symmetric(self):
-        d = three_class_softmax(NliLogits(1.0, 1.0, 1.0))
+        d = softmax_distribution(NliLogits(1.0, 1.0, 1.0))
         assert abs(d.p_entail - 1 / 3) < 1e-12
         assert abs(d.p_contradict - 1 / 3) < 1e-12
 
     def test_value(self):
-        d = three_class_softmax(NliLogits(2.0, 0.0, 0.0))
+        d = softmax_distribution(NliLogits(2.0, 0.0, 0.0))
         z = math.exp(2.0) + 2.0
         assert abs(d.p_entail - math.exp(2.0) / z) < 1e-12
         assert abs(d.p_contradict - 1.0 / z) < 1e-12
@@ -105,15 +111,13 @@ class TestSoftmax:
     def test_sums_to_one_random(self):
         rng = random.Random(3)
         for _ in range(300):
-            d = three_class_softmax(
+            d = softmax_distribution(
                 NliLogits(*(rng.uniform(-200, 200) for _ in range(3)))
             )
             assert abs(sum(d.as_tuple()) - 1.0) < 1e-9
             assert all(0.0 <= p <= 1.0 for p in d.as_tuple())
 
     def test_invalid_distribution_rejected(self):
-        from agsc.scoring import NliDistribution
-
         with pytest.raises(ValueError):
             NliDistribution(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
@@ -319,7 +323,7 @@ class TestReferenceDistribution:
             "Claim.", [c.text for c in chunks], [(0.0, 0.0, 3.0), (0.0, 3.0, 0.0)]
         )
         d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli))
-        expected = three_class_softmax(NliLogits(0.0, 3.0, 0.0))
+        expected = softmax_distribution(NliLogits(0.0, 3.0, 0.0))
         assert d == expected
 
     def test_tie_prefers_earliest(self):
@@ -330,7 +334,7 @@ class TestReferenceDistribution:
             "Claim.", [c.text for c in chunks], [(3.0, 0.0, 0.0), (0.0, 3.0, 0.0)]
         )
         d = routing_distribution(chunk_logits("Claim.", ref, cfg, nli))
-        assert d == three_class_softmax(NliLogits(3.0, 0.0, 0.0))
+        assert d == softmax_distribution(NliLogits(3.0, 0.0, 0.0))
 
     def test_softmax_example(self):
         ref = "Only one sentence here."
@@ -338,6 +342,36 @@ class TestReferenceDistribution:
         d = score_one("Claim.", [ref], ScoringConfig(), nli).distribution()
         assert abs(d.p_entail - 0.7870) < 5e-5
         assert abs(d.p_contradict - 0.1065) < 5e-5
+
+    def test_equal_mass_earliest_wins(self):
+        # (1, 2, 0) and (2, 1, 0) share their entail+contradict mass bit
+        # for bit but not its split; the later of the two loses.
+        logits = [NliLogits(*t) for t in ((0.0, 0.0, 3.0), (1.0, 2.0, 0.0),
+                                          (2.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        masses = [p[0] + p[1] for p in map(three_class_softmax, logits)]
+        assert masses[1] == masses[2] == max(masses)
+        d = routing_distribution(logits)
+        assert d == softmax_distribution(logits[1])
+        assert d.p_contradict > d.p_entail
+
+    def test_matches_the_distribution_per_chunk_form(self):
+        # The form routing_distribution replaced: a validated distribution
+        # per chunk, the most polarized one kept.
+        def old_softmax(logits):
+            m = max(logits.entail, logits.contradict, logits.neutral)
+            ee = math.exp(logits.entail - m)
+            ec = math.exp(logits.contradict - m)
+            en = math.exp(logits.neutral - m)
+            z = ee + ec + en
+            return NliDistribution(ee / z, ec / z, en / z)
+
+        rng = random.Random(5)
+        for _ in range(2000):
+            pool = [NliLogits(*(rng.uniform(-30, 30) for _ in range(3))) for _ in range(3)]
+            # Draws from a small pool repeat chunks, so ties occur.
+            logits = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            old = max(map(old_softmax, logits), key=lambda d: d.p_entail + d.p_contradict)
+            assert routing_distribution(logits) == old
 
 
 class TestAvgDistribution:
@@ -372,7 +406,7 @@ class TestAvgDistribution:
             script={(r, "Claim."): t for r, t in zip(refs, triples)}
         )
         d = score_one("Claim.", refs, ScoringConfig(), nli).distribution()
-        per_ref = [three_class_softmax(NliLogits(*t)) for t in triples]
+        per_ref = [softmax_distribution(NliLogits(*t)) for t in triples]
         for got, idx in zip(d.as_tuple(), range(3)):
             expected = sum(p.as_tuple()[idx] for p in per_ref) / 4.0
             assert abs(got - expected) < 1e-12
@@ -397,7 +431,7 @@ class TestReferenceSet:
             for r in refs:
                 logits = chunk_logits(text, r, cfg, nli)
                 per_ref.append(max(binary_entail(l) for l in logits))
-                soft = [three_class_softmax(l) for l in logits]
+                soft = [softmax_distribution(l) for l in logits]
                 dists.append(max(soft, key=lambda d: d.p_entail + d.p_contradict))
             assert abs(scores.uncertainty - (1 - math.fsum(per_ref) / len(per_ref))) < 1e-12
             assert scores.distribution() == mean_distribution(dists)
