@@ -58,7 +58,7 @@ def _cmd_score(args) -> int:
         config = load_config(args.config) if args.config else default_config()
         config = dataclasses.replace(config, report_dir=args.out)
         providers = build_providers(config)
-    except CacheCorruptError as e:
+    except (CacheCorruptError, OSError) as e:  # OSError: an unusable cache_dir
         print(f"cache error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as e:

@@ -113,7 +113,7 @@ class PipelineConfig:
     workers: int = 0  # prompts in flight; 0 = DEFAULT_WORKERS on any host
     timing: str = TIMING_WALL
     cache_dir: str = ""
-    report_dir: str = "reports"
+    report_dir: str = "reports"  # set from `agsc score --out`; no config key
     nli: ProviderSpec = field(default_factory=ProviderSpec)
     embed: ProviderSpec = field(default_factory=ProviderSpec)
     decompose: ProviderSpec = field(default_factory=ProviderSpec)
@@ -181,7 +181,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "timing": (("timing",), "str"),
     "variant": (("variant",), "str"),
     "cache_dir": (("cache_dir",), "str"),
-    "report_dir": (("report_dir",), "str"),
     "clustering.k_limit": (("clustering", "k_limit"), "int"),
     "clustering.bic_epsilon": (("clustering", "bic_epsilon"), "float"),
     "clustering.cov_reg": (("clustering", "cov_reg"), "float"),

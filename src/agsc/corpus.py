@@ -179,10 +179,12 @@ def load_dataset(path: str | Path) -> list[SampleSet]:
     (string), prompt (string), responses (array of strings) and optionally
     factuality (number in [0, 1]). Text must encode as UTF-8 (a JSON escape
     for a lone surrogate does not) and is NFC-normalized on ingestion. Any
-    malformed line raises DatasetError naming the line; a record with fewer
-    than two responses is skipped with a logged diagnostic.
+    malformed line raises DatasetError naming the line, as does a prompt_id
+    already used by a loaded record; a record with fewer than two responses
+    is skipped with a logged diagnostic.
     """
     samples: list[SampleSet] = []
+    first_line: dict[str, int] = {}  # prompt_id -> line of its loaded record
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             # ValueError covers bad UTF-8, bad JSON and over-long integers;
@@ -196,9 +198,16 @@ def load_dataset(path: str | Path) -> list[SampleSet]:
                 raise DatasetError(f"line {lineno}: invalid JSON ({e})") from e
             if not isinstance(obj, dict):
                 raise DatasetError(f"line {lineno}: record is not an object")
-            samples_or_none = _parse_record(obj, lineno)
-            if samples_or_none is not None:
-                samples.append(samples_or_none)
+            sample = _parse_record(obj, lineno)
+            if sample is None:
+                continue
+            first = first_line.setdefault(sample.prompt_id, lineno)
+            if first != lineno:
+                raise DatasetError(
+                    f"line {lineno}: duplicate prompt_id {sample.prompt_id!r}"
+                    f" (first on line {first})"
+                )
+            samples.append(sample)
     return samples
 
 

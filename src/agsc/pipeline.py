@@ -72,7 +72,7 @@ from .providers import (
     RuleBasedDecomposer,
 )
 from .providers.base import computing, map_in_pool, taking_turn, waiting, waiting_on
-from .routing import apply_granularity, route_sentences
+from .routing import DECOMPOSE, apply_granularity, route_sentences
 from .scoring import ReferenceSet
 
 logger = logging.getLogger(__name__)
@@ -316,33 +316,42 @@ def run_prompt(
         method.granularity_mode,
         sample.prompt,
     )
-    score = functools.partial(apply_granularity, routing, refset)
+
+    def score():
+        # map_in_pool gives the turn up; the facts' scores still need it.
+        with computing():
+            return apply_granularity(routing, refset)
+
+    units = routing.units
     cluster = None
-    if routing.units and method.clustering_mode != CLUSTER_NONE:
+    if units and method.clustering_mode != CLUSTER_NONE:
         cluster = functools.partial(
             _embed_and_cluster,
-            sample, config, method, meter, routing.units, ref_sentences,
+            sample, config, method, meter, units, ref_sentences,
         )
     # Clustering needs only the units' texts, so the facts are scored while
     # the units are embedded and clustered. Without facts, or without
     # clustering, there is nothing to overlap.
     if cluster and routing.facts:
-        gran, clustered = map_in_pool(lambda branch: branch(), [score, cluster], 2)
+        routed, clustered = map_in_pool(lambda branch: branch(), [score, cluster], 2)
     else:
-        gran = score()
+        routed = score()
         clustered = cluster() if cluster else None
 
-    memberships: list[tuple[float, ...]] = [() for _ in gran.units]
+    unit_us = [u for d in routed.decisions for u in d.unit_uncertainties]
+    memberships: list[tuple[float, ...]] = [() for _ in units]
     summaries: list[ClusterSummary] = []
     selected_k = 0
 
-    if gran.all_skipped:
-        final = all_skip_fallback(gran.sentence_uncertainties)
+    if not units:
+        final = all_skip_fallback(routed.sentence_uncertainties)
     elif clustered is None:
-        final = aggregate_uniform([su.uncertainty for su in gran.units])
+        final = aggregate_uniform(unit_us)
     else:
         gamma, selected_k = clustered
-        final, summaries, memberships = _aggregate(method, gran, gamma)
+        final, summaries, memberships = _aggregate(
+            method, unit_us, routed.sentence_uncertainties, gamma
+        )
 
     total_ms = (time.perf_counter() - t0) * 1000.0 if meter.timed else 0.0
     timing = TimingBreakdown(
@@ -351,7 +360,7 @@ def run_prompt(
         t_embed_ms=meter.stage_ms.get("embed", 0.0),
         t_cluster_ms=meter.stage_ms.get("cluster", 0.0),
         t_total_ms=total_ms,
-        decomposer_calls=gran.decomposer_calls,
+        decomposer_calls=sum(d.kind == DECOMPOSE for d in routed.decisions),
         nli_pairs=meter.nli_pairs,
         embed_calls=meter.embed_calls,
     )
@@ -359,22 +368,22 @@ def run_prompt(
         prompt_id=sample.prompt_id,
         variant=config.variant,
         final=final,
-        sentences=tuple(_sentence_record(d) for d in gran.decisions),
+        sentences=tuple(_sentence_record(d) for d in routed.decisions),
         units=tuple(
             UnitRecord(
-                unit_id=su.unit.unit_id,
-                text=su.unit.text,
-                role=su.unit.role,
-                sentence_index=su.unit.origin.sentence_index,
-                uncertainty=su.uncertainty,
-                memberships=memberships[i],
+                unit_id=unit.unit_id,
+                text=unit.text,
+                role=unit.role,
+                sentence_index=unit.origin.sentence_index,
+                uncertainty=u,
+                memberships=unit_memberships,
             )
-            for i, su in enumerate(gran.units)
+            for unit, u, unit_memberships in zip(units, unit_us, memberships)
         ),
         clusters=tuple(summaries),
         selected_k=selected_k,
         timing=timing,
-        decomposer_fallback=gran.decomposer_fallback,
+        decomposer_fallback=any(d.used_fallback for d in routed.decisions),
     )
 
 
@@ -413,10 +422,9 @@ def _embedding_matrix(vectors, n_texts: int) -> np.ndarray:
     return np.array([v.values for v in vectors], dtype=np.float64)
 
 
-def _aggregate(method, gran, gamma):
+def _aggregate(method, uncertainties, sentence_uncertainties, gamma):
     """The final score, cluster summaries and anchor memberships."""
-    n_anchor = len(gran.units)
-    uncertainties = [su.uncertainty for su in gran.units]
+    n_anchor = len(uncertainties)
     anchor_mask = [True] * n_anchor + [False] * (len(gamma) - n_anchor)
     if method.aggregation_mode == MODE_LITERAL:
         final, summaries = aggregate_literal(gamma[:n_anchor], uncertainties)
@@ -424,7 +432,7 @@ def _aggregate(method, gran, gamma):
         try:
             final, summaries = aggregate_global(gamma, anchor_mask, uncertainties)
         except DegenerateClusteringError:
-            final = all_skip_fallback(gran.sentence_uncertainties)
+            final = all_skip_fallback(sentence_uncertainties)
             summaries = []
 
     memberships = [tuple(float(g) for g in row) for row in gamma[:n_anchor]]
@@ -433,10 +441,10 @@ def _aggregate(method, gran, gamma):
 
 def _sentence_record(decision) -> SentenceRecord:
     return SentenceRecord(
-        sentence_index=decision.signal.sentence.sentence_index,
-        text=decision.signal.sentence.text,
-        dominant=decision.signal.dominant,
-        gap=decision.signal.gap,
+        sentence_index=decision.sentence.sentence_index,
+        text=decision.sentence.text,
+        dominant=decision.dominant,
+        gap=decision.gap,
         decision=decision.kind,
         units=tuple(unit.unit_id for unit in decision.units),
         u_adaptive=decision.uncertainty,

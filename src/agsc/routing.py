@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Sentence, TextUnit
@@ -55,27 +55,6 @@ class GranularityConfig:
             raise ValueError("tau must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RoutingSignal:
-    """The routing inputs for one sentence: distribution, dominant label, gap."""
-
-    sentence: Sentence
-    distribution: NliDistribution
-    dominant: str
-    gap: float
-
-    @classmethod
-    def from_distribution(
-        cls, sentence: Sentence, distribution: NliDistribution
-    ) -> "RoutingSignal":
-        return cls(
-            sentence=sentence,
-            distribution=distribution,
-            dominant=dominant_label(distribution),
-            gap=abs(distribution.p_entail - distribution.p_contradict),
-        )
-
-
 def dominant_label(distribution: NliDistribution) -> str:
     """Argmax label; ties resolve entail > contradict > neutral."""
     best_label = "entail"
@@ -90,9 +69,10 @@ def dominant_label(distribution: NliDistribution) -> str:
 
 
 def route(
-    signal: RoutingSignal, config: GranularityConfig, mode: str = MODE_ADAPTIVE
+    dominant: str, gap: float, config: GranularityConfig, mode: str = MODE_ADAPTIVE
 ) -> tuple[str, float | None]:
-    """Route one sentence under the variant's granularity mode.
+    """Route one sentence by its dominant label and its
+    entailment-contradiction gap, under the variant's granularity mode.
 
     Returns (decision kind, fixed uncertainty or None). "off" and
     "neutral_weight" keep everything at sentence granularity; "all_atomic"
@@ -106,9 +86,9 @@ def route(
         return KEEP, None
     if mode == MODE_ALL_ATOMIC:
         return DECOMPOSE, None
-    if signal.dominant != "neutral":
+    if dominant != "neutral":
         return KEEP, None
-    if signal.gap > config.tau:
+    if gap > config.tau:
         return DECOMPOSE, None
     if mode == MODE_NEUTRAL_GUESS:
         return KEEP, NEUTRAL_GUESS_UNCERTAINTY
@@ -116,63 +96,49 @@ def route(
 
 
 @dataclass(frozen=True)
-class ScoredUnit:
-    """A text unit together with its consistency uncertainty."""
-
-    unit: TextUnit
-    uncertainty: float
-
-
-@dataclass
-class GranularityResult:
-    """All units surviving granularity plus per-sentence bookkeeping."""
-
-    units: list[ScoredUnit] = field(default_factory=list)
-    decisions: list[RoutedSentence] = field(default_factory=list)
-    sentence_uncertainties: list[float] = field(default_factory=list)
-    decomposer_calls: int = 0
-    decomposer_fallback: bool = False
-
-    @property
-    def all_skipped(self) -> bool:
-        return not self.units
-
-
-@dataclass(frozen=True)
 class RoutedSentence:
     """One anchor sentence routed, and decomposed if so routed.
 
-    `units` are what the sentence brings to aggregation: none when
-    skipped, the sentence when kept or collapsed, else one per fact.
-    `uncertainty` is a kept sentence's; a decomposed sentence's is the mean
-    over its facts, filled in by apply_granularity; a skipped one has none.
+    `dominant` and `gap` are what `route` read. `units` are what the
+    sentence brings to aggregation: none when skipped, the sentence when
+    kept or collapsed, else one per fact; `unit_uncertainties` holds one
+    uncertainty per unit. `uncertainty` is a kept sentence's; a decomposed
+    sentence's is the mean over its facts. apply_granularity fills in both
+    for a decomposed sentence; a skipped one has neither.
     """
 
-    signal: RoutingSignal
+    sentence: Sentence
+    dominant: str
+    gap: float
     kind: str
-    units: tuple[TextUnit, ...]
+    units: tuple[TextUnit, ...] = ()
     uncertainty: float | None = None
+    unit_uncertainties: tuple[float, ...] = ()
     facts: tuple[str, ...] = ()
     used_fallback: bool = False
 
 
 @dataclass(frozen=True)
 class Routing:
-    """What route_sentences hands to apply_granularity: the final units, in
-    order, before the decomposed sentences' facts are scored."""
+    """One prompt's routing: the anchor sentences' decisions, in order, and
+    every sentence's own uncertainty (the fallback when all are skipped).
 
-    sentences: tuple[RoutedSentence, ...]
+    route_sentences returns it before the decomposed sentences' facts are
+    scored, apply_granularity after.
+    """
+
+    decisions: tuple[RoutedSentence, ...]
     sentence_uncertainties: tuple[float, ...]
     neutral_weight: float | None
     collapse_decomposed: bool
 
     @property
     def units(self) -> list[TextUnit]:
-        return [unit for s in self.sentences for unit in s.units]
+        return [unit for d in self.decisions for unit in d.units]
 
     @property
     def facts(self) -> list[str]:
-        return [fact for s in self.sentences for fact in s.facts]
+        return [fact for d in self.decisions for fact in d.facts]
 
 
 def route_sentences(
@@ -198,75 +164,67 @@ def route_sentences(
     )
     routed = []
     for sentence, score in zip(anchor_sentences, scores):
-        signal = RoutingSignal.from_distribution(sentence, score.distribution())
-        kind, fixed_u = route(signal, config, mode)
-        routed.append((signal, kind, score.uncertainty if fixed_u is None else fixed_u))
+        distribution = score.distribution()
+        dominant = dominant_label(distribution)
+        gap = abs(distribution.p_entail - distribution.p_contradict)
+        kind, fixed_u = route(dominant, gap, config, mode)
+        if kind == KEEP:
+            u = score.uncertainty if fixed_u is None else fixed_u
+            routed.append(RoutedSentence(
+                sentence, dominant, gap, KEEP, (_sentence_unit(sentence),), u, (u,)
+            ))
+        else:
+            routed.append(RoutedSentence(sentence, dominant, gap, kind))
 
     decompositions = iter(
         decomposer.decompose_all(
-            [signal.sentence.text for signal, kind, _ in routed if kind == DECOMPOSE],
+            [d.sentence.text for d in routed if d.kind == DECOMPOSE],
             prompt_context,
         )
     )
-    sentences = []
-    for signal, kind, u in routed:
-        if kind == KEEP:
-            routed_sentence = RoutedSentence(
-                signal, KEEP, (_sentence_unit(signal.sentence),), u
-            )
-        elif kind == SKIP:
-            routed_sentence = RoutedSentence(signal, SKIP, ())
-        else:
+    decisions = []
+    for d in routed:
+        if d.kind == DECOMPOSE:
             facts, used_fallback = next(decompositions)
-            routed_sentence = RoutedSentence(
-                signal,
-                DECOMPOSE,
-                _decomposed_units(signal.sentence, facts, config),
+            d = dataclasses.replace(
+                d,
+                units=_decomposed_units(d.sentence, facts, config),
                 facts=tuple(facts),
                 used_fallback=used_fallback,
             )
-        sentences.append(routed_sentence)
+        decisions.append(d)
     return Routing(
-        sentences=tuple(sentences),
+        decisions=tuple(decisions),
         sentence_uncertainties=tuple(score.uncertainty for score in scores),
         neutral_weight=neutral_weight,
         collapse_decomposed=config.collapse_decomposed,
     )
 
 
-def apply_granularity(routing: Routing, refset: ReferenceSet) -> GranularityResult:
+def apply_granularity(routing: Routing, refset: ReferenceSet) -> Routing:
     """Score all of routing's facts in one score_units call and fill in
-    every unit's uncertainty.
+    the decomposed sentences' uncertainties.
 
-    Kept sentences become single units carrying their sentence-level
-    uncertainty. Decomposed sentences contribute one scored unit per
-    atomic fact (or one collapsed unit if configured), and their
-    uncertainty becomes the mean over their facts. Skipped sentences
-    contribute nothing. Sentence-level uncertainties are retained for all
-    sentences so a fully-skipped anchor still has a defined fallback
-    score.
+    A decomposed sentence's unit uncertainties are its facts' (or, when
+    collapsed, their mean), and its own uncertainty is their mean. Kept and
+    skipped sentences come back as they went in.
     """
     fact_scores = refset.score_units(
         routing.facts, neutral_weight=routing.neutral_weight
     )
     fact_us = iter([s.uncertainty for s in fact_scores])
-    result = GranularityResult(
-        sentence_uncertainties=list(routing.sentence_uncertainties)
-    )
-    for s in routing.sentences:
-        unit_us = [s.uncertainty] * len(s.units)
-        if s.kind == DECOMPOSE:
-            unit_us = [next(fact_us) for _ in s.facts]
-            s = dataclasses.replace(s, uncertainty=math.fsum(unit_us) / len(unit_us))
-            result.decomposer_calls += 1
-            result.decomposer_fallback |= s.used_fallback
-            if routing.collapse_decomposed:
-                unit_us = [s.uncertainty]
-        result.units.extend(
-            ScoredUnit(unit, unit_u) for unit, unit_u in zip(s.units, unit_us)
-        )
-        result.decisions.append(s)
-    return result
+    decisions = []
+    for d in routing.decisions:
+        if d.kind == DECOMPOSE:
+            unit_us = tuple(next(fact_us) for _ in d.facts)
+            mean = math.fsum(unit_us) / len(unit_us)
+            d = dataclasses.replace(
+                d,
+                uncertainty=mean,
+                unit_uncertainties=(mean,) if routing.collapse_decomposed else unit_us,
+            )
+        decisions.append(d)
+    return dataclasses.replace(routing, decisions=tuple(decisions))
 
 
 def _sentence_unit(sentence: Sentence) -> TextUnit:

@@ -21,7 +21,7 @@ from agsc import default_config
 from agsc.aggregation import aggregate_literal
 from agsc.cli import main
 from agsc.clustering import ClusteringConfig, select_k
-from agsc.corpus import SampleSet, Sentence
+from agsc.corpus import SampleSet
 from agsc.evaluation import (
     apply_variant,
     pearson,
@@ -37,7 +37,7 @@ from agsc.providers import (
     ScriptedDecomposerProvider,
     ScriptedNliProvider,
 )
-from agsc.routing import GranularityConfig, RoutingSignal, route
+from agsc.routing import GranularityConfig, dominant_label, route
 from agsc.scoring import NliDistribution, binary_entail
 from conftest import marker_decomposer_rule, marker_nli_rule
 
@@ -119,15 +119,13 @@ def test_c3_routing_truth_table():
             (0.40, 0.10, 0.50),
             (0.225, 0.125, 0.65),  # gap == tau exactly in float64
         ]
-        sent = Sentence(response_index=0, sentence_index=0, text="A claim.")
+        dists = [NliDistribution(*f) for f in fixtures]
         decisions = [
-            route(RoutingSignal.from_distribution(sent, NliDistribution(*f)), config)[0]
-            for f in fixtures
+            route(dominant_label(d), abs(d.p_entail - d.p_contradict), config)[0]
+            for d in dists
         ]
-        boundary = RoutingSignal.from_distribution(
-            sent, NliDistribution(*fixtures[3])
-        )
-        assert boundary.gap == config.tau
+        boundary = dists[3]
+        assert abs(boundary.p_entail - boundary.p_contradict) == config.tau
         assert decisions == ["keep", "skip", "decompose", "skip"]
 
 

@@ -165,6 +165,38 @@ class TestScore:
         assert "cache error" in err
         assert f"{nli}:2:" in err
 
+    @pytest.mark.parametrize("blocker", ["cache_dir", "nli.jsonl"])
+    def test_unusable_cache_dir_exit_3(self, tmp_path, capsys, blocker):
+        # A regular file where the cache directory belongs, or a directory
+        # where its NLI cache file belongs.
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        cache = tmp_path / "cache"
+        if blocker == "cache_dir":
+            cache.write_text("not a directory\n", encoding="utf-8")
+        else:
+            (cache / "nli.jsonl").mkdir(parents=True)
+        config = write_config(tmp_path / "run.cfg", extra=f"cache_dir = {cache}\n")
+        out = tmp_path / "out"
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert "cache error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_prompt_id_exit_3(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path / "data.jsonl")
+        first, second, _ = dataset.read_text(encoding="utf-8").splitlines()
+        dataset.write_text(
+            "\n".join([first, first.replace('"p0"', '"p1"'), second]) + "\n",
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "out"
+        code = main(["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dataset error: line 3: duplicate prompt_id 'p1' (first on line 2)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("record", ['{"x": 1}', "[1, 2]"])
     def test_cache_line_that_is_not_a_record_exit_3(self, tmp_path, capsys, record):
         dataset = write_dataset(tmp_path / "data.jsonl")

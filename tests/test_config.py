@@ -81,7 +81,6 @@ def test_config_keys_are_pinned():
         "providers.nli.retry.base_backoff_ms",
         "providers.nli.retry.max_attempts",
         "providers.nli.timeout_ms",
-        "report_dir",
         "scoring.chunk_budget_chars",
         "scoring.chunk_stride_chars",
         "seed",
@@ -190,6 +189,7 @@ class TestProviderKeys:
             "providers.decompose.batch_size",
             "scoring.routing_chunk_agg",
             "scoring.nli_direction",
+            "report_dir",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):

@@ -358,9 +358,31 @@ class TestLoadDataset:
 
     def test_crlf_line_ends(self, tmp_path):
         rec = json.dumps({"prompt_id": "p", "prompt": "q", "responses": ["a", "b"]})
+        rec2 = json.dumps({"prompt_id": "p2", "prompt": "q", "responses": ["a", "b"]})
         path = tmp_path / "data.jsonl"
-        path.write_bytes(f"{rec}\r\n\r\n{rec}\r\n".encode())
-        assert [s.prompt_id for s in load_dataset(path)] == ["p", "p"]
+        path.write_bytes(f"{rec}\r\n\r\n{rec2}\r\n".encode())
+        assert [s.prompt_id for s in load_dataset(path)] == ["p", "p2"]
+
+    def test_repeated_prompt_id_names_both_lines(self, tmp_path):
+        lines = [
+            json.dumps({"prompt_id": pid, "prompt": "q", "responses": ["a", "b"]})
+            for pid in ("p1", "p1", "p2")
+        ]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            DatasetError, match=r"^line 2: duplicate prompt_id 'p1' \(first on line 1\)$"
+        ):
+            load_dataset(path)
+
+    def test_a_skipped_record_does_not_claim_its_prompt_id(self, tmp_path):
+        lines = [
+            json.dumps({"prompt_id": "p1", "prompt": "q", "responses": ["a"]}),
+            json.dumps({"prompt_id": "p1", "prompt": "q", "responses": ["a", "b"]}),
+        ]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert [s.prompt_id for s in load_dataset(path)] == ["p1"]
 
     def test_longfact_scale_fixture(self, tmp_path):
         # 38 topics x 10 prompts, mirroring the benchmark's advertised size.

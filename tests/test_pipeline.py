@@ -54,7 +54,7 @@ from agsc.providers import (
     ScriptedNliProvider,
     content_key,
 )
-from agsc.providers.base import taking_turn, waiting_on
+from agsc.providers.base import _turn, taking_turn, waiting_on
 from agsc.scoring import ScoringConfig, make_chunks
 
 DATA = Path(__file__).parent / "data"
@@ -482,6 +482,28 @@ class TestTurn:
         assert all(isinstance(r, PromptReport) for r in results)
         assert nli_overlap.peak > 1
         assert cluster_overlap.peak == 1
+
+    def test_fact_scores_are_computed_under_the_turn(self, agsc_config, monkeypatch):
+        # A prompt's facts are scored while its units are clustered, in
+        # map_in_pool, which gives the prompt's turn up; the scoring
+        # arithmetic must take it back like the clustering does.
+        spy_lock = threading.Lock()
+        calls, unheld = [0], [0]
+        entail = agsc.scoring.binary_entail
+
+        def spying_entail(logits):
+            with spy_lock:
+                calls[0] += 1
+                unheld[0] += _turn.lock is not None and not _turn.held
+            return entail(logits)
+
+        monkeypatch.setattr(agsc.scoring, "binary_entail", spying_entail)
+        config = dataclasses.replace(agsc_config, workers=4)
+        samples = self._samples(8, ("alpha", "theta", "omega", "zeta", "theta"))
+        results = run_many(samples, config, marker_providers())
+        assert all(isinstance(r, PromptReport) for r in results)
+        assert calls[0] > 0
+        assert unheld[0] == 0
 
     # Three decompose-routed sentences per prompt: decompose_all's pool path.
     THREE_THETA = ("theta", "alpha", "theta", "zeta", "theta")

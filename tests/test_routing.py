@@ -17,7 +17,7 @@ from conftest import (
     marker_nli_rule,
     segmented,
 )
-from agsc.corpus import Sentence, segment_sentences
+from agsc.corpus import segment_sentences
 from agsc.providers import (
     FixedLatencyDecomposer,
     ProviderError,
@@ -31,7 +31,6 @@ from agsc.routing import (
     KEEP,
     SKIP,
     GranularityConfig,
-    RoutingSignal,
     apply_granularity,
     dominant_label,
     route,
@@ -40,11 +39,10 @@ from agsc.routing import (
 from agsc.scoring import NliDistribution, ReferenceSet, ScoringConfig
 
 
-def sig(p_entail: float, p_contradict: float, p_neutral: float) -> RoutingSignal:
-    sent = Sentence(response_index=0, sentence_index=0, text="A sentence.")
-    return RoutingSignal.from_distribution(
-        sent, NliDistribution(p_entail, p_contradict, p_neutral)
-    )
+def sig(p_entail: float, p_contradict: float, p_neutral: float) -> tuple[str, float]:
+    """route's inputs for a distribution: its dominant label and its gap."""
+    d = NliDistribution(p_entail, p_contradict, p_neutral)
+    return dominant_label(d), abs(d.p_entail - d.p_contradict)
 
 
 CFG = GranularityConfig(tau=0.1)
@@ -62,12 +60,12 @@ CANONICAL = [
 class TestRoute:
     @pytest.mark.parametrize("dist,expected", CANONICAL)
     def test_truth_table(self, dist, expected):
-        assert route(sig(*dist), CFG) == (expected, None)
+        assert route(*sig(*dist), CFG) == (expected, None)
 
     def test_boundary_is_exact(self):
-        s = sig(0.225, 0.125, 0.65)
-        assert s.gap == CFG.tau
-        assert route(s, CFG) == (SKIP, None)
+        dominant, gap = sig(0.225, 0.125, 0.65)
+        assert gap == CFG.tau
+        assert route(dominant, gap, CFG) == (SKIP, None)
 
     def test_dominant_tie_precedence(self):
         # entail > contradict > neutral on exact ties
@@ -82,12 +80,12 @@ class TestRoute:
             total = sum(raw)
             p = [x / total for x in raw]
             z = 1.0 - p[0] - p[1]
-            s = sig(p[0], p[1], z)
-            decision = route(s, CFG)
-            if s.dominant != "neutral":
+            dominant, gap = sig(p[0], p[1], z)
+            decision = route(dominant, gap, CFG)
+            if dominant != "neutral":
                 assert decision == (KEEP, None)
             elif decision == (DECOMPOSE, None):
-                assert s.gap > CFG.tau
+                assert gap > CFG.tau
 
     def test_renormalization_round_trip(self):
         rng = random.Random(13)
@@ -96,39 +94,39 @@ class TestRoute:
             total = sum(raw)
             p = (raw[0] / total, raw[1] / total, raw[2] / total)
             p = (p[0], p[1], 1.0 - p[0] - p[1])
-            base = route(sig(*p), CFG)
+            base = route(*sig(*p), CFG)
             scaled = [x * 3.7 for x in p]
             total2 = sum(scaled)
             q = (scaled[0] / total2, scaled[1] / total2, scaled[2] / total2)
             q = (q[0], q[1], 1.0 - q[0] - q[1])
-            assert route(sig(*q), CFG) == base
+            assert route(*sig(*q), CFG) == base
 
 
 class TestRouteAblation:
     def test_adaptive_is_the_default(self):
         for dist, _ in CANONICAL:
-            assert route(sig(*dist), CFG, "adaptive") == route(sig(*dist), CFG)
+            assert route(*sig(*dist), CFG, "adaptive") == route(*sig(*dist), CFG)
 
     def test_off_keeps_everything(self):
         for dist, _ in CANONICAL:
-            kind, fixed = route(sig(*dist), CFG, "off")
+            kind, fixed = route(*sig(*dist), CFG, "off")
             assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_guess_pins_skips_at_half(self):
-        kind, fixed = route(sig(0.20, 0.15, 0.65), CFG, "neutral_guess")
+        kind, fixed = route(*sig(0.20, 0.15, 0.65), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, 0.5)
-        kind, fixed = route(sig(0.40, 0.10, 0.50), CFG, "neutral_guess")
+        kind, fixed = route(*sig(0.40, 0.10, 0.50), CFG, "neutral_guess")
         assert (kind, fixed) == (DECOMPOSE, None)
-        kind, fixed = route(sig(0.60, 0.10, 0.30), CFG, "neutral_guess")
+        kind, fixed = route(*sig(0.60, 0.10, 0.30), CFG, "neutral_guess")
         assert (kind, fixed) == (KEEP, None)
 
     def test_neutral_weight_keeps_everything(self):
         for dist, _ in CANONICAL:
-            assert route(sig(*dist), CFG, "neutral_weight") == (KEEP, None)
+            assert route(*sig(*dist), CFG, "neutral_weight") == (KEEP, None)
 
     def test_all_atomic_always_decomposes(self):
         for dist, _ in CANONICAL:
-            assert route(sig(*dist), CFG, "all_atomic") == (DECOMPOSE, None)
+            assert route(*sig(*dist), CFG, "all_atomic") == (DECOMPOSE, None)
 
 
 def _world(anchor_kinds, n_refs=2):
@@ -153,6 +151,15 @@ def granularity(sentences, refset, decomposer, config, mode="adaptive"):
     )
 
 
+def scored(result):
+    """(unit, uncertainty) for each unit surviving granularity, in order."""
+    return [pair for d in result.decisions for pair in zip(d.units, d.unit_uncertainties)]
+
+
+def decomposer_calls(result) -> int:
+    return sum(d.kind == DECOMPOSE for d in result.decisions)
+
+
 class TestApplyGranularity:
     def test_all_entail_keeps_sentences_without_decomposer(self):
         sentences, refset, _ = _world(["alpha", "alpha", "alpha"])
@@ -160,10 +167,10 @@ class TestApplyGranularity:
         result = granularity(
             sentences, refset, ResilientDecomposer(counting), GranularityConfig()
         )
-        assert [su.unit.text for su in result.units] == [s.text for s in sentences]
-        assert all(su.unit.role == "sentence" for su in result.units)
+        assert [unit.text for unit in result.units] == [s.text for s in sentences]
+        assert all(unit.role == "sentence" for unit in result.units)
         assert counting.calls == 0
-        assert result.decomposer_calls == 0
+        assert decomposer_calls(result) == 0
 
     def test_decomposed_sentence_mean_uncertainty(self):
         sentences, refset, decomposer = _world(["theta"])
@@ -171,17 +178,17 @@ class TestApplyGranularity:
         (decision,) = result.decisions
         assert decision.kind == DECOMPOSE
         # facts: one alpha (U ~ 0) and one omega (U ~ 1)
-        us = [su.uncertainty for su in result.units]
+        us = [u for _, u in scored(result)]
         assert len(us) == 2
         assert abs(decision.uncertainty - sum(us) / 2) < 1e-12
         assert abs(decision.uncertainty - 0.5) < 1e-3
-        assert all(su.unit.role == "atomic_fact" for su in result.units)
+        assert all(unit.role == "atomic_fact" for unit in result.units)
 
     def test_all_skip_raises_flag(self):
         sentences, refset, decomposer = _world(["zeta", "zeta"])
         result = granularity(sentences, refset, decomposer, GranularityConfig())
-        assert result.all_skipped
-        assert result.units == []
+        assert not result.units
+        assert scored(result) == []
         assert all(d.kind == SKIP for d in result.decisions)
         assert all(d.uncertainty is None for d in result.decisions)
         assert len(result.sentence_uncertainties) == 2
@@ -198,8 +205,8 @@ class TestApplyGranularity:
         kinds = ["theta", "alpha", "theta", "zeta", "omega", "theta"]
         sentences, refset, decomposer = _world(kinds)
         result = granularity(sentences, refset, decomposer, GranularityConfig())
-        assert result.decomposer_calls == 3
-        assert result.decomposer_calls <= len(sentences)
+        assert decomposer_calls(result) == 3
+        assert decomposer_calls(result) <= len(sentences)
 
     def test_mode_off_keeps_skip_fixture_with_own_uncertainty(self):
         sentences, refset, decomposer = _world(["zeta"])
@@ -207,16 +214,16 @@ class TestApplyGranularity:
         off = granularity(
             sentences, refset, decomposer, GranularityConfig(), "off"
         )
-        assert adaptive.all_skipped
-        (kept,) = off.units
-        assert abs(kept.uncertainty - adaptive.sentence_uncertainties[0]) < 1e-12
+        assert not adaptive.units
+        ((_, kept_u),) = scored(off)
+        assert abs(kept_u - adaptive.sentence_uncertainties[0]) < 1e-12
 
     def test_mode_neutral_guess_fixed_half(self):
         sentences, refset, decomposer = _world(["zeta", "alpha"])
         result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "neutral_guess"
         )
-        us = {su.unit.unit_id: su.uncertainty for su in result.units}
+        us = {unit.unit_id: u for unit, u in scored(result)}
         assert us["r0.s0"] == 0.5
         assert us["r0.s1"] < 0.01
 
@@ -230,8 +237,8 @@ class TestApplyGranularity:
         result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "neutral_weight"
         )
-        (kept,) = result.units
-        assert abs(kept.uncertainty - 0.6) < 1e-12
+        ((_, kept_u),) = scored(result)
+        assert abs(kept_u - 0.6) < 1e-12
 
     def test_mode_all_atomic_decomposes_everything(self):
         kinds = ["alpha", "omega", "zeta"]
@@ -239,8 +246,8 @@ class TestApplyGranularity:
         result = granularity(
             sentences, refset, decomposer, GranularityConfig(), "all_atomic"
         )
-        assert result.decomposer_calls == 3
-        assert all(su.unit.role == "atomic_fact" for su in result.units)
+        assert decomposer_calls(result) == 3
+        assert all(unit.role == "atomic_fact" for unit in result.units)
 
     def test_collapse_decomposed_mode(self):
         sentences, refset, decomposer = _world(["theta", "alpha"])
@@ -249,9 +256,9 @@ class TestApplyGranularity:
             GranularityConfig(collapse_decomposed=True),
         )
         assert len(result.units) == 2
-        collapsed = result.units[0]
-        assert collapsed.unit.role == "sentence"
-        assert abs(collapsed.uncertainty - 0.5) < 1e-3
+        collapsed, collapsed_u = scored(result)[0]
+        assert collapsed.role == "sentence"
+        assert abs(collapsed_u - 0.5) < 1e-3
 
     def test_fallback_recorded(self):
         class Failing:
@@ -262,14 +269,14 @@ class TestApplyGranularity:
         result = granularity(
             sentences, refset, ResilientDecomposer(Failing()), GranularityConfig()
         )
-        assert result.decomposer_fallback
+        assert any(d.used_fallback for d in result.decisions)
         assert result.decisions[0].used_fallback
 
     def test_unit_ids_are_stable_and_unique(self):
         kinds = ["alpha", "theta", "omega"]
         sentences, refset, decomposer = _world(kinds)
         result = granularity(sentences, refset, decomposer, GranularityConfig())
-        ids = [su.unit.unit_id for su in result.units]
+        ids = [unit.unit_id for unit in result.units]
         assert len(ids) == len(set(ids))
         assert ids[0] == "r0.s0"
         assert ids[1].startswith("r0.s1.f")
@@ -298,7 +305,7 @@ class TestDecompositionRound:
         overlap = Overlap()
         decomposer = ResilientDecomposer(self._recording(overlap), max_in_flight=2)
         result = granularity(sentences, refset, decomposer, GranularityConfig())
-        assert result.decomposer_calls == 3
+        assert decomposer_calls(result) == 3
         assert overlap.peak == 2
 
     @pytest.mark.parametrize("collapse", [False, True])
@@ -331,10 +338,10 @@ class TestDecompositionRound:
         result = granularity(sentences, refset, decomposer, GranularityConfig())
         decomposed = [d for d in result.decisions if d.kind == DECOMPOSE]
         assert [d.used_fallback for d in decomposed] == [False, True, False]
-        assert result.decomposer_fallback
+        assert any(d.used_fallback for d in result.decisions)
         failed = decomposed[1]
         assert [u.text for u in failed.units] == split_facts_rule_based(
-            failed.signal.sentence.text
+            failed.sentence.text
         )
         assert all(len(d.units) == 2 for d in (decomposed[0], decomposed[2]))
 
@@ -347,7 +354,7 @@ class TestDecompositionRound:
             ScriptedDecomposerProvider(default=marker_decomposer_rule), max_in_flight=4
         )
         result = granularity(sentences, refset, decomposer, GranularityConfig())
-        facts = [su for su in result.units if su.unit.role == "atomic_fact"]
+        facts = [unit for unit in result.units if unit.role == "atomic_fact"]
         assert len(facts) == 6
         assert nli.calls == 2  # the sentences, then every fact
         assert nli.pairs_seen == (len(sentences) + len(facts)) * len(refs)
