@@ -58,7 +58,7 @@ def _cmd_score(args) -> int:
         config = load_config(args.config) if args.config else default_config()
         config = dataclasses.replace(config, report_dir=args.out)
         providers = build_providers(config)
-    except (CacheCorruptError, OSError) as e:  # OSError: an unusable cache_dir
+    except OSError as e:  # an unusable cache_dir
         print(f"cache error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as e:
@@ -72,6 +72,9 @@ def _cmd_score(args) -> int:
             return EXIT_DATA
         try:  # the report file is opened before any prompt is scored
             reports, summary = run_corpus(samples, config, providers)
+        except CacheCorruptError as e:  # found at the file's first use
+            print(f"cache error: {e}", file=sys.stderr)
+            return EXIT_DATA
         except OSError as e:
             print(f"report error: {e}", file=sys.stderr)
             return EXIT_DATA

@@ -575,7 +575,9 @@ def run_many(
     serial (Python threads would only contend for the interpreter lock).
 
     A prompt that fails with a provider, pipeline or numerical error
-    becomes a PromptFailure; the other prompts still run.
+    becomes a PromptFailure; the other prompts still run. Any other error
+    ends the run: it is raised once the running prompts finish, and the
+    prompts not yet started never start.
     """
 
     def one(sample: SampleSet):
@@ -589,10 +591,17 @@ def run_many(
     if workers <= 1:
         return [one(s) for s in samples]
     turn = threading.Lock()
+    raised = threading.Event()  # a prompt raised: the run is lost
 
     def one_in_turn(sample: SampleSet):
         with taking_turn(turn):
-            return one(sample)
+            if raised.is_set():  # never returned: list() below raises
+                return None
+            try:
+                return one(sample)
+            except BaseException:
+                raised.set()
+                raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one_in_turn, samples))

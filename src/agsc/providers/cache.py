@@ -1,9 +1,9 @@
 """Append-only response caches keyed on content hashes.
 
-One cache file per provider, line-delimited JSON, loaded fully at open.
+One cache file per provider, line-delimited JSON, parsed at first use.
 Caching is transparent: wrapped providers return exactly what the inner
 provider would, they just skip repeated calls. A file whose last line was
-torn by a kill mid-append still opens: the fragment is skipped, logged,
+torn by a kill mid-append still loads: the fragment is skipped, logged,
 and cut off before the next record is appended.
 """
 
@@ -24,10 +24,11 @@ from .decompose import checked_facts
 logger = logging.getLogger(__name__)
 
 _SEP = "\x1f"
+_DECODER = json.JSONDecoder()
 
 
 class CacheCorruptError(ValueError):
-    """A cache file holds a record that is not {"k": str, "v": ...}."""
+    """A cache file is unreadable or holds a line that is not {"k": str, "v": ...}."""
 
 
 def content_key(*parts: str) -> str:
@@ -61,15 +62,28 @@ def pair_keys(kind: str, pairs: Sequence[tuple[str, str]]) -> list[str]:
     return keys
 
 
+def _json_text(line: bytes) -> str:
+    """line decoded as json.loads(line) decodes it.
+
+    A line that starts with "{" and a non-NUL byte, as every record does,
+    is UTF-8 to json.loads's encoding detection, so only other lines run it.
+    """
+    if line[:1] == b"{" and line[1:2] != b"\0":
+        return line.decode("utf-8", "surrogatepass")
+    return line.decode(json.detect_encoding(line), "surrogatepass")
+
+
 class ResponseCache:
     """Persistent key -> JSON value store with an append-only file backend.
 
-    A kill during put() can leave the file ending in a partial line. An
-    unparsable last line is skipped with a warning and cut off before the
-    next put(), so the new record starts on a fresh line; an unparsable
-    line anywhere else raises CacheCorruptError naming the file and line.
-    So does a line that parses but is not a record: no torn append can
-    leave one.
+    The path is checked when the cache is made; the file is parsed at the
+    first get() or put(). A kill during put() can leave the file ending in
+    a partial line. An unparsable last line is skipped with a warning and
+    cut off before the next put(), so the new record starts on a fresh
+    line; an unparsable line anywhere else raises CacheCorruptError naming
+    the file and line. So does a line that parses but is not a record: no
+    torn append can leave one. A file that fails to read or parse raises
+    CacheCorruptError from every get() and put(), and is never written to.
 
     Records go through one append handle, opened at the first put() and
     released by close(); a put() after close() opens it again.
@@ -78,49 +92,75 @@ class ResponseCache:
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._lock = threading.Lock()
-        self._data: dict[str, object] = {}
+        self._data: dict[str, object] | None = None  # the records, once parsed
+        self._failed: str | None = None  # why parsing failed, if it did
         self._file = None  # the append handle, once a record is written
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._unterminated = False  # the last line parsed but lacks its newline
         if self._path.exists():
-            bad: tuple[int, ValueError] | None = None
-            line, end = b"\n", 0
-            with open(self._path, "rb") as f:
-                for lineno, line in enumerate(f, start=1):
-                    start, end = end, end + len(line)
-                    if not line.strip():
-                        continue
-                    if bad is not None:
-                        raise CacheCorruptError(
-                            f"{self._path}:{bad[0]}: unparsable cache record ({bad[1]})"
-                        )
-                    try:
-                        rec = json.loads(line)
-                    except ValueError as e:  # bad JSON or a cut UTF-8 sequence
-                        bad, self._torn_at = (lineno, e), start
-                        continue
-                    if not (isinstance(rec, dict) and isinstance(rec.get("k"), str)
-                            and "v" in rec):
-                        raise CacheCorruptError(
-                            f"{self._path}:{lineno}: not a cache record"
-                            " (expected an object with a string 'k' and a 'v')"
-                        )
-                    self._data[rec["k"]] = rec["v"]
-            if bad is not None:
-                logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
-            else:
-                self._unterminated = not line.endswith(b"\n")
+            if not (self._path.is_file() and os.access(self._path, os.R_OK)):
+                raise OSError(f"{self._path}: not a readable regular file")
         else:
             self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._data = {}
+
+    def _load(self) -> None:
+        """Parse the file into self._data; the caller holds the lock."""
+        if self._failed is not None:
+            raise CacheCorruptError(self._failed)
+        try:
+            self._data = self._parse()
+        except CacheCorruptError as e:
+            self._failed = str(e)
+            raise
+        except OSError as e:  # the file went bad after the path check
+            self._failed = f"{self._path}: unreadable ({e})"
+            raise CacheCorruptError(self._failed) from e
+
+    def _parse(self) -> dict[str, object]:
+        """The file's records; also sets the torn-line state put() reads."""
+        data: dict[str, object] = {}
+        bad: tuple[int, ValueError] | None = None
+        line, end = b"\n", 0
+        with open(self._path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                start, end = end, end + len(line)
+                if not line.strip():
+                    continue
+                if bad is not None:
+                    raise CacheCorruptError(
+                        f"{self._path}:{bad[0]}: unparsable cache record ({bad[1]})"
+                    )
+                try:
+                    rec = _DECODER.decode(_json_text(line))
+                except ValueError as e:  # bad JSON or a cut UTF-8 sequence
+                    bad, self._torn_at = (lineno, e), start
+                    continue
+                if not (isinstance(rec, dict) and isinstance(rec.get("k"), str)
+                        and "v" in rec):
+                    raise CacheCorruptError(
+                        f"{self._path}:{lineno}: not a cache record"
+                        " (expected an object with a string 'k' and a 'v')"
+                    )
+                data[rec["k"]] = rec["v"]
+        if bad is not None:
+            logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
+        else:
+            self._unterminated = not line.endswith(b"\n")
+        return data
 
     def get(self, key: str):
         with self._lock:
+            if self._data is None:
+                self._load()
             return self._data.get(key)
 
     def put(self, key: str, value) -> None:
         """Store a record; it is flushed to the file before put() returns."""
         line = json.dumps({"k": key, "v": value}, ensure_ascii=False)
         with self._lock:
+            if self._data is None:
+                self._load()
             if key in self._data:
                 return
             if self._file is None:

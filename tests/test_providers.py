@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
-from conftest import CountingDecomposer, CountingEmbedder, CountingNli
+from conftest import CountingDecomposer, CountingEmbedder, CountingNli, marker_sample
+import agsc.pipeline as pipeline
 import agsc.providers.cache as cache_module
+from agsc.cli import main
+from agsc.evaluation import apply_variant
+from agsc.pipeline import build_providers, run_corpus
 from agsc.providers import (
     CacheCorruptError,
     CachedDecomposer,
@@ -241,10 +247,10 @@ class TestCache:
         writer.close()
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"k": "torn", "v": [4.0, 5')  # killed mid-append
+        cache = new_cache("nli.jsonl")
         with caplog.at_level("WARNING"):
-            cache = new_cache("nli.jsonl")
+            assert cache.get("old") == [1.0, 2.0, 3.0]
         assert "unparsable last line" in caplog.text
-        assert cache.get("old") == [1.0, 2.0, 3.0]
         assert cache.get("torn") is None
         cache.put("new", [6.0])
         reopened = new_cache("nli.jsonl")
@@ -265,13 +271,13 @@ class TestCache:
         path = tmp_path / "nli.jsonl"
         path.write_text('{"k": "a", "v": 1}\nnot json\n{"k": "b", "v": 2}\n', encoding="utf-8")
         with pytest.raises(ValueError):
-            ResponseCache(path)
+            ResponseCache(path).get("a")
 
     def test_unparsable_middle_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "nli.jsonl"
         path.write_text('{"k": "a", "v": 1}\n\nnot json\n{"k": "b", "v": 2}\n', encoding="utf-8")
         with pytest.raises(CacheCorruptError, match=r"nli\.jsonl:3: unparsable"):
-            ResponseCache(path)
+            ResponseCache(path).get("a")
 
     @pytest.mark.parametrize(
         "line", ['{"x": 1}', "[1, 2]", '"k"', "7", "null", '{"k": 3, "v": 1}', '{"k": "b"}']
@@ -284,7 +290,7 @@ class TestCache:
         lines = ['{"k": "a", "v": 1}', line] + ([] if last else ['{"k": "c", "v": 3}'])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CacheCorruptError, match=r"nli\.jsonl:2: not a cache record"):
-            ResponseCache(path)
+            ResponseCache(path).get("a")
 
     def test_one_append_handle_per_cache(self, tmp_path, monkeypatch):
         opened = []
@@ -400,6 +406,250 @@ class TestCache:
         assert not (tmp_path / "dec.jsonl").exists()
         assert "malformed" not in caplog.text
         assert "returned no facts" in caplog.text
+
+
+def corpus(n: int = 4) -> list:
+    return [
+        marker_sample(f"p{i}", ["alpha", "theta", "zeta", "omega"], topic_index=i)
+        for i in range(n)
+    ]
+
+
+def spy_on_reads(monkeypatch) -> list[str]:
+    """The names of the files agsc.providers.cache opens for reading, in order."""
+    read = []
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        if mode == "rb":
+            read.append(Path(file).name)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", spying_open, raising=False)
+    return read
+
+
+def old_rule(path: Path, raw: bytes, lineno: int, last: bool) -> tuple:
+    """What a load makes of one line: json.loads(raw) plus the record check."""
+    if not raw.strip():
+        return ("blank",)
+    try:
+        rec = json.loads(raw)
+    except ValueError as e:
+        if last:
+            return ("torn", f"{path}: skipped unparsable last line ({e})")
+        return ("corrupt", f"{path}:{lineno}: unparsable cache record ({e})")
+    if not (isinstance(rec, dict) and isinstance(rec.get("k"), str) and "v" in rec):
+        return ("corrupt", f"{path}:{lineno}: not a cache record"
+                           " (expected an object with a string 'k' and a 'v')")
+    return ("record", rec["k"], rec["v"])
+
+
+class TestCacheFirstUse:
+    """Each cache file is parsed at its first get() or put()."""
+
+    LINES = {
+        "empty": b"",
+        "spaces": b"  \t ",
+        "form_feed": b"\x0c",
+        "no_break_space": " ".encode(),
+        "crlf": b'{"k": "crlf", "v": 1}\r',
+        "padded": b' {"k": "padded", "v": [1.5, -2e3]} ',
+        "trailing_garbage": b'{"k": "a", "v": 1} x',
+        "non_ascii": '{"k": "Ελλάδα", "v": "日本語 \U0001f642"}'.encode(),
+        "escaped": b'{"k": "caf\\u00e9", "v": "\\ud83d\\ude42"}',
+        "cut_utf8": '{"k": "é'.encode()[:-1],
+        "lone_surrogate": '{"k": "s", "v": "\udc80"}'.encode("utf-8", "surrogatepass"),
+        "utf8_bom": b'\xef\xbb\xbf{"k": "bom", "v": 1}',
+        "utf16": '{"k": "u16", "v": 1}'.encode("utf-16-le"),
+        "nul_second": b'{\x00"k": "nul", "v": 1}',
+        "infinity": b'{"k": "inf", "v": -Infinity}',
+        "not_json": b"not json",
+        **{f"non_record_{i}": line.encode() for i, line in enumerate(
+            ['{"x": 1}', "[1, 2]", '"k"', "7", "null", '{"k": 3, "v": 1}', '{"k": "b"}']
+        )},
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    @pytest.mark.parametrize("last", [False, True])
+    def test_each_line_is_judged_as_json_loads_judges_it(self, tmp_path, caplog, name, last):
+        path = tmp_path / "nli.jsonl"
+        raw = self.LINES[name] + (b"" if last else b"\n")
+        path.write_bytes(b'{"k": "first", "v": 0}\n' + raw
+                         + (b"" if last else b'{"k": "third", "v": 3}\n'))
+        expected = old_rule(path, raw, 2, last)
+        cache = ResponseCache(path)
+        with caplog.at_level("WARNING", logger=cache_module.__name__):
+            try:
+                first = cache.get("first")
+            except CacheCorruptError as e:
+                assert expected == ("corrupt", str(e))
+                return
+        assert first == 0
+        warnings = [r.getMessage() for r in caplog.records]
+        if expected[0] == "torn":
+            assert warnings == [expected[1]]
+        else:
+            assert warnings == []
+        if expected[0] == "record":
+            assert cache.get(expected[1]) == expected[2]
+        assert cache.get("third") == (None if last else 3)
+
+    @pytest.mark.parametrize("blocker", ["directory", "unreadable"])
+    def test_an_unusable_path_fails_when_the_cache_is_made(self, tmp_path, monkeypatch, blocker):
+        path = tmp_path / "nli.jsonl"
+        if blocker == "directory":
+            path.mkdir()
+        else:
+            path.write_text('{"k": "a", "v": 1}\n', encoding="utf-8")
+            monkeypatch.setattr(cache_module.os, "access", lambda p, mode: False)
+        read = spy_on_reads(monkeypatch)
+        with pytest.raises(OSError, match=r"nli\.jsonl: not a readable regular file"):
+            ResponseCache(path)
+        assert read == []
+
+    @pytest.mark.parametrize("tail", ["", '{"k": "torn", "v": [1.0, 2'])
+    def test_a_failed_load_is_sticky(self, tmp_path, monkeypatch, tail):
+        path = tmp_path / "nli.jsonl"
+        path.write_text('{"k": "a", "v": 1}\nnot json\n{"k": "b", "v": 2}\n' + tail,
+                        encoding="utf-8")
+        before = path.read_bytes()
+        read = spy_on_reads(monkeypatch)
+        cache = ResponseCache(path)
+        for call in (lambda: cache.get("a"), lambda: cache.get("b"), lambda: cache.put("c", 3)):
+            with pytest.raises(CacheCorruptError) as caught:
+                call()
+            assert str(caught.value).startswith(f"{path}:2: unparsable cache record (")
+        cache.close()
+        assert path.read_bytes() == before  # nothing appended, nothing cut
+        assert read == ["nli.jsonl"]  # the failure is kept, not parsed again
+
+    def test_a_variant_that_never_embeds_never_reads_embed_jsonl(
+        self, tmp_path, monkeypatch, base_config
+    ):
+        samples = corpus()
+        config = dataclasses.replace(
+            base_config, cache_dir=str(tmp_path / "cache"), report_dir=str(tmp_path / "out")
+        )
+        warm = build_providers(apply_variant(config, "agsc"))
+        run_corpus(samples, apply_variant(config, "agsc"), warm)
+        warm.close()
+        assert (tmp_path / "cache" / "embed.jsonl").stat().st_size > 0
+        read = spy_on_reads(monkeypatch)
+        luq = apply_variant(config, "luq_sentence")
+        bundle = build_providers(luq)
+        reports, summary = run_corpus(samples, luq, bundle)
+        bundle.close()
+        assert summary.n_failed == 0
+        assert read == ["nli.jsonl"]
+
+    def test_each_file_is_read_at_most_once(self, tmp_path, monkeypatch, base_config):
+        samples = corpus(8)
+        config = apply_variant(dataclasses.replace(
+            base_config, cache_dir=str(tmp_path / "cache"), report_dir=str(tmp_path / "out")
+        ), "agsc")
+        warm = build_providers(config)
+        run_corpus(samples, config, warm)
+        warm.close()
+        read = spy_on_reads(monkeypatch)
+        config = dataclasses.replace(config, workers=4)
+        bundle = build_providers(config)
+        reports, summary = run_corpus(samples, config, bundle)
+        bundle.close()
+        assert len(reports) == len(samples)
+        assert sorted(read) == sorted(set(read))
+        assert {"nli.jsonl", "embed.jsonl"} <= set(read)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_corrupt_line_found_mid_run_ends_it(self, tmp_path, capsys, workers):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"prompt_id": s.prompt_id, "prompt": s.prompt,
+                        "responses": list(s.responses)}) + "\n"
+            for s in corpus()
+        ), encoding="utf-8")
+        cache = tmp_path / "cache"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"timing = off\nworkers = {workers}\ncache_dir = {cache}\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["score", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+        assert main(args) == 0
+        earlier = {name: (out / name).read_bytes() for name in ("reports.jsonl", "summary.json")}
+        nli = cache / "nli.jsonl"
+        lines = nli.read_text(encoding="utf-8").splitlines(keepends=True)
+        middle = len(lines) // 2
+        nli.write_text("".join(lines[:middle] + ["garbage\n"] + lines[middle + 1:]),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(args) == 3
+        assert f"cache error: {nli}:{middle + 1}: " in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in earlier} == earlier
+
+    def test_a_read_error_found_mid_run_is_a_cache_error(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"prompt_id": s.prompt_id, "prompt": s.prompt,
+                        "responses": list(s.responses)}) + "\n"
+            for s in corpus(2)
+        ), encoding="utf-8")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        nli = cache / "nli.jsonl"
+        nli.write_text('{"k": "a", "v": [0.0, 0.0, 0.0]}\n', encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"timing = off\ncache_dir = {cache}\n", encoding="utf-8")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode == "rb":
+                raise OSError(5, "Input/output error", str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", failing_open, raising=False)
+        args = ["score", "--dataset", str(dataset), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 3
+        assert f"cache error: {nli}: unreadable (" in capsys.readouterr().err
+        assert nli.read_text(encoding="utf-8") == '{"k": "a", "v": [0.0, 0.0, 0.0]}\n'
+
+    def test_a_raise_starts_no_more_prompts(self, tmp_path, monkeypatch, base_config):
+        """Prompts queued behind a raise never start, even while an earlier
+        prompt is still waiting on a provider."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "embed.jsonl").write_text(
+            '{"k": "a", "v": [1.0]}\ngarbage\n{"k": "b", "v": [1.0]}\n', encoding="utf-8"
+        )
+        workers, started, prompt = 4, [], threading.local()
+        run_prompt = pipeline.run_prompt
+
+        def spying_run_prompt(sample, config, providers):
+            started.append(sample.prompt_id)
+            prompt.id = sample.prompt_id
+            return run_prompt(sample, config, providers)
+
+        class FirstPromptWaits:
+            """Holds the first prompt's NLI calls while the others run on."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def nli_batch(self, pairs):
+                if getattr(prompt, "id", None) == "p0":
+                    threading.Event().wait(0.5)
+                return self.inner.nli_batch(pairs)
+
+        build_nli = pipeline._build_nli
+        monkeypatch.setattr(pipeline, "run_prompt", spying_run_prompt)
+        monkeypatch.setattr(pipeline, "_build_nli", lambda spec: FirstPromptWaits(build_nli(spec)))
+        config = apply_variant(dataclasses.replace(
+            base_config, workers=workers, cache_dir=str(cache), report_dir=str(tmp_path / "out")
+        ), "agsc")
+        bundle = build_providers(config)
+        with pytest.raises(CacheCorruptError, match=r"embed\.jsonl:2: unparsable cache record"):
+            run_corpus(corpus(40), config, bundle)
+        bundle.close()
+        assert started[0] == "p0"
+        assert len(started) <= workers  # only those already running
 
 
 class TestDecomposition:
