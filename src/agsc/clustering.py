@@ -13,18 +13,29 @@ seeds, and all reductions run through fixed-order numpy sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 _EMPTY_COMPONENT_MASS = 1e-10
 N_INIT = 3  # EM restarts per K >= 2, best final log-likelihood kept
 EM_MAX_ITER = 200
 
-# LAPACK's triangular solve, called without solve_triangular's checks.
-(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1), dtype=np.float64),))
+
+@functools.cache
+def _load_trtrs():
+    """LAPACK's triangular solve, called without solve_triangular's checks.
+
+    Fetched at the first mixture fit, not at import: importing scipy.linalg
+    takes about 0.09 s and loads scipy's own OpenBLAS, which runs that fit
+    no mixture do not need.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    (trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1), dtype=np.float64),))
+    return trtrs
 
 
 class NumericalError(Exception):
@@ -161,6 +172,7 @@ def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
         raise
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=2, axis2=3)).sum(axis=2)
     sols = np.ascontiguousarray(devs, dtype=np.float64)
+    trtrs = _load_trtrs()
     # With D = 0 there is nothing to solve (LAPACK would reject the empty
     # factor's leading dimension) and every distance is 0.
     for a in range(n_restarts if dim else 0):
@@ -171,7 +183,7 @@ def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
             # solve_triangular would pass. A factor from a successful
             # Cholesky has a positive diagonal, so the solve cannot fail;
             # fit_gmm and select_k reject non-finite data at entry.
-            _trtrs(chol[a, j].T, sols[a, j].T, lower=0, trans=1, overwrite_b=1)
+            trtrs(chol[a, j].T, sols[a, j].T, lower=0, trans=1, overwrite_b=1)
     maha = np.square(sols, out=sols).sum(axis=3)  # (A, K, N)
     const = dim * math.log(2.0 * math.pi)
     log_prob = -0.5 * (const + log_det[:, :, None] + maha)
@@ -246,15 +258,6 @@ def _e_step(
     log_prob = _log_gaussian_prob(data, params)
     gamma, ll, point_ll = _stacked_e_step(log_prob[None], params.weights[None])
     return gamma[0], ll[0], point_ll[0]
-
-
-def _m_step(
-    data: np.ndarray, gamma: np.ndarray, point_ll: np.ndarray, cov_reg: float
-) -> GmmParams:
-    weights, means, covariances, _ = _stacked_m_step(
-        data, gamma[None], point_ll[None], cov_reg
-    )
-    return GmmParams(weights=weights[0], means=means[0], covariances=covariances[0])
 
 
 def _fit_restarts(

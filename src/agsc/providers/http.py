@@ -21,6 +21,8 @@ concurrently; outputs are reassembled in request order.
 Each client posts through its own pool of max_in_flight threads, however
 many callers share it, and each pool thread keeps its own
 requests.Session. close() shuts the pool down and closes the sessions.
+requests is imported when the first client is made, not with this
+module, so runs without an HTTP client never load it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from .base import (
     EmbeddingVector,
@@ -42,6 +42,9 @@ from .base import (
     ProviderError,
 )
 from .decompose import build_decompose_messages, parse_fact_lines
+
+if TYPE_CHECKING:
+    import requests
 
 _RETRYABLE_4XX = (408, 429)
 
@@ -59,6 +62,9 @@ class _HttpClient:
     def __init__(self, config: ProviderConfig):
         if not config.endpoint:
             raise ValueError("http provider requires an endpoint")
+        import requests  # here, so that set-up rather than a pool thread pays for it
+
+        self._requests = requests
         self._config = config
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None  # created at the first post
@@ -68,7 +74,7 @@ class _HttpClient:
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
         if session is None:
-            session = self._local.session = requests.Session()
+            session = self._local.session = self._requests.Session()
             with self._lock:
                 self._sessions.append(session)
         return session
@@ -112,7 +118,7 @@ class _HttpClient:
                 resp = self._session().post(
                     url, json=body, headers=self._headers(), timeout=timeout_s
                 )
-            except requests.RequestException as e:
+            except self._requests.RequestException as e:
                 last_error = str(e)
             else:
                 status = resp.status_code

@@ -24,8 +24,8 @@ from agsc.clustering import (
     _e_step,
     _fit_restarts,
     _log_gaussian_prob,
-    _m_step,
     _stacked_log_prob,
+    _stacked_m_step,
     bic,
     fit_gmm,
     kmeans_hard,
@@ -283,11 +283,13 @@ class TestStackedEmMatchesLoops:
         fitted = fit_gmm(data, k, CFG, seed=k).responsibilities
         point_ll = rng.normal(size=len(data))
         for gamma in (soft, fitted):
-            got = _m_step(data, gamma, point_ll, CFG.cov_reg)
+            weights, means, covariances, _ = _stacked_m_step(
+                data, gamma[None], point_ll[None], CFG.cov_reg
+            )
             want = _reference_m_step(data, gamma, point_ll, CFG.cov_reg)
-            np.testing.assert_array_equal(got.weights, want.weights)
-            np.testing.assert_array_equal(got.means, want.means)
-            np.testing.assert_array_equal(got.covariances, want.covariances)
+            np.testing.assert_array_equal(weights[0], want.weights)
+            np.testing.assert_array_equal(means[0], want.means)
+            np.testing.assert_array_equal(covariances[0], want.covariances)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_m_step_reseeds_empty_component(self, k):
@@ -297,10 +299,12 @@ class TestStackedEmMatchesLoops:
         gamma[:, 0] = 0.0
         gamma /= gamma.sum(axis=1, keepdims=True)
         point_ll = rng.normal(size=len(data))
-        got = _m_step(data, gamma, point_ll, CFG.cov_reg)
+        _, means, covariances, _ = _stacked_m_step(
+            data, gamma[None], point_ll[None], CFG.cov_reg
+        )
         want = _reference_m_step(data, gamma, point_ll, CFG.cov_reg)
-        np.testing.assert_array_equal(got.covariances, want.covariances)
-        np.testing.assert_array_equal(got.means, want.means)
+        np.testing.assert_array_equal(covariances[0], want.covariances)
+        np.testing.assert_array_equal(means[0], want.means)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_e_step_log_sum_exp_matches_scipy(self, k):
@@ -594,5 +598,27 @@ class TestBlasPin:
         assert _python(code, OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_scipy_special_not_imported(self):
-        code = "import sys, agsc.cli; print('scipy.special' in sys.modules)"
-        assert _python(code) == "False"
+        # Neither scipy nor requests: the first mixture fit and the first
+        # HTTP client import them.
+        code = (
+            "import sys, agsc, agsc.pipeline, agsc.cli\n"
+            "print([m for m in ('scipy', 'requests') if m in sys.modules])\n"
+        )
+        assert _python(code) == "[]"
+
+    @pytest.mark.parametrize("variant, clusters", [("luq_sentence", False), ("agsc", True)])
+    def test_scipy_loads_only_for_a_run_that_clusters(self, tmp_path, variant, clusters):
+        code = (
+            "import dataclasses, sys\n"
+            "from agsc import SampleSet, apply_variant, default_config\n"
+            "from agsc.pipeline import build_providers, run_corpus\n"
+            f"config = apply_variant(default_config(), {variant!r})\n"
+            f"config = dataclasses.replace(config, report_dir={str(tmp_path)!r})\n"
+            "text = ' '.join(f'The river detail {j} is plain here.' for j in range(8))\n"
+            "samples = [SampleSet('p0', 'Tell me.', (text,) * 4)]\n"
+            "providers = build_providers(config)\n"
+            "reports, _ = run_corpus(samples, config, providers)\n"
+            "providers.close()\n"
+            "print(len(reports), 'scipy' in sys.modules)\n"
+        )
+        assert _python(code) == f"1 {clusters}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -167,6 +168,23 @@ class TestHttpNli:
         with pytest.raises(ProviderError) as exc:
             client.nli_batch([("aa", "b")])
         assert exc.value.attempts == 3
+        assert not isinstance(exc.value, ProtocolError)
+
+    def test_transport_failure_is_retried_then_raised(self, closing):
+        # Nothing listens on a port just released, so every attempt fails
+        # in the transport, before any HTTP status.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            host, port = sock.getsockname()
+        config = ProviderConfig(
+            endpoint=f"http://{host}:{port}",
+            retry=RetryPolicy(max_attempts=3, base_backoff_ms=0),
+            timeout_ms=5000,
+        )
+        client = closing(HttpNliProvider(config))
+        with pytest.raises(ProviderError, match="after 3 attempts") as exc:
+            client.nli_batch([("aa", "b")])
+        assert exc.value.attempts == config.retry.max_attempts
         assert not isinstance(exc.value, ProtocolError)
 
     def test_unfixable_4xx_fails_fast(self, server, closing):
