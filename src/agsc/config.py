@@ -275,15 +275,3 @@ def _build(values: dict[str, object]) -> PipelineConfig:
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
 
-
-def config_to_text(config: PipelineConfig) -> str:
-    """Render a config as the flat file format (all known keys)."""
-    lines = []
-    for key, (path, _) in sorted(_KEYS.items()):
-        obj = config
-        for attr in path:
-            obj = getattr(obj, attr)
-        if isinstance(obj, bool):
-            obj = "true" if obj else "false"
-        lines.append(f"{key} = {obj}")
-    return "\n".join(lines) + "\n"

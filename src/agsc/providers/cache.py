@@ -15,6 +15,7 @@ import logging
 import os
 import threading
 import unicodedata
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -73,8 +74,32 @@ def _json_text(line: bytes) -> str:
     return line.decode(json.detect_encoding(line), "surrogatepass")
 
 
+def packed_floats(value):
+    """A list of numbers as one packed float64 array('d'); any other value as is.
+
+    Held in memory, a list of n floats costs 56 + 32n bytes (the list and
+    its float objects) and the array 64 + 8n. A value that does not pack
+    (not a list, or a list holding an item that is not a float-sized
+    number) is returned unchanged, for the wrapper's decoder to reject.
+    """
+    if type(value) is list:
+        try:
+            return array("d", value)
+        except (TypeError, OverflowError):
+            pass
+    return value
+
+
 class ResponseCache:
-    """Persistent key -> JSON value store with an append-only file backend.
+    """Persistent key -> value store backed by an append-only JSON-lines file.
+
+    Each record is one line {"k": key, "v": value}, written from the value
+    put() was given. In memory a value is held as parsed, or as
+    hold(value) when `hold` is set before the first get() or put(): the
+    one conversion applied to the records put() stores and to those the
+    parse reads, and the form get() returns. CachedEmbedding sets it to
+    packed_floats, so each vector is held as a float64 array while its line
+    keeps the JSON list.
 
     The path is checked when the cache is made; the file is parsed at the
     first get() or put(). A kill during put() can leave the file ending in
@@ -91,6 +116,7 @@ class ResponseCache:
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
+        self.hold = None  # how values are held in memory; None holds them as parsed
         self._lock = threading.Lock()
         self._data: dict[str, object] | None = None  # the records, once parsed
         self._failed: str | None = None  # why parsing failed, if it did
@@ -120,6 +146,7 @@ class ResponseCache:
     def _parse(self) -> dict[str, object]:
         """The file's records; also sets the torn-line state put() reads."""
         data: dict[str, object] = {}
+        hold = self.hold
         bad: tuple[int, ValueError] | None = None
         line, end = b"\n", 0
         with open(self._path, "rb") as f:
@@ -142,7 +169,7 @@ class ResponseCache:
                         f"{self._path}:{lineno}: not a cache record"
                         " (expected an object with a string 'k' and a 'v')"
                     )
-                data[rec["k"]] = rec["v"]
+                data[rec["k"]] = rec["v"] if hold is None else hold(rec["v"])
         if bad is not None:
             logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
         else:
@@ -158,6 +185,8 @@ class ResponseCache:
     def put(self, key: str, value) -> None:
         """Store a record; it is flushed to the file before put() returns."""
         line = json.dumps({"k": key, "v": value}, ensure_ascii=False)
+        if self.hold is not None:
+            value = self.hold(value)
         with self._lock:
             if self._data is None:
                 self._load()
@@ -203,8 +232,8 @@ class _CachedProvider:
         is returned but not stored, so a later call asks again. An answer
         of the wrong length raises ProtocolError before anything is
         stored. Hits are rebuilt with decode(value); a record that decode
-        rejects (TypeError or ValueError) raises ProtocolError naming the
-        cache file.
+        rejects (TypeError, ValueError, or OverflowError for an integer
+        too large for a float) raises ProtocolError naming the cache file.
         """
         results: list = [None] * len(keys)
         missing: list[int] = []
@@ -216,7 +245,7 @@ class _CachedProvider:
                     continue
                 try:
                     results[i] = decode(hit)
-                except (TypeError, ValueError) as e:
+                except (TypeError, ValueError, OverflowError) as e:
                     raise ProtocolError(
                         f"{self._cache._path}: cache record malformed: {e}"
                     ) from e
@@ -258,7 +287,15 @@ class CachedNli(_CachedProvider):
 
 
 class CachedEmbedding(_CachedProvider):
-    """Embedding provider wrapper that serves repeated texts from the cache."""
+    """Embedding provider wrapper that serves repeated texts from the cache.
+
+    Its cache holds each vector as a packed float64 array (packed_floats);
+    the file keeps the JSON list.
+    """
+
+    def __init__(self, inner, cache: ResponseCache):
+        super().__init__(inner, cache)
+        cache.hold = packed_floats
 
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         return self._through(

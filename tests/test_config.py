@@ -12,13 +12,25 @@ from agsc.config import (
     VARIANTS,
     ConfigError,
     PipelineConfig,
-    config_to_text,
     default_config,
     load_config,
     parse_config_text,
 )
 from agsc.pipeline import build_providers
 from agsc.providers import FixedLatencyDecomposer, HashNliProvider, RuleBasedDecomposer
+
+
+def config_to_text(config: PipelineConfig) -> str:
+    """Render a config as the flat file format (all known keys)."""
+    lines = []
+    for key, (path, _) in sorted(_KEYS.items()):
+        obj = config
+        for attr in path:
+            obj = getattr(obj, attr)
+        if isinstance(obj, bool):
+            obj = "true" if obj else "false"
+        lines.append(f"{key} = {obj}")
+    return "\n".join(lines) + "\n"
 
 
 class TestDefaults:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import threading
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -406,6 +409,124 @@ class TestCache:
         assert not (tmp_path / "dec.jsonl").exists()
         assert "malformed" not in caplog.text
         assert "returned no facts" in caplog.text
+
+
+class FixedEmbedder:
+    """Embeds every text as the same vector."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def embed_batch(self, texts):
+        return [EmbeddingVector(self.values) for _ in texts]
+
+
+def bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+class TestPackedEmbeddings:
+    """CachedEmbedding's cache holds each vector as a packed float64 array;
+    the file keeps the JSON list, and the other caches hold what they parse."""
+
+    VECTORS = {
+        "signed_zero": (-0.0, 0.0, 1.0),
+        "subnormal": (5e-324, -5e-324),
+        "huge": (1e308, -1e308, 0.5),
+        "tenth": (0.1, 0.2, 0.30000000000000004),
+        "int_component": (1, 0.25, -3),
+    }
+
+    def test_a_fresh_store_holds_an_array(self, new_cache):
+        cache = new_cache("embed.jsonl")
+        (vec,) = CachedEmbedding(HashEmbeddingProvider(dim=8), cache).embed_batch(["hi"])
+        held = cache.get(cache_module.content_key("embed", "hi"))
+        assert type(held) is array and held.typecode == "d"
+        assert bits(held) == bits(vec.values)
+
+    @pytest.mark.parametrize("name", sorted(VECTORS))
+    def test_a_stored_line_is_the_list_encoding(self, tmp_path, new_cache, name):
+        values = self.VECTORS[name]
+        cached = CachedEmbedding(FixedEmbedder(values), new_cache("embed.jsonl"))
+        (first,) = cached.embed_batch(["t"])
+        (hit,) = cached.embed_batch(["t"])
+        key = cache_module.content_key("embed", "t")
+        line = json.dumps({"k": key, "v": list(values)}, ensure_ascii=False) + "\n"
+        assert (tmp_path / "embed.jsonl").read_text(encoding="utf-8") == line
+        assert hit == first == EmbeddingVector(values)
+        assert bits(hit.values) == bits(values)
+
+    def test_a_warm_file_is_held_packed_and_served_bit_for_bit(self, new_cache):
+        texts = sorted(self.VECTORS)
+        stored = {}
+        for text in texts:
+            cached = CachedEmbedding(FixedEmbedder(self.VECTORS[text]), new_cache("embed.jsonl"))
+            (stored[text],) = cached.embed_batch([text])
+            cached.close()
+        cache = new_cache("embed.jsonl")
+        inner = CountingEmbedder(HashEmbeddingProvider(dim=3))
+        hits = CachedEmbedding(inner, cache).embed_batch(texts)
+        assert inner.texts_seen == 0
+        assert hits == [stored[t] for t in texts]
+        assert [bits(h.values) for h in hits] == [bits(stored[t].values) for t in texts]
+        for text in texts:
+            assert type(cache.get(cache_module.content_key("embed", text))) is array
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nli_and_decomposer_records_are_held_as_parsed(self, new_cache, warm):
+        nli = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
+        dec = CachedDecomposer(
+            ScriptedDecomposerProvider(script={"s": ["f1", "f2"]}), new_cache("dec.jsonl")
+        )
+        nli.nli_batch([("p", "h")])
+        dec.decompose("s", "ctx")
+        if warm:
+            nli.close()
+            dec.close()
+            nli = CachedNli(None, new_cache("nli.jsonl"))
+            dec = CachedDecomposer(None, new_cache("dec.jsonl"))
+        held = [
+            nli._cache.get(cache_module.content_key("nli", "p", "h")),
+            dec._cache.get(cache_module.content_key("decompose", "s", "ctx")),
+        ]
+        assert held == [[1.0, 0.0, 0.5], ["f1", "f2"]]
+        assert [type(h) for h in held] == [list, list]
+
+    @pytest.mark.parametrize(
+        "value",
+        [[1.0, None], [1.0, "x"], [[1.0, 2.0]], [], {"v": [1.0]}, "1.0", 5, [1.0, 10**400]],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_malformed_embedding_record_is_a_protocol_error(self, new_cache, value, warm):
+        key = cache_module.content_key("embed", "t")
+        if warm:
+            writer = new_cache("embed.jsonl")
+            writer.put(key, value)
+            writer.close()
+            cache = new_cache("embed.jsonl")
+            cached = CachedEmbedding(HashEmbeddingProvider(dim=2), cache)
+        else:
+            cache = new_cache("embed.jsonl")
+            cached = CachedEmbedding(HashEmbeddingProvider(dim=2), cache)
+            cache.put(key, value)
+        with pytest.raises(ProtocolError, match=r"embed\.jsonl: cache record malformed"):
+            cached.embed_batch(["t"])
+
+    def test_stored_vectors_take_under_4_kb_each(self, new_cache):
+        # 256 dimensions: about 2.3 KB a record packed, 8.4 KB as a list of floats.
+        cached = CachedEmbedding(HashEmbeddingProvider(dim=256), new_cache("embed.jsonl"))
+        texts = [f"text number {i} word{i % 7}" for i in range(500)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for start in range(0, len(texts), 50):
+                cached.embed_batch(texts[start:start + 50])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(texts) < 4096
 
 
 def corpus(n: int = 4) -> list:
