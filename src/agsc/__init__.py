@@ -18,11 +18,18 @@ thread pool only spins. The pin works only if numpy is not yet imported
 when `agsc` is. `OMP_NUM_THREADS` belongs to the host process and is left
 alone.
 
-Importing the package loads numpy but not scipy or requests (0.08 s
-instead of 0.20 s on 2 vCPUs). scipy and its own OpenBLAS load at the
-first mixture fit, which then pays roughly 0.1 s for the import, and
-requests loads with the first HTTP client. The pin reaches scipy's
-OpenBLAS too, because the variables are set before it loads.
+Importing the package loads none of numpy, scipy and requests. numpy
+loads at a run's first clustering, and scipy with its own OpenBLAS at the
+first mixture fit, so the clustered variants load both and `agsc eval`
+loads numpy for its correlations, while `luq_sentence`, `luq_atomic`,
+`ablate_no_cluster` and `agsc inspect` load neither. requests loads with
+the first HTTP client. On 2 vCPUs the import takes 0.08 s at 21 MB peak
+RSS, against 0.15 s and 34 MB with numpy; a run that clusters pays about
+0.06 s for numpy and 0.16 s for scipy inside its first prompt's clustering,
+while that prompt holds the turn. The pin reaches both OpenBLAS copies,
+because the variables are set before either loads. A host that wants the
+numpy import paid up front can `import numpy` after `import agsc`; the pin
+still holds.
 """
 
 import os

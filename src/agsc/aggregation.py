@@ -14,16 +14,18 @@ cluster weights are normalized masses. Two mass domains are supported:
              reweight the anchor's units.
 
 A uniform mode (no clustering) and a fallback for fully-skipped anchors
-round out the surface.
+round out the surface. Only the two mass-weighted modes import numpy, at
+their first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LITERAL_MASS_FLOOR = 1e-12
 ANCHOR_MASS_FLOOR = 1e-6
@@ -77,6 +79,8 @@ def aggregate_literal(
     telescoping of mass, weight, and normalization this equals the
     unweighted mean of the uncertainties (up to float error).
     """
+    import numpy as np
+
     gamma = np.asarray(gamma_anchor, dtype=np.float64)
     u = np.asarray(uncertainties, dtype=np.float64)
     if gamma.ndim != 2 or gamma.shape[0] != len(u) or len(u) == 0:
@@ -103,6 +107,8 @@ def aggregate_global(
     inside that cluster. Clusters whose anchor mass falls below 1e-6 are
     excluded and the remaining weights renormalized.
     """
+    import numpy as np
+
     gamma = np.asarray(gamma_all, dtype=np.float64)
     mask = np.asarray(anchor_mask, dtype=bool)
     u = np.asarray(uncertainties, dtype=np.float64)

@@ -9,6 +9,10 @@ relative margin. A hard k-means path exists for ablation comparisons.
 Everything here is deterministic given the data and the seed argument:
 k-means++ draws come from a seeded generator, restarts use spawned child
 seeds, and all reductions run through fixed-order numpy sums.
+
+numpy is imported inside the functions that compute with it, so importing
+this module (for ClusteringConfig or NumericalError) does not load it; the
+first reduction or fit does.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _EMPTY_COMPONENT_MASS = 1e-10
 N_INIT = 3  # EM restarts per K >= 2, best final log-likelihood kept
@@ -32,6 +38,7 @@ def _load_trtrs():
     takes about 0.09 s and loads scipy's own OpenBLAS, which runs that fit
     no mixture do not need.
     """
+    import numpy as np
     from scipy.linalg import get_lapack_funcs
 
     (trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1), dtype=np.float64),))
@@ -106,6 +113,8 @@ def reduce_embeddings(data: np.ndarray, target_dim: int) -> np.ndarray:
     direction has its largest-magnitude loading made positive so the
     projection is sign-deterministic.
     """
+    import numpy as np
+
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     centered = data - data.mean(axis=0)
@@ -129,6 +138,8 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     center. If every remaining distance is zero (duplicate points), the
     draw falls back to uniform.
     """
+    import numpy as np
+
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if k > n:
@@ -159,6 +170,8 @@ def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     responsibilities inherit its layout, and the M-step's sums over points
     run in a single restart's order only on that layout.
     """
+    import numpy as np
+
     n_restarts, k, n, dim = devs.shape
     try:
         chol = np.linalg.cholesky(covariances)
@@ -194,6 +207,8 @@ def _stacked_e_step(
     log_prob: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Responsibilities (A, N, K), log-likelihoods and point log-likelihoods."""
+    import numpy as np
+
     weighted = log_prob + np.log(weights)[:, None, :]
     # Row-wise log-sum-exp with scipy.special.logsumexp's arithmetic: the
     # row maxima leave the sum and come back through log1p and the log of
@@ -216,6 +231,8 @@ def _stacked_m_step(
     data: np.ndarray, gamma: np.ndarray, point_ll: np.ndarray, cov_reg: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights, means, covariances and the devs of the new means, per restart."""
+    import numpy as np
+
     n, dim = data.shape
     mass = gamma.sum(axis=1)
     dead = mass < _EMPTY_COMPONENT_MASS
@@ -269,6 +286,8 @@ def _fit_restarts(
     leaves the batch once it converges, so each fit is bit-identical to
     running that restart alone.
     """
+    import numpy as np
+
     n, dim = data.shape
     base_cov = np.cov(data.T, ddof=0).reshape(dim, dim) + config.cov_reg * np.eye(dim)
     means = np.stack([kmeanspp_init(data, k, seed) for seed in seeds])
@@ -320,6 +339,8 @@ def _fit_restarts(
 
 
 def _finite_points(data) -> np.ndarray:
+    import numpy as np
+
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
         raise NumericalError("data contains a non-finite value")
@@ -327,6 +348,8 @@ def _finite_points(data) -> np.ndarray:
 
 
 def _fit_k1(data: np.ndarray, cov_reg: float) -> GmmFit:
+    import numpy as np
+
     n, dim = data.shape
     mean = data.mean(axis=0)
     dev = data - mean
@@ -356,6 +379,8 @@ def fit_gmm(data: np.ndarray, k: int, config: ClusteringConfig, seed: int = 0) -
     mean per-point log-likelihood gain drops below em_tol, or after
     EM_MAX_ITER iterations. K=1 is closed form.
     """
+    import numpy as np
+
     data = _finite_points(data)
     n = data.shape[0]
     if k > n:
@@ -425,6 +450,8 @@ def kmeans_hard(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     cluster is relocated to the point currently farthest from its
     assigned center.
     """
+    import numpy as np
+
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if k > n:

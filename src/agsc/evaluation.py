@@ -18,13 +18,14 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .config import VARIANTS, MethodVariant, PipelineConfig  # noqa: F401 (re-exported)
 from .corpus import SampleSet
 from .pipeline import PromptFailure, PromptReport, ProviderBundle, run_many
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +45,8 @@ def apply_variant(config: PipelineConfig, name: str) -> PipelineConfig:
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank span."""
+    import numpy as np
+
     x = np.asarray(values, dtype=np.float64)
     order = np.argsort(x, kind="stable")
     ranks = np.empty(len(x), dtype=np.float64)
@@ -60,6 +63,8 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation; constant or non-finite input is an error."""
+    import numpy as np
+
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:

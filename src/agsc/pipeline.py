@@ -29,9 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .aggregation import (
     MODE_LITERAL,
@@ -74,6 +72,9 @@ from .providers import (
 from .providers.base import computing, map_in_pool, taking_turn, waiting, waiting_on
 from .routing import DECOMPOSE, apply_granularity, route_sentences
 from .scoring import ReferenceSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -397,19 +398,22 @@ def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
     texts = [u.text for u in units] + [s.text for sents in ref_sentences for s in sents]
     vectors = meter.embed_batch(texts)
     seed = prompt_seed(config.seed, sample.prompt_id)
-    with computing():
+    with computing(), meter.stage("cluster"):
+        # The first clustering of a process imports numpy here and scipy in
+        # select_k, so this prompt's t_cluster_ms carries both imports.
         data = _embedding_matrix(vectors, len(texts))
-        with meter.stage("cluster"):
-            reduced = reduce_embeddings(data, config.clustering.target_dim)
-            selection = select_k(reduced, config.clustering, seed)
-            k = selection.fit.params.n_components
-            if method.clustering_mode == CLUSTER_KMEANS:
-                return kmeans_hard(reduced, k, seed), k
-            return selection.fit.responsibilities, k
+        reduced = reduce_embeddings(data, config.clustering.target_dim)
+        selection = select_k(reduced, config.clustering, seed)
+        k = selection.fit.params.n_components
+        if method.clustering_mode == CLUSTER_KMEANS:
+            return kmeans_hard(reduced, k, seed), k
+        return selection.fit.responsibilities, k
 
 
 def _embedding_matrix(vectors, n_texts: int) -> np.ndarray:
     """The embedder's answer as an (n_texts, dim) array, or ProtocolError."""
+    import numpy as np
+
     if len(vectors) != n_texts:
         raise ProtocolError(
             f"embedding provider returned {len(vectors)} vectors for {n_texts} texts"

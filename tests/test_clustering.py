@@ -33,6 +33,7 @@ from agsc.clustering import (
     reduce_embeddings,
     select_k,
 )
+from agsc.config import CLUSTER_NONE, VARIANTS
 
 CFG = ClusteringConfig()
 
@@ -579,46 +580,73 @@ def _python(code: str, **env_extra) -> str:
     return done.stdout.strip()
 
 
+def _corpus_run(variant: str, report_dir: Path, workers: int = 0, prompts: int = 1) -> str:
+    """Code that scores a small corpus with `variant`, importing no numpy itself."""
+    return (
+        "import dataclasses, os, sys\n"
+        "from agsc import SampleSet, apply_variant, default_config\n"
+        "from agsc.pipeline import build_providers, run_corpus\n"
+        f"config = apply_variant(default_config(), {variant!r})\n"
+        f"config = dataclasses.replace(config, report_dir={str(report_dir)!r}, workers={workers})\n"
+        "text = ' '.join(f'The river detail {j} is plain here.' for j in range(8))\n"
+        f"samples = [SampleSet(f'p{{i}}', 'Tell me.', (text,) * 4) for i in range({prompts})]\n"
+        "providers = build_providers(config)\n"
+        "reports, _ = run_corpus(samples, config, providers)\n"
+        "providers.close()\n"
+    )
+
+
+# Variants whose runs fit no mixture, so load neither numpy nor scipy.
+_CLUSTER_FREE = ("luq_sentence", "luq_atomic", "ablate_no_cluster")
+
+
 class TestBlasPin:
     @pytest.mark.skipif(
         not Path("/proc/self/task").exists(), reason="needs /proc/self/task"
     )
-    def test_clustering_runs_on_one_os_thread(self):
-        code = (
-            "import os, agsc, numpy as np\n"
-            "from agsc.clustering import ClusteringConfig, reduce_embeddings, select_k\n"
-            "data = np.random.default_rng(0).normal(size=(64, 64))\n"
-            "select_k(reduce_embeddings(data, 32), ClusteringConfig())\n"
-            "print(len(os.listdir('/proc/self/task')))\n"
-        )
-        assert _python(code) == "1"
+    @pytest.mark.parametrize("numpy_loaded_by", ["host", "library"])
+    def test_clustering_runs_on_one_os_thread(self, tmp_path, numpy_loaded_by):
+        if numpy_loaded_by == "host":
+            code = (
+                "import os, agsc, numpy as np\n"
+                "from agsc.clustering import ClusteringConfig, reduce_embeddings, select_k\n"
+                "data = np.random.default_rng(0).normal(size=(64, 64))\n"
+                "select_k(reduce_embeddings(data, 32), ClusteringConfig())\n"
+                "print(len(os.listdir('/proc/self/task')))\n"
+            )
+            assert _python(code) == "1"
+        else:
+            # The first fit, and with it the numpy import, runs in a prompt
+            # thread; the pin set by `import agsc` must still reach it.
+            code = _corpus_run("agsc", tmp_path, workers=4, prompts=8) + (
+                "print(len(reports), 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+            )
+            assert _python(code) == "8 True 1"
 
     def test_user_setting_wins(self):
         code = "import os, agsc; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert _python(code, OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_scipy_special_not_imported(self):
-        # Neither scipy nor requests: the first mixture fit and the first
-        # HTTP client import them.
+        # Neither numpy, scipy nor requests: the first reduction or mixture
+        # fit imports the first two, the first HTTP client the third.
         code = (
-            "import sys, agsc, agsc.pipeline, agsc.cli\n"
-            "print([m for m in ('scipy', 'requests') if m in sys.modules])\n"
+            "import sys, agsc, agsc.pipeline, agsc.clustering, agsc.aggregation,"
+            " agsc.evaluation, agsc.cli\n"
+            "print([m for m in ('numpy', 'scipy', 'requests') if m in sys.modules])\n"
         )
         assert _python(code) == "[]"
 
-    @pytest.mark.parametrize("variant, clusters", [("luq_sentence", False), ("agsc", True)])
+    @pytest.mark.parametrize(
+        "variant, clusters",
+        [*((v, False) for v in _CLUSTER_FREE), ("agsc", True), ("ablate_kmeans", True)],
+    )
     def test_scipy_loads_only_for_a_run_that_clusters(self, tmp_path, variant, clusters):
-        code = (
-            "import dataclasses, sys\n"
-            "from agsc import SampleSet, apply_variant, default_config\n"
-            "from agsc.pipeline import build_providers, run_corpus\n"
-            f"config = apply_variant(default_config(), {variant!r})\n"
-            f"config = dataclasses.replace(config, report_dir={str(tmp_path)!r})\n"
-            "text = ' '.join(f'The river detail {j} is plain here.' for j in range(8))\n"
-            "samples = [SampleSet('p0', 'Tell me.', (text,) * 4)]\n"
-            "providers = build_providers(config)\n"
-            "reports, _ = run_corpus(samples, config, providers)\n"
-            "providers.close()\n"
-            "print(len(reports), 'scipy' in sys.modules)\n"
+        code = _corpus_run(variant, tmp_path) + (
+            "print(len(reports), 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
         )
-        assert _python(code) == f"1 {clusters}"
+        assert _python(code) == f"1 {clusters} {clusters}"
+
+    def test_every_cluster_free_variant_is_checked(self):
+        free = {name for name, row in VARIANTS.items() if row.clustering_mode == CLUSTER_NONE}
+        assert free == set(_CLUSTER_FREE)
