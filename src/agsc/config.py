@@ -36,8 +36,10 @@ CLUSTER_NONE = "none"
 TIMING_WALL = "wall"
 TIMING_OFF = "off"
 
-# Prompts in flight when `workers = 0`: enough that the turn stays busy
-# while the others wait on providers (README "Concurrency").
+# The most prompts in flight when `workers = 0`: enough that the turn
+# stays busy while the others wait on providers. A run starts prompt
+# threads only as its prompts wait, so it reaches this bound only when
+# they do (README "Concurrency").
 DEFAULT_WORKERS = 24
 
 
@@ -110,7 +112,7 @@ class PipelineConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     variant: str = "agsc"
     seed: int = 0
-    workers: int = 0  # prompts in flight; 0 = DEFAULT_WORKERS on any host
+    workers: int = 0  # most prompts in flight; 0 = DEFAULT_WORKERS on any host
     timing: str = TIMING_WALL
     cache_dir: str = ""
     report_dir: str = "reports"  # set from `agsc score --out`; no config key

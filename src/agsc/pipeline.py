@@ -25,7 +25,6 @@ import operator
 import threading
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -571,17 +570,24 @@ def run_many(
     config: PipelineConfig,
     providers: ProviderBundle,
 ) -> list[PromptReport | PromptFailure]:
-    """Score prompts over a bounded worker pool, preserving dataset order.
+    """Score prompts with up to `workers` in flight, preserving dataset order.
 
     With more than one worker, the prompts share one turn: a prompt's
     thread computes only while it holds the turn and gives it up while it
     waits on a provider, so provider waits overlap and computation stays
     serial (Python threads would only contend for the interpreter lock).
+    Each prompt thread takes sample after sample from one queue, and the
+    run starts another only when it finds the turn free, that is, when
+    every running prompt waits on a provider. A run whose prompts never
+    wait, such as a rerun over a warm cache, scores on one thread; one
+    that waits grows to `workers` prompts in flight.
 
     A prompt that fails with a provider, pipeline or numerical error
     becomes a PromptFailure; the other prompts still run. Any other error
-    ends the run: it is raised once the running prompts finish, and the
-    prompts not yet started never start.
+    ends the run: no prompt starts after it, and once the running prompts
+    finish, the error of the earliest failed sample is raised. An
+    interrupt that reaches the caller while it waits ends the run the same
+    way. Every prompt thread has finished when run_many returns or raises.
     """
 
     def one(sample: SampleSet):
@@ -595,20 +601,47 @@ def run_many(
     if workers <= 1:
         return [one(s) for s in samples]
     turn = threading.Lock()
-    raised = threading.Event()  # a prompt raised: the run is lost
+    results: list = [None] * len(samples)
+    errors: list[tuple[int, BaseException]] = []
+    # The queue is samples[next_index:], read and advanced under the turn.
+    next_index = 0
+    stop = False  # a prompt raised or the caller was interrupted
 
-    def one_in_turn(sample: SampleSet):
+    def prompt_thread(in_turn: threading.Event):
+        nonlocal next_index, stop
         with taking_turn(turn):
-            if raised.is_set():  # never returned: list() below raises
-                return None
-            try:
-                return one(sample)
-            except BaseException:
-                raised.set()
-                raise
+            in_turn.set()
+            while not stop and next_index < len(samples):
+                i, next_index = next_index, next_index + 1
+                try:
+                    results[i] = one(samples[i])
+                except BaseException as e:
+                    errors.append((i, e))
+                    stop = True
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_in_turn, samples))
+    threads: list[threading.Thread] = []
+    try:
+        while len(threads) < workers:
+            with turn:  # free only while every running prompt waits
+                if stop or next_index == len(samples):
+                    break
+            in_turn = threading.Event()
+            threads.append(threading.Thread(target=prompt_thread, args=(in_turn,)))
+            threads[-1].start()
+            # Until the new thread holds the turn, the turn would look free
+            # again and start another thread for the same idle moment.
+            in_turn.wait()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop = True
+        for thread in threads:
+            if thread.is_alive():  # one interrupted in start() may never run
+                thread.join()
+        raise
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
 
 
 def _sum_timing(reports: Sequence[PromptReport]) -> TimingBreakdown:

@@ -130,7 +130,10 @@ class DecomposerProvider(Protocol):
 # compute only while it holds the run's turn (a lock), and give the turn
 # up only while it waits on a provider. The turn a thread has, if any, is
 # thread-local, so code between the pipeline and a provider (a cache) can
-# give it up or take it back without being handed it.
+# give it up or take it back without being handed it. A free turn means
+# that no prompt computes; a corpus run (pipeline.run_many) starts its
+# next prompt thread only then, so prompts that never wait share one
+# thread.
 
 
 class _TurnState(threading.local):

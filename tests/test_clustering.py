@@ -618,8 +618,18 @@ class TestBlasPin:
         else:
             # The first fit, and with it the numpy import, runs in a prompt
             # thread; the pin set by `import agsc` must still reach it.
+            # Any extra thread is named, so a failure says which threads ran.
             code = _corpus_run("agsc", tmp_path, workers=4, prompts=8) + (
-                "print(len(reports), 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+                "tasks = os.listdir('/proc/self/task')\n"
+                "print(len(reports), 'numpy' in sys.modules, len(tasks))\n"
+                "def comm(task):\n"
+                "    try:\n"
+                "        with open(f'/proc/self/task/{task}/comm') as f:\n"
+                "            return f.read().strip()\n"
+                "    except OSError:\n"
+                "        return '(exited)'\n"
+                "if len(tasks) != 1:\n"
+                "    print([comm(task) for task in tasks])\n"
             )
             assert _python(code) == "8 True 1"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import sys
 import threading
 import time
@@ -727,6 +728,145 @@ class TestTurn:
         results = run_many(self._samples(4, self.THREE_THETA), config, providers)
         assert all(isinstance(r, PromptReport) for r in results)
         assert threading.active_count() == before
+
+    def test_a_warm_run_scores_on_one_thread(self, base_config, tmp_path, monkeypatch):
+        # Every lookup hits, so no prompt ever gives the turn up and the
+        # run has no reason to start a second prompt thread.
+        config = dataclasses.replace(
+            apply_variant(base_config, "luq_sentence"),
+            workers=24,
+            cache_dir=str(tmp_path / "cache"),
+            report_dir=str(tmp_path / "out"),
+        )
+        samples = self._samples(30)
+        bundle = build_providers(config)
+        try:
+            run_corpus(samples, config, bundle)
+        finally:
+            bundle.close()
+        nli_cache = tmp_path / "cache" / "nli.jsonl"
+        warmed = nli_cache.read_bytes()
+
+        threads, peak = set(), [0]
+        real_run_prompt = agsc.pipeline.run_prompt
+
+        def spying_run_prompt(sample, config, providers):
+            threads.add(threading.get_ident())
+            peak[0] = max(peak[0], threading.active_count())
+            return real_run_prompt(sample, config, providers)
+
+        real_taking_turn = agsc.pipeline.taking_turn
+
+        def slow_taking_turn(lock):
+            # A new thread slow to take the turn must not leave the run
+            # seeing it free and starting another thread meanwhile.
+            time.sleep(0.02)
+            return real_taking_turn(lock)
+
+        monkeypatch.setattr(agsc.pipeline, "run_prompt", spying_run_prompt)
+        monkeypatch.setattr(agsc.pipeline, "taking_turn", slow_taking_turn)
+        before = threading.active_count()
+        bundle = build_providers(config)
+        try:
+            _, summary = run_corpus(samples, config, bundle)
+        finally:
+            bundle.close()
+        assert summary.n_failed == 0
+        assert nli_cache.read_bytes() == warmed  # no miss: nothing was stored
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+        assert peak[0] == before + 1
+
+    def test_waiting_prompts_reach_workers_in_flight_and_no_more(
+        self, agsc_config, monkeypatch
+    ):
+        # Each prompt's first NLI call waits until four prompts wait at
+        # once, so the run completes only if it keeps 4 prompts in flight.
+        barrier = threading.Barrier(4, timeout=5.0)
+        prompt = threading.local()
+        in_flight = Overlap()
+        real_run_prompt = agsc.pipeline.run_prompt
+
+        def spying_run_prompt(sample, config, providers):
+            with in_flight.inside():
+                prompt.first_call = True
+                return real_run_prompt(sample, config, providers)
+
+        class GatheringNli:
+            inner = ScriptedNliProvider(default=marker_nli_rule)
+
+            def nli_batch(self, pairs):
+                # Fact batches run in a helper thread, where first_call is unset.
+                if getattr(prompt, "first_call", False):
+                    prompt.first_call = False
+                    barrier.wait()
+                return self.inner.nli_batch(pairs)
+
+        monkeypatch.setattr(agsc.pipeline, "run_prompt", spying_run_prompt)
+        providers = marker_providers()
+        providers.nli = GatheringNli()
+        config = dataclasses.replace(agsc_config, workers=4)
+        results = run_many(self._samples(8), config, providers)
+        assert all(isinstance(r, PromptReport) for r in results)
+        assert in_flight.peak == 4
+
+    # The signal comes from prompt t2's NLI call, while the run is still
+    # starting prompts, or from its embedding call, once all four run.
+    @pytest.mark.parametrize("call", ["nli_batch", "embed_batch"])
+    def test_an_interrupt_lets_the_running_prompts_finish(
+        self, agsc_config, tmp_path, monkeypatch, call
+    ):
+        events, lock, prompt = [], threading.Lock(), threading.local()
+        real_run_prompt = agsc.pipeline.run_prompt
+
+        def spying_run_prompt(sample, config, providers):
+            with lock:
+                events.append(("start", sample.prompt_id))
+            prompt.id = sample.prompt_id
+            report = real_run_prompt(sample, config, providers)
+            with lock:
+                events.append(("end", sample.prompt_id))
+            return report
+
+        def slowly(name, inner_call, items):
+            with lock:
+                interrupt = (
+                    name == call
+                    and getattr(prompt, "id", None) == "t2"
+                    and ("signal", "t2") not in events
+                )
+                if interrupt:
+                    events.append(("signal", "t2"))
+            if interrupt:
+                os.kill(os.getpid(), signal.SIGINT)
+            # Every call waits, so prompts are in flight when the signal lands.
+            time.sleep(0.05)
+            return inner_call(items)
+
+        class Interrupting:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def nli_batch(self, pairs):
+                return slowly("nli_batch", self.inner.nli_batch, pairs)
+
+            def embed_batch(self, texts):
+                return slowly("embed_batch", self.inner.embed_batch, texts)
+
+        monkeypatch.setattr(agsc.pipeline, "run_prompt", spying_run_prompt)
+        providers = marker_providers()
+        providers.nli = Interrupting(providers.nli)
+        providers.embedder = Interrupting(providers.embedder)
+        config = dataclasses.replace(agsc_config, workers=4, report_dir=str(tmp_path))
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_corpus(self._samples(8, ("alpha", "omega", "zeta")), config, providers)
+        assert threading.active_count() == before, threading.enumerate()
+        signalled = events.index(("signal", "t2"))
+        started = [p for kind, p in events if kind == "start"]
+        assert [e for e in events[signalled:] if e[0] == "start"] == [], events
+        # Every prompt that started had finished when run_corpus raised.
+        assert sorted(p for kind, p in events if kind == "end") == sorted(started), events
 
 
 class _FactNli:
