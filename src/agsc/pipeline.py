@@ -8,10 +8,11 @@ overlaps the embed and cluster times; with timing disabled all durations
 are zero and reports become byte-reproducible given the same seed,
 config, and providers.
 
-Corpus runs fan prompts out over a bounded worker pool (one prompt
-computes at a time while the others wait on providers), write one report
-line per prompt (mirroring the ingestion schema plus result fields, so
-report files can be re-ingested), and collect failures without stopping.
+Corpus runs keep up to `workers` prompts in flight (one prompt computes
+at a time while the others wait on providers; see share_turn), write one
+report line per prompt (mirroring the ingestion schema plus result
+fields, so report files can be re-ingested), and collect failures
+without stopping.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .providers import (
     ResponseCache,
     RuleBasedDecomposer,
 )
-from .providers.base import computing, map_in_pool, taking_turn, waiting, waiting_on
+from .providers.base import share_turn, turn_waits, waiting_on
 from .routing import DECOMPOSE, apply_granularity, route_sentences
 from .scoring import ReferenceSet
 
@@ -87,10 +88,10 @@ class TimingBreakdown:
     """Per-stage durations (ms) and logical workload counts.
 
     Counts reflect requested work, not network traffic, so a warm cache
-    changes wall time but never the recorded counts. The stages need not
-    add up to t_total_ms: a prompt's facts are scored while its units are
-    embedded and clustered, so t_nli_ms overlaps t_embed_ms and
-    t_cluster_ms.
+    changes wall time but never the recorded counts. A stage never
+    includes its own thread's waits to take the turn; t_total_ms does. The
+    stages need not add up to t_total_ms either: a prompt's facts are
+    scored while its units are embedded and clustered.
     """
 
     t_nli_ms: float = 0.0
@@ -197,23 +198,16 @@ class _Meter:
 
     @contextmanager
     def stage(self, name: str):
-        """Bill the block's wall time to `name`."""
+        """Bill the block's wall time, less this thread's turn waits, to `name`."""
         if not self.timed:
             yield
             return
-        t0 = time.perf_counter()
+        t0, waited = time.perf_counter(), turn_waits()
         try:
             yield
         finally:
-            elapsed = (time.perf_counter() - t0) * 1000.0
+            elapsed = (time.perf_counter() - t0 - (turn_waits() - waited)) * 1000.0
             self.stage_ms[name] = self.stage_ms.get(name, 0.0) + elapsed
-
-    # Each call gives up the thread's turn while the provider works. The
-    # stage is entered after the turn is given up and left before it is
-    # taken back, so a stage time never includes waiting for another
-    # prompt's computation. A cache wrapper keeps the turn for its lookups
-    # and stores, so there the stage also covers them and the wait to take
-    # the turn back after fetching misses.
 
     def nli_batch(self, pairs):
         self.nli_pairs += len(pairs)
@@ -228,16 +222,13 @@ class _Meter:
             return embedder.embed_batch(texts)
 
     def decompose_all(self, sentences: Sequence[str], prompt_context: str):
-        """The prompt's decomposition round (ResilientDecomposer.decompose_all).
-
-        The turn is given up once for the whole round, its calls and
-        their fallbacks included, and the round's wall time is billed once
-        to the atom stage. With no sentences there is no round, and the
-        turn is kept.
+        """The prompt's decomposition round (ResilientDecomposer.decompose_all),
+        billed once to the atom stage, its calls and their fallbacks
+        included. With no sentences there is no round.
         """
         if not sentences:
             return []
-        with waiting(), self.stage("atom"):
+        with self.stage("atom"):
             return self._decomposer.decompose_all(sentences, prompt_context)
 
 
@@ -317,26 +308,15 @@ def run_prompt(
         sample.prompt,
     )
 
-    def score():
-        # map_in_pool gives the turn up; the facts' scores still need it.
-        with computing():
-            return apply_granularity(routing, refset)
-
     units = routing.units
-    cluster = None
+    # Clustering needs only the units' texts, so the units are embedded and
+    # clustered while the facts are scored, once the fact scoring waits.
+    branches = [functools.partial(apply_granularity, routing, refset)]
     if units and method.clustering_mode != CLUSTER_NONE:
-        cluster = functools.partial(
-            _embed_and_cluster,
-            sample, config, method, meter, units, ref_sentences,
-        )
-    # Clustering needs only the units' texts, so the facts are scored while
-    # the units are embedded and clustered. Without facts, or without
-    # clustering, there is nothing to overlap.
-    if cluster and routing.facts:
-        routed, clustered = map_in_pool(lambda branch: branch(), [score, cluster], 2)
-    else:
-        routed = score()
-        clustered = cluster() if cluster else None
+        branches.append(functools.partial(
+            _embed_and_cluster, sample, config, method, meter, units, ref_sentences
+        ))
+    routed, *clustered = share_turn(lambda branch: branch(), branches, 2)
 
     unit_us = [u for d in routed.decisions for u in d.unit_uncertainties]
     memberships: list[tuple[float, ...]] = [() for _ in units]
@@ -345,10 +325,10 @@ def run_prompt(
 
     if not units:
         final = all_skip_fallback(routed.sentence_uncertainties)
-    elif clustered is None:
+    elif not clustered:
         final = aggregate_uniform(unit_us)
     else:
-        gamma, selected_k = clustered
+        gamma, selected_k = clustered[0]
         final, summaries, memberships = _aggregate(
             method, unit_us, routed.sentence_uncertainties, gamma
         )
@@ -391,13 +371,11 @@ def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
     """Embed the prompt's units and reference sentences and cluster them.
 
     Returns the responsibilities (anchor units first, in order) and K.
-    The computation holds the turn, which matters when this runs in a
-    helper thread while the prompt's thread scores the facts.
     """
     texts = [u.text for u in units] + [s.text for sents in ref_sentences for s in sents]
     vectors = meter.embed_batch(texts)
     seed = prompt_seed(config.seed, sample.prompt_id)
-    with computing(), meter.stage("cluster"):
+    with meter.stage("cluster"):
         # The first clustering of a process imports numpy here and scipy in
         # select_k, so this prompt's t_cluster_ms carries both imports.
         data = _embedding_matrix(vectors, len(texts))
@@ -572,22 +550,14 @@ def run_many(
 ) -> list[PromptReport | PromptFailure]:
     """Score prompts with up to `workers` in flight, preserving dataset order.
 
-    With more than one worker, the prompts share one turn: a prompt's
-    thread computes only while it holds the turn and gives it up while it
-    waits on a provider, so provider waits overlap and computation stays
-    serial (Python threads would only contend for the interpreter lock).
-    Each prompt thread takes sample after sample from one queue, and the
-    run starts another only when it finds the turn free, that is, when
-    every running prompt waits on a provider. A run whose prompts never
-    wait, such as a rerun over a warm cache, scores on one thread; one
-    that waits grows to `workers` prompts in flight.
-
-    A prompt that fails with a provider, pipeline or numerical error
-    becomes a PromptFailure; the other prompts still run. Any other error
-    ends the run: no prompt starts after it, and once the running prompts
-    finish, the error of the earliest failed sample is raised. An
-    interrupt that reaches the caller while it waits ends the run the same
-    way. Every prompt thread has finished when run_many returns or raises.
+    The prompts share one turn (share_turn): the caller starts one prompt
+    thread, and another whenever a prompt is about to wait; each takes
+    sample after sample, so a warm rerun scores on one thread. A prompt
+    that fails with a provider, pipeline or numerical error becomes a
+    PromptFailure; the others still run. Any other error, or an interrupt
+    that reaches the caller, ends the run: no prompt starts after it, and
+    once the running prompts finish, it (of the prompts' errors, the
+    earliest sample's) is raised.
     """
 
     def one(sample: SampleSet):
@@ -597,51 +567,7 @@ def run_many(
             logger.warning("prompt %s failed: %s", sample.prompt_id, e)
             return PromptFailure(prompt_id=sample.prompt_id, error=str(e))
 
-    workers = min(config.effective_workers(), max(len(samples), 1))
-    if workers <= 1:
-        return [one(s) for s in samples]
-    turn = threading.Lock()
-    results: list = [None] * len(samples)
-    errors: list[tuple[int, BaseException]] = []
-    # The queue is samples[next_index:], read and advanced under the turn.
-    next_index = 0
-    stop = False  # a prompt raised or the caller was interrupted
-
-    def prompt_thread(in_turn: threading.Event):
-        nonlocal next_index, stop
-        with taking_turn(turn):
-            in_turn.set()
-            while not stop and next_index < len(samples):
-                i, next_index = next_index, next_index + 1
-                try:
-                    results[i] = one(samples[i])
-                except BaseException as e:
-                    errors.append((i, e))
-                    stop = True
-
-    threads: list[threading.Thread] = []
-    try:
-        while len(threads) < workers:
-            with turn:  # free only while every running prompt waits
-                if stop or next_index == len(samples):
-                    break
-            in_turn = threading.Event()
-            threads.append(threading.Thread(target=prompt_thread, args=(in_turn,)))
-            threads[-1].start()
-            # Until the new thread holds the turn, the turn would look free
-            # again and start another thread for the same idle moment.
-            in_turn.wait()
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop = True
-        for thread in threads:
-            if thread.is_alive():  # one interrupted in start() may never run
-                thread.join()
-        raise
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return results
+    return share_turn(one, samples, config.effective_workers(), turn=threading.Lock())
 
 
 def _sum_timing(reports: Sequence[PromptReport]) -> TimingBreakdown:

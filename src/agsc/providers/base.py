@@ -12,8 +12,9 @@ provider waits while only one of them computes at a time.
 from __future__ import annotations
 
 import math
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
@@ -130,22 +131,27 @@ class DecomposerProvider(Protocol):
 # compute only while it holds the run's turn (a lock), and give the turn
 # up only while it waits on a provider. The turn a thread has, if any, is
 # thread-local, so code between the pipeline and a provider (a cache) can
-# give it up or take it back without being handed it. A free turn means
-# that no prompt computes; a corpus run (pipeline.run_many) starts its
-# next prompt thread only then, so prompts that never wait share one
-# thread.
+# give it up or take it back without being handed it. Threads start only
+# as work is about to wait (share_turn).
 
 
 class _TurnState(threading.local):
     lock: threading.Lock | None = None
     held = False
+    group: _Group | None = None  # the innermost share_turn this thread runs items of
+    waited = 0.0  # seconds spent taking the turn
 
 
 _turn = _TurnState()
 
 
+def turn_waits() -> float:
+    """Seconds this thread has waited so far to take its turn."""
+    return _turn.waited
+
+
 @contextmanager
-def taking_turn(lock: threading.Lock):
+def taking_turn(lock: threading.Lock | None):
     """Hold `lock` as this thread's turn for the block.
 
     Inside, waiting() gives the turn up and computing() takes it back.
@@ -158,49 +164,134 @@ def taking_turn(lock: threading.Lock):
         _turn.lock = None
 
 
-def map_in_pool(fn, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items], at most `workers` (>= 2) at once.
+class _Group:
+    """One share_turn call: its items, their results and the threads it started."""
 
-    The caller gives its turn up, runs the first item itself and waits for
-    a short-lived pool of workers - 1 threads to run the rest. Every one
-    of these threads shares the caller's turn without holding it: inside
-    fn, computing() takes the shared turn, so they compute one at a time
-    with the other threads. A caller that kept its turn would deadlock a
-    pool thread that takes the turn in computing(), as a cache lookup
-    does. An error of the first item wins over the others' errors.
-    """
-    lock = _turn.lock
+    def __init__(self, fn, items: Sequence, workers: int, turn: threading.Lock | None):
+        self.fn, self.items, self.parent = fn, items, _turn.group
+        self.lock, self.max_threads = (turn, workers) if turn else (_turn.lock, workers - 1)
+        self.asks = queue.SimpleQueue() if turn else None
+        self.results: list = [None] * len(items)
+        self.errors: list[tuple[int, BaseException]] = []
+        self.threads: list[threading.Thread] = []
+        self.next, self.stopped, self.mutex = 0, False, threading.Lock()
 
-    def joined(item):
-        _turn.lock, _turn.held = lock, False
+    def run(self) -> None:
+        """Run pending items until none is left; an error stops the rest."""
+        while True:
+            with self.mutex:
+                if self.stopped or self.next == len(self.items):
+                    return
+                i, self.next = self.next, self.next + 1
+            try:
+                self.results[i] = self.fn(self.items[i])
+            except BaseException as e:
+                self.errors.append((i, e))
+                self.stopped = True
+
+    def start(self) -> bool:
+        """Start (or ask the caller to) a thread that takes the turn and runs
+        pending items, if any are pending and fewer than max_threads run."""
+        with self.mutex:
+            if self.stopped or self.next == len(self.items) or len(self.threads) >= self.max_threads:
+                return False
+            self.threads.append(threading.Thread(target=self._thread))
+            if self.asks:
+                self.asks.put(self.threads[-1])
+            else:
+                self.threads[-1].start()  # listed first: see join()
+            return True
+
+    def _thread(self) -> None:
+        _turn.group = self
         try:
-            return fn(item)
+            with taking_turn(self.lock):
+                self.run()
         finally:
-            _turn.lock = None
+            if self.asks:
+                self.asks.put(None)
 
-    with waiting(), ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        rest = pool.map(joined, items[1:])
-        return [fn(items[0]), *rest]
+    def serve(self) -> None:
+        """Start the first thread and then each one asked for, here, so that
+        none starts after an interrupt reaches the caller; return once all have ended."""
+        self.start()
+        live = 0
+        while live or not self.asks.empty():
+            thread = self.asks.get()
+            if thread is None:
+                live -= 1
+            elif not self.stopped:
+                thread.start()
+                live += 1
+
+    def join(self) -> None:
+        with waiting():
+            for thread in self.threads:  # also reaches threads appended meanwhile
+                if thread.is_alive():  # not if its start() was interrupted or skipped
+                    thread.join()
+
+
+def share_turn(fn, items: Sequence, workers: int, turn: threading.Lock | None = None) -> list:
+    """[fn(item) for item in items], running at most `workers` items at once.
+
+    The caller runs the items in order, under its turn if it has one. A
+    thread running an item that is about to give the turn up (waiting(),
+    even with no turn) first starts a thread for the next pending item of
+    the innermost share_turn that has one, which takes the turn in its
+    place and runs pending items until none is left. Given `turn`, a free
+    lock, the caller runs no item and starts each such thread itself. An
+    error stops further items from starting; once the started threads end,
+    the caller's error (an interrupt), else the earliest item's, is raised.
+    """
+    group = _Group(fn, items, workers, turn)
+    try:
+        if turn:
+            group.serve()
+        else:
+            _turn.group = group
+            group.run()
+    except BaseException:
+        group.stopped = True
+        raise
+    finally:
+        _turn.group = group.parent
+        if group.threads:
+            group.join()
+    if group.errors:
+        raise min(group.errors, key=lambda error: error[0])[1]
+    return group.results
 
 
 @contextmanager
 def _holding(want: bool):
     lock = _turn.lock
+    if not want and (lock is None or _turn.held):
+        group = _turn.group  # start a thread for the innermost pending item
+        while group and not group.start():
+            group = group.parent
     if lock is None or _turn.held == want:
         yield
         return
-    enter, leave = (lock.acquire, lock.release) if want else (lock.release, lock.acquire)
-    enter()
-    _turn.held = want
+    _hold(lock, want)
     try:
         yield
     finally:
-        leave()
-        _turn.held = not want
+        _hold(lock, not want)
+
+
+def _hold(lock: threading.Lock, take: bool) -> None:
+    if take:
+        t0 = time.perf_counter()
+        lock.acquire()
+        _turn.waited += time.perf_counter() - t0
+    else:
+        lock.release()
+    _turn.held = take
 
 
 def waiting():
-    """Give up this thread's turn for the block, if it holds one."""
+    """Give up this thread's turn for the block, if it holds one (see
+    share_turn for the thread this may start first)."""
     return _holding(False)
 
 

@@ -11,7 +11,7 @@ import logging
 import re
 from typing import Sequence
 
-from .base import DecomposerProvider, ProviderError, map_in_pool
+from .base import DecomposerProvider, ProviderError, share_turn, waiting_on
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +123,8 @@ class ResilientDecomposer:
         """The primary's facts, or the rule-based split if the primary
         fails or its answer is not one checked_facts accepts."""
         try:
-            answer = self._primary.decompose(sentence, prompt_context)
+            with waiting_on(self._primary):
+                answer = self._primary.decompose(sentence, prompt_context)
         except ProviderError as e:
             logger.warning("decomposer failed (%s); using rule-based fallback", e)
             return split_facts_rule_based(sentence), True
@@ -136,14 +137,8 @@ class ResilientDecomposer:
     def decompose_all(
         self, sentences: Sequence[str], prompt_context: str
     ) -> list[tuple[list[str], bool]]:
-        """decompose() for each sentence, results in sentence order.
-
-        With two or more sentences and max_in_flight above one, the calls
-        run together on a short-lived pool of at most max_in_flight
-        threads (map_in_pool); each call still falls back on its own.
-        Otherwise they run one after another in the caller's thread.
-        """
-        workers = min(self._max_in_flight, len(sentences))
-        if workers < 2:
-            return [self.decompose(s, prompt_context) for s in sentences]
-        return map_in_pool(lambda s: self.decompose(s, prompt_context), sentences, workers)
+        """decompose() for each sentence, in sentence order, at most
+        max_in_flight at once (share_turn); each falls back on its own."""
+        return share_turn(
+            lambda s: self.decompose(s, prompt_context), sentences, self._max_in_flight
+        )

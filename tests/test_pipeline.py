@@ -27,6 +27,7 @@ from conftest import (
 from agsc import SampleSet, default_config
 import agsc.corpus
 import agsc.pipeline
+import agsc.providers.base
 import agsc.scoring
 from agsc.config import PipelineConfig
 from agsc.corpus import segment_sentences
@@ -485,9 +486,9 @@ class TestTurn:
         assert cluster_overlap.peak == 1
 
     def test_fact_scores_are_computed_under_the_turn(self, agsc_config, monkeypatch):
-        # A prompt's facts are scored while its units are clustered, in
-        # map_in_pool, which gives the prompt's turn up; the scoring
-        # arithmetic must take it back like the clustering does.
+        # A prompt's facts are scored while its units are clustered, on
+        # two threads of the prompt's turn; the scoring arithmetic must
+        # hold the turn like the clustering does.
         spy_lock = threading.Lock()
         calls, unheld = [0], [0]
         entail = agsc.scoring.binary_entail
@@ -506,9 +507,9 @@ class TestTurn:
         assert calls[0] > 0
         assert unheld[0] == 0
 
-    # Three decompose-routed sentences per prompt: decompose_all's pool path.
+    # Three decompose-routed sentences per prompt: a round that may start threads.
     THREE_THETA = ("theta", "alpha", "theta", "zeta", "theta")
-    # One: decompose_all's inline path, in the prompt's own thread.
+    # One: a round run in the prompt's own thread.
     ONE_THETA = ("alpha", "theta", "omega", "zeta", "alpha")
 
     @staticmethod
@@ -560,11 +561,9 @@ class TestTurn:
             cached = CachedDecomposer(
                 providers.decomposer, ResponseCache(tmp_path / "decompose.jsonl")
             )
-            # The prompt gives its turn up for its decomposition round and
-            # the cache takes it back for its lookups, in a pool thread with
-            # three thetas and in the prompt's own thread with one. A prompt
-            # that kept its turn while pool threads look up the cache would
-            # deadlock here.
+            # Wrapped, each decomposer call gives the turn up and the cache
+            # takes it back for its lookups, in threads the round started
+            # with three thetas and in the prompt's own thread with one.
             providers.decomposer = CountingDecomposer(cached) if wrapped else cached
         samples = self._samples(6, kinds)
         config = dataclasses.replace(agsc_config, workers=4)
@@ -660,9 +659,16 @@ class TestTurn:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_turn_waits_are_not_billed_to_a_stage(self, agsc_config):
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+    def test_turn_waits_are_not_billed_to_a_stage(self, agsc_config, tmp_path, cached):
         providers = marker_providers()
         providers.decomposer = FixedLatencyDecomposer(providers.decomposer, latency_ms=20.0)
+        if cached:
+            # A fresh cache takes the turn for its lookup and back after
+            # the fetch, inside the atom stage.
+            providers.decomposer = CachedDecomposer(
+                providers.decomposer, ResponseCache(tmp_path / "decompose.jsonl")
+            )
         config = dataclasses.replace(agsc_config, workers=8, timing="wall")
         # A thread back from the provider needs the interpreter lock to stop
         # its stopwatch; a short switch interval keeps that wait out of the
@@ -673,6 +679,7 @@ class TestTurn:
             reports = run_many(self._samples(16), config, providers)
         finally:
             sys.setswitchinterval(interval)
+            providers.close()
         for r in reports:
             assert r.timing.decomposer_calls >= 1
             assert r.timing.t_atom_ms < r.timing.decomposer_calls * 20.0 + 15.0, r.timing
@@ -693,31 +700,70 @@ class TestTurn:
         assert report.timing.decomposer_calls == 1
         assert 20.0 <= report.timing.t_atom_ms < 20.0 + 15.0, report.timing
 
-    def test_no_round_keeps_the_turn(self, agsc_config, monkeypatch):
-        turn = threading.Lock()
-        gave_up, seen = [], []
-        real_waiting = agsc.pipeline.waiting
-
-        def recording_waiting():
-            gave_up.append(True)
-            return real_waiting()
-
-        class Stub:
-            def decompose_all(self, sentences, prompt_context):
-                seen.append(turn.locked())
-                return [([s], False) for s in sentences]
-
-        monkeypatch.setattr(agsc.pipeline, "waiting", recording_waiting)
+    def test_a_round_the_cache_answers_keeps_the_turn(
+        self, agsc_config, tmp_path, monkeypatch
+    ):
+        sentences = ["The theta one sat.", "A theta two ran.", "Theta three hid."]
+        cached = CachedDecomposer(
+            ScriptedDecomposerProvider(default=marker_decomposer_rule),
+            ResponseCache(tmp_path / "decompose.jsonl"),
+        )
+        providers = marker_providers()
+        providers.decomposer = cached
         config = dataclasses.replace(agsc_config, timing="wall")
-        meter = agsc.pipeline._Meter(marker_providers(), config)
-        meter._decomposer = Stub()
+        meter = agsc.pipeline._Meter(providers, config)
+        try:
+            cold = meter.decompose_all(sentences, "ctx")
+            held, started = [], []
+            get, start = ResponseCache.get, threading.Thread.start
+
+            def recording_get(self, key):
+                held.append(_turn.held)
+                return get(self, key)
+
+            def counting_start(thread):
+                started.append(thread)
+                start(thread)
+
+            monkeypatch.setattr(ResponseCache, "get", recording_get)
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            turn = threading.Lock()
+            with taking_turn(turn):
+                assert meter.decompose_all(sentences, "ctx") == cold
+                assert _turn.held
+        finally:
+            cached.close()
+        assert held == [True] * 3
+        assert started == []
+        assert list(meter.stage_ms) == ["atom"]
+
+    def test_a_plain_round_gives_the_turn_up_around_each_call(self, agsc_config):
+        turn = threading.Lock()
+        lock, seen = threading.Lock(), []
+
+        class Recording:
+            inner = ScriptedDecomposerProvider(default=marker_decomposer_rule)
+
+            def decompose(self, sentence, prompt_context):
+                with lock:
+                    seen.append((sentence, _turn.lock is turn, _turn.held))
+                return self.inner.decompose(sentence, prompt_context)
+
+        providers = marker_providers()
+        providers.decomposer = Recording()
+        config = dataclasses.replace(agsc_config, timing="wall")
+        meter = agsc.pipeline._Meter(providers, config)
+        sentences = ["The theta one sat.", "A theta two ran.", "Theta three hid."]
         with taking_turn(turn):
             assert meter.decompose_all([], "ctx") == []
-            assert (gave_up, seen, meter.stage_ms) == ([], [], {})
-            assert meter.decompose_all(["s"], "ctx") == [(["s"], False)]
-            assert turn.locked()
-        # A round gives the turn up once and is billed to the atom stage.
-        assert (gave_up, seen, list(meter.stage_ms)) == ([True], [False], ["atom"])
+            assert (seen, meter.stage_ms) == ([], {})
+            facts = meter.decompose_all(sentences, "ctx")
+            assert _turn.held
+        assert [f for f, _ in facts] == [marker_decomposer_rule(s, "ctx") for s in sentences]
+        # Each call, in the prompt's thread or one the round started, has the
+        # prompt's turn and does not hold it.
+        assert sorted(seen) == [(s, True, False) for s in sorted(sentences)]
+        assert list(meter.stage_ms) == ["atom"]
 
     @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_no_thread_outlives_the_run(self, agsc_config, workers):
@@ -729,16 +775,18 @@ class TestTurn:
         assert all(isinstance(r, PromptReport) for r in results)
         assert threading.active_count() == before
 
-    def test_a_warm_run_scores_on_one_thread(self, base_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("variant", ["luq_sentence", "agsc"])
+    def test_a_warm_run_scores_on_one_thread(self, base_config, tmp_path, monkeypatch, variant):
         # Every lookup hits, so no prompt ever gives the turn up and the
-        # run has no reason to start a second prompt thread.
+        # run has no reason to start a second prompt thread. Under agsc the
+        # theta sentences make decomposition rounds and a fact/cluster split.
         config = dataclasses.replace(
-            apply_variant(base_config, "luq_sentence"),
+            apply_variant(base_config, variant),
             workers=24,
             cache_dir=str(tmp_path / "cache"),
             report_dir=str(tmp_path / "out"),
         )
-        samples = self._samples(30)
+        samples = self._samples(30, self.THREE_THETA)
         bundle = build_providers(config)
         try:
             run_corpus(samples, config, bundle)
@@ -755,7 +803,7 @@ class TestTurn:
             peak[0] = max(peak[0], threading.active_count())
             return real_run_prompt(sample, config, providers)
 
-        real_taking_turn = agsc.pipeline.taking_turn
+        real_taking_turn = agsc.providers.base.taking_turn
 
         def slow_taking_turn(lock):
             # A new thread slow to take the turn must not leave the run
@@ -764,7 +812,7 @@ class TestTurn:
             return real_taking_turn(lock)
 
         monkeypatch.setattr(agsc.pipeline, "run_prompt", spying_run_prompt)
-        monkeypatch.setattr(agsc.pipeline, "taking_turn", slow_taking_turn)
+        monkeypatch.setattr(agsc.providers.base, "taking_turn", slow_taking_turn)
         before = threading.active_count()
         bundle = build_providers(config)
         try:

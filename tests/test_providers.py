@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import json
 import math
+import sys
 import threading
+import time
 import tracemalloc
 from array import array
 from pathlib import Path
 
 import pytest
 
-from conftest import CountingDecomposer, CountingEmbedder, CountingNli, marker_sample
+from conftest import CountingDecomposer, CountingEmbedder, CountingNli, Overlap, marker_sample
 import agsc.pipeline as pipeline
 import agsc.providers.cache as cache_module
 from agsc.cli import main
@@ -40,6 +43,7 @@ from agsc.providers import (
     parse_fact_lines,
     split_facts_rule_based,
 )
+from agsc.providers.base import share_turn, taking_turn, waiting
 from agsc.providers.mocks import _token_bucket
 
 
@@ -838,3 +842,127 @@ class TestDecomposition:
 
     def test_rule_based_decomposer_provider(self):
         assert RuleBasedDecomposer().decompose("A and B ran.", "ctx") == ["A", "B ran."]
+
+
+class TestShareTurn:
+    """share_turn runs items on the caller's thread and starts another
+    thread only when a running item is about to give the turn up."""
+
+    @staticmethod
+    def _turn(with_turn: bool):
+        return taking_turn(threading.Lock()) if with_turn else contextlib.nullcontext()
+
+    @pytest.mark.parametrize("with_turn", [True, False], ids=["turn", "no-turn"])
+    def test_items_that_never_wait_start_no_thread(self, monkeypatch, with_turn):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        with self._turn(with_turn):
+            ran = share_turn(lambda i: (i, threading.get_ident()), range(6), 4)
+        assert ran == [(i, threading.get_ident()) for i in range(6)]
+        assert started == []
+
+    # With no turn, as in a direct run_prompt, items that wait still overlap.
+    @pytest.mark.parametrize("with_turn", [True, False], ids=["turn", "no-turn"])
+    def test_items_that_wait_reach_workers_at_once_and_no_more(self, with_turn):
+        # Each item waits until three wait at once, so the call returns only
+        # if three items run together.
+        barrier, overlap = threading.Barrier(3, timeout=5.0), Overlap()
+
+        def item(i):
+            with overlap.inside(), waiting():
+                barrier.wait()
+            return i * i
+
+        before = threading.active_count()
+        with self._turn(with_turn):
+            assert share_turn(item, list(range(9)), 3) == [i * i for i in range(9)]
+        assert overlap.peak == 3
+        assert threading.active_count() == before
+
+    def test_given_a_turn_the_caller_starts_every_thread(self, monkeypatch):
+        # An item about to wait asks the caller, which runs no item, for the
+        # next thread, so an interrupt reaching the caller stops the starts.
+        starters, barrier = [], threading.Barrier(3, timeout=5.0)
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            starters.append(threading.current_thread())
+            start(thread)
+
+        def item(i):
+            with waiting():
+                barrier.wait()
+            return threading.current_thread()
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        ran_on = share_turn(item, list(range(6)), 3, turn=threading.Lock())
+        assert starters == [threading.current_thread()] * 3
+        assert threading.current_thread() not in ran_on
+        assert len(set(ran_on)) == 3
+
+    def test_an_error_stops_later_items_and_the_earliest_is_raised(self):
+        started, failed = [], threading.Event()
+
+        def item(i):
+            started.append(i)
+            if i == 0:
+                with waiting():  # starts a thread, which runs item 1
+                    assert failed.wait(5.0)
+                raise ValueError("item 0")
+            failed.set()
+            raise ValueError(f"item {i}")
+
+        before = threading.active_count()
+        with taking_turn(threading.Lock()), pytest.raises(ValueError, match="item 0"):
+            share_turn(item, list(range(6)), 3)
+        assert started == [0, 1]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["turn", "no-turn", "caller-starts"])
+    def test_every_item_runs_once_under_many_threads(self, mode):
+        # Items that wait, each with a nested share_turn whose waits may
+        # start threads for the outer items too; a lost update to the
+        # pending index would run an item twice or never. Given a turn, the
+        # caller starts the outer threads.
+        lock, runs = threading.Lock(), [0] * 200
+
+        def sub(j):
+            with waiting():
+                time.sleep(0)
+            return j
+
+        def item(i):
+            with lock:
+                runs[i] += 1
+            with waiting():
+                time.sleep(0)
+            return share_turn(sub, [i, -i, i], 2)
+
+        out = []
+
+        def main():
+            if mode == "caller-starts":
+                out.append(share_turn(item, range(200), 16, turn=threading.Lock()))
+                return
+            with self._turn(mode == "turn"):
+                out.append(share_turn(item, range(200), 16))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            before = threading.active_count()
+            thread = threading.Thread(target=main, daemon=True)
+            thread.start()
+            thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert out == [[[i, -i, i] for i in range(200)]]
+        assert runs == [1] * 200
+        assert threading.active_count() == before
