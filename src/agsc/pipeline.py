@@ -376,8 +376,9 @@ def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
     vectors = meter.embed_batch(texts)
     seed = prompt_seed(config.seed, sample.prompt_id)
     with meter.stage("cluster"):
-        # The first clustering of a process imports numpy here and scipy in
-        # select_k, so this prompt's t_cluster_ms carries both imports.
+        # The first clustering of a process imports numpy here and scipy's
+        # LAPACK wrapper (not scipy.linalg) in select_k, so this prompt's
+        # t_cluster_ms carries both loads.
         data = _embedding_matrix(vectors, len(texts))
         reduced = reduce_embeddings(data, config.clustering.target_dim)
         selection = select_k(reduced, config.clustering, seed)

@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from importlib.machinery import PathFinder
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
@@ -17,12 +19,14 @@ import agsc
 from agsc.clustering import (
     EM_MAX_ITER,
     N_INIT,
+    _FLAPACK,
     ClusteringConfig,
     GmmFit,
     GmmParams,
     NumericalError,
     _e_step,
     _fit_restarts,
+    _load_trtrs,
     _log_gaussian_prob,
     _stacked_log_prob,
     _stacked_m_step,
@@ -656,6 +660,54 @@ class TestBlasPin:
             "print(len(reports), 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
         )
         assert _python(code) == f"1 {clusters} {clusters}"
+
+    def test_a_clustered_run_loads_lapack_without_scipy_linalg(self, tmp_path):
+        code = _corpus_run("agsc", tmp_path) + (
+            "print(len(reports), *(m in sys.modules for m in"
+            " ('scipy.linalg._flapack', 'scipy.linalg', 'scipy.sparse')))\n"
+        )
+        assert _python(code) == "1 True False False"
+
+    @pytest.mark.parametrize("scipy_linalg_imported", ["before_fit", "after_fit"])
+    def test_one_trtrs_whichever_import_comes_first(self, scipy_linalg_imported):
+        fit = (
+            "from agsc.clustering import ClusteringConfig, _load_trtrs, reduce_embeddings, select_k\n"
+            "data = np.random.default_rng(0).normal(size=(64, 64))\n"
+            "select_k(reduce_embeddings(data, 32), ClusteringConfig())\n"
+        )
+        imported = "import scipy.linalg\n"
+        code = "import agsc, numpy as np\n" + (
+            imported + fit if scipy_linalg_imported == "before_fit" else fit + imported
+        ) + (
+            "a = np.tril(np.random.default_rng(1).normal(size=(5, 5))) + 5 * np.eye(5)\n"
+            "b = np.arange(5.0)\n"
+            "print(_load_trtrs() is scipy.linalg.lapack.dtrtrs,"
+            " np.allclose(scipy.linalg.solve_triangular(a, b, lower=True), np.linalg.solve(a, b)))\n"
+        )
+        assert _python(code) == "True True"
+
+    def test_two_first_loads_share_one_module(self):
+        # functools.cache does not lock, so two threads making a first fit at
+        # once can both run the loader; they must still get one dtrtrs.
+        code = (
+            "import sys, agsc\n"
+            "from agsc.clustering import _FLAPACK, _load_trtrs\n"
+            "first = _load_trtrs.__wrapped__()\n"
+            "second = _load_trtrs.__wrapped__()\n"
+            "print(first is second, sys.modules[_FLAPACK].dtrtrs is first)\n"
+        )
+        assert _python(code) == "True True"
+
+    def test_a_missing_lapack_extension_is_named(self, monkeypatch):
+        find_spec = PathFinder.find_spec
+
+        def no_flapack(name, path=None, target=None):
+            return None if name == _FLAPACK else find_spec(name, path, target)
+
+        monkeypatch.delitem(sys.modules, _FLAPACK, raising=False)
+        monkeypatch.setattr(PathFinder, "find_spec", no_flapack)
+        with pytest.raises(ImportError, match=rf"{_FLAPACK}.*{scipy.__version__}"):
+            _load_trtrs.__wrapped__()
 
     def test_every_cluster_free_variant_is_checked(self):
         free = {name for name, row in VARIANTS.items() if row.clustering_mode == CLUSTER_NONE}
