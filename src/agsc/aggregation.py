@@ -56,14 +56,14 @@ class ClusterSummary:
 @dataclass(frozen=True)
 class FinalScore:
     u_final: float
-    mode: str
+    aggregation_mode: str
     fallback_used: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.u_final <= 1.0:
             raise ValueError(f"u_final {self.u_final} outside [0, 1]")
-        if self.mode not in (MODE_LITERAL, MODE_GLOBAL, MODE_UNIFORM):
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
+        if self.aggregation_mode not in (MODE_LITERAL, MODE_GLOBAL, MODE_UNIFORM):
+            raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
 
 
 def _clip01(x: float) -> float:
@@ -92,7 +92,7 @@ def aggregate_literal(
     u_final = _clip01(float(weights_r @ u_k))
 
     summaries = _summaries(mass, retained, u_k, weights_r)
-    return FinalScore(u_final=u_final, mode=MODE_LITERAL), summaries
+    return FinalScore(u_final=u_final, aggregation_mode=MODE_LITERAL), summaries
 
 
 def aggregate_global(
@@ -126,7 +126,7 @@ def aggregate_global(
     u_final = _clip01(float(weights_r @ u_k))
 
     summaries = _summaries(mass, retained, u_k, weights_r)
-    return FinalScore(u_final=u_final, mode=MODE_GLOBAL), summaries
+    return FinalScore(u_final=u_final, aggregation_mode=MODE_GLOBAL), summaries
 
 
 def aggregate_uniform(uncertainties: Sequence[float]) -> FinalScore:
@@ -134,7 +134,7 @@ def aggregate_uniform(uncertainties: Sequence[float]) -> FinalScore:
     if len(uncertainties) == 0:
         raise ValueError("no anchor units to aggregate")
     u_final = _clip01(math.fsum(uncertainties) / len(uncertainties))
-    return FinalScore(u_final=u_final, mode=MODE_UNIFORM)
+    return FinalScore(u_final=u_final, aggregation_mode=MODE_UNIFORM)
 
 
 def all_skip_fallback(sentence_uncertainties: Sequence[float]) -> FinalScore:
@@ -148,7 +148,7 @@ def all_skip_fallback(sentence_uncertainties: Sequence[float]) -> FinalScore:
     u_final = _clip01(
         math.fsum(sentence_uncertainties) / len(sentence_uncertainties)
     )
-    return FinalScore(u_final=u_final, mode=MODE_UNIFORM, fallback_used=True)
+    return FinalScore(u_final=u_final, aggregation_mode=MODE_UNIFORM, fallback_used=True)
 
 
 def _summaries(

@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import ConfigError, default_config, load_config
 from .corpus import DatasetError, load_dataset, parse_factuality
 from .evaluation import compare, comparison_table
-from .pipeline import build_providers, report_from_dict, run_corpus
+from .pipeline import PromptReport, _to_json, build_providers, report_from_dict, run_corpus
 from .providers import CacheCorruptError
 
 EXIT_OK = 0
@@ -87,23 +87,35 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _read_records(path: Path) -> list[tuple[str, object]]:
-    """("path:line", JSON value) for each non-blank line of a report file.
+def _read_reports(
+    path: Path, skip_others: bool = False
+) -> list[tuple[PromptReport, float | None]]:
+    """(report, factuality label or None) for each report line of a file.
 
     Lines end at "\n" only: report text may hold U+2028 or U+0085, which
-    str.splitlines would also break at. A line that is not UTF-8 JSON
-    raises ValueError naming its path and line.
+    str.splitlines would also break at. Blank lines are passed over, and so,
+    with skip_others, is any line but an object holding a variant and a
+    u_final (a cache record, say). Any other malformed line raises
+    ValueError naming its path and line.
     """
-    records = []
+    reports = []
     for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
-        where = f"{path}:{lineno}"
         try:
             line = raw.decode("utf-8")
-            if line.strip():
-                records.append((where, json.loads(line)))
-        except (ValueError, RecursionError) as e:
-            raise ValueError(f"{where}: {e}") from e
-    return records
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            is_report = isinstance(record, dict) and {"variant", "u_final"} <= record.keys()
+            if skip_others and not is_report:
+                continue
+            if not isinstance(record, dict):
+                raise ValueError("not a JSON object")
+            report = report_from_dict(record)
+            label = parse_factuality(record["factuality"]) if "factuality" in record else None
+        except _MALFORMED_REPORT as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+        reports.append((report, label))
+    return reports
 
 
 def _cmd_eval(args) -> int:
@@ -113,18 +125,11 @@ def _cmd_eval(args) -> int:
         return EXIT_DATA
     by_variant: dict[str, list] = {}
     labels: dict[str, float] = {}
-    files = sorted(root.rglob("*.jsonl"))
     try:
-        for path in files:
-            for where, record in _read_records(path):
-                if not isinstance(record, dict) or not {"variant", "u_final"} <= record.keys():
-                    continue  # not a report line (e.g. a provider cache file)
-                try:
-                    report = report_from_dict(record)
-                    if "factuality" in record:
-                        labels[report.prompt_id] = parse_factuality(record["factuality"])
-                except _MALFORMED_REPORT as e:
-                    raise ValueError(f"{where}: {e}") from e
+        for path in sorted(root.rglob("*.jsonl")):
+            for report, label in _read_reports(path, skip_others=True):
+                if label is not None:
+                    labels[report.prompt_id] = label
                 by_variant.setdefault(report.variant, []).append(report)
     except _MALFORMED_REPORT as e:
         print(f"report error: malformed report line: {e}", file=sys.stderr)
@@ -143,35 +148,25 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    path = Path(args.report)
     try:
-        lines = _read_records(path)
+        reports = [report for report, _ in _read_reports(Path(args.report))]
     except _MALFORMED_REPORT as e:
         print(f"report error: {e}", file=sys.stderr)
         return EXIT_DATA
-    for where, record in lines:
-        if not isinstance(record, dict):
-            print(f"report error: {where}: not a JSON object", file=sys.stderr)
-            return EXIT_DATA
     if args.prompt_id is not None:
-        lines = [(w, r) for w, r in lines if r.get("prompt_id") == args.prompt_id]
-    if not lines:
+        reports = [r for r in reports if r.prompt_id == args.prompt_id]
+    if not reports:
         print("report error: no matching report line", file=sys.stderr)
         return EXIT_DATA
-    where, record = lines[0]
-    sentences = record.get("sentences", [])
-    if not isinstance(sentences, list) or not all(isinstance(s, dict) for s in sentences):
-        print(f"report error: {where}: 'sentences' is not an array of objects", file=sys.stderr)
-        return EXIT_DATA
-    matches = [s for s in sentences if s.get("sentence_index") == args.sentence]
+    matches = [s for s in reports[0].sentences if s.sentence_index == args.sentence]
     if not matches:
         print(
-            f"report error: prompt {record.get('prompt_id')!r} has no sentence "
+            f"report error: prompt {reports[0].prompt_id!r} has no sentence "
             f"{args.sentence}",
             file=sys.stderr,
         )
         return EXIT_DATA
-    print(json.dumps(matches[0], ensure_ascii=False, indent=2))
+    print(json.dumps(_to_json(matches[0]), ensure_ascii=False, indent=2))
     return EXIT_OK
 
 

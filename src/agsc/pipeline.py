@@ -25,6 +25,7 @@ import logging
 import operator
 import threading
 import time
+import types
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -435,18 +436,21 @@ def _sentence_record(decision) -> SentenceRecord:
 
 # -- report (de)serialization --
 
-# Report-line keys that hold the flattened FinalScore, with its attribute names.
-_FINAL_KEYS = (
-    ("u_final", "u_final"),
-    ("aggregation_mode", "mode"),
-    ("fallback_used", "fallback_used"),
-)
-
-
 # The JSON types each scalar annotation accepts: an int is a valid float,
 # but a bool is no number.
 _SCALAR_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,),
                  type(None): (type(None),)}
+
+
+def _scalar(tp):
+    """(name, accepted JSON types) of a scalar annotation or a union of
+    scalars; None for any other annotation."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    members = typing.get_args(tp) if union else (tp,)  # float | None -> (float, None)
+    if not all(m in _SCALAR_TYPES for m in members):
+        return None
+    accepted = tuple(t for m in members for t in _SCALAR_TYPES[m])
+    return getattr(tp, "__name__", str(tp)), accepted
 
 
 @functools.cache
@@ -454,51 +458,57 @@ def _fields(cls: type):
     """How to walk a report dataclass, worked out once per class.
 
     Returns the field names in order, a getter for all of them, the
-    tuple-typed fields, the dataclass-typed fields and the scalar fields.
-    Each of the tuple and dataclass lists holds (name, nested dataclass or
-    None for plain items); the scalar list holds (name, annotation, the
-    JSON types it accepts).
+    tuple- and list-typed fields, the dataclass-typed fields and the scalar
+    fields. Each sequence field is (name, item dataclass or None, the
+    item's _scalar or None); each dataclass field is (name, dataclass);
+    each scalar field is (name, its _scalar).
     """
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
-    tuples, records, scalars = [], [], []
+    sequences, records, scalars = [], [], []
     for name in names:
         tp = hints[name]
-        members = typing.get_args(tp) or (tp,)  # float | None -> (float, None)
-        if typing.get_origin(tp) is tuple:
+        if typing.get_origin(tp) in (tuple, list):
             item = typing.get_args(tp)[0]
-            tuples.append((name, item if dataclasses.is_dataclass(item) else None))
+            sub = item if dataclasses.is_dataclass(item) else None
+            sequences.append((name, sub, None if sub else _scalar(item)))
         elif dataclasses.is_dataclass(tp):
             records.append((name, tp))
-        elif all(m in _SCALAR_TYPES for m in members):
-            accepted = tuple(t for m in members for t in _SCALAR_TYPES[m])
-            scalars.append((name, getattr(tp, "__name__", str(tp)), accepted))
-    return names, operator.attrgetter(*names), tuples, records, scalars
+        elif (spec := _scalar(tp)) is not None:
+            scalars.append((name, spec))
+    return names, operator.attrgetter(*names), sequences, records, scalars
 
 
 def _to_json(record) -> dict:
-    """A dataclass as a dict in field order; tuples become lists."""
-    names, get, tuples, records, _ = _fields(type(record))
+    """A dataclass as a dict in field order; tuples and lists become lists."""
+    names, get, sequences, records, _ = _fields(type(record))
     out = dict(zip(names, get(record)))
-    for name, sub in tuples:
+    for name, sub, _ in sequences:
         out[name] = [_to_json(v) for v in out[name]] if sub else list(out[name])
     for name, _ in records:
         out[name] = _to_json(out[name])
     return out
 
 
+def _check(what: str, spec, value) -> None:
+    label, accepted = spec
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise ValueError(f"{what} must be {label}, got {value!r}")
+
+
 def _from_json(cls: type, data: dict):
-    """Inverse of _to_json; a scalar of the wrong JSON type raises ValueError."""
-    names, _, tuples, records, scalars = _fields(cls)
+    """Inverse of _to_json; a value of the wrong JSON type raises ValueError."""
+    names, _, sequences, records, scalars = _fields(cls)
     kwargs = {name: data[name] for name in names}
-    for name, annotation, accepted in scalars:
-        value = kwargs[name]
-        if not isinstance(value, accepted) or (
-            isinstance(value, bool) and bool not in accepted
-        ):
-            raise ValueError(f"field '{name}' must be {annotation}, got {value!r}")
-    for name, sub in tuples:
+    for name, spec in scalars:
+        _check(f"field '{name}'", spec, kwargs[name])
+    for name, sub, item in sequences:
         items = kwargs[name]
+        if not isinstance(items, list):
+            raise ValueError(f"field '{name}' must be an array, got {items!r}")
+        if item is not None:
+            for value in items:
+                _check(f"items of field '{name}'", item, value)
         kwargs[name] = tuple(_from_json(sub, v) for v in items) if sub else tuple(items)
     for name, sub in records:
         kwargs[name] = _from_json(sub, kwargs[name])
@@ -516,7 +526,7 @@ def report_to_dict(report: PromptReport, sample: SampleSet) -> dict:
         line["factuality"] = sample.factuality
     for name, value in _to_json(report).items():
         if name == "final":
-            line.update((key, value[attr]) for key, attr in _FINAL_KEYS)
+            line.update(value)
         elif name == "meta":
             line[name] = dict(value)
         elif name != "prompt_id":  # already written from the sample
@@ -526,10 +536,8 @@ def report_to_dict(report: PromptReport, sample: SampleSet) -> dict:
 
 def report_from_dict(line: dict) -> PromptReport:
     """Inverse of report_to_dict (the sample fields ride along untouched)."""
-    final = {attr: line[key] for key, attr in _FINAL_KEYS}
-    return _from_json(
-        PromptReport, dict(line, final=final, meta=list(line["meta"].items()))
-    )
+    # report_to_dict flattens the FinalScore fields into the line: read them there.
+    return _from_json(PromptReport, dict(line, final=line, meta=list(line["meta"].items())))
 
 
 # -- corpus runs --
@@ -537,11 +545,14 @@ def report_from_dict(line: dict) -> PromptReport:
 
 @dataclass
 class CorpusSummary:
+    """A corpus run's roll-up; field order is the key order of summary.json."""
+
     n_prompts: int
     n_failed: int
     failures: list[PromptFailure] = field(default_factory=list)
     scores: dict[str, float] = field(default_factory=dict)
     timing_totals: TimingBreakdown = field(default_factory=TimingBreakdown)
+    variant: str = ""
 
 
 def run_many(
@@ -615,17 +626,10 @@ def run_corpus(
         failures=failures,
         scores={r.prompt_id: r.final.u_final for r in reports},
         timing_totals=_sum_timing(reports),
+        variant=config.variant,
     )
-    summary_dict = {
-        "n_prompts": summary.n_prompts,
-        "n_failed": summary.n_failed,
-        "failures": [_to_json(x) for x in failures],
-        "scores": summary.scores,
-        "timing_totals": _to_json(summary.timing_totals),
-        "variant": config.variant,
-    }
     (report_dir / "summary.json").write_text(
-        json.dumps(summary_dict, ensure_ascii=False, indent=2) + "\n",
+        json.dumps(_to_json(summary), ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
     return reports, summary

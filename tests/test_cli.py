@@ -437,6 +437,47 @@ class TestInspect:
         assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
         assert "report error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: dict(r, u_final=2.0),
+            lambda r: dict(r, timing=dict(r["timing"], decomposer_calls=[1])),
+        ],
+        ids=["u_final", "timing"],
+    )
+    def test_inspect_rejects_what_eval_rejects(self, tmp_path, capsys, edit):
+        report = scored_report(tmp_path)
+        edit_first_line(report, edit)
+        capsys.readouterr()
+        assert main(["inspect", "--report", str(report), "--sentence", "0"]) == 3
+        assert capsys.readouterr().err.startswith(f"report error: {report}:1: ")
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda r: dict(r, sentences=[dict(r["sentences"][0], units="r0.s2")]),
+                "field 'units' must be an array, got 'r0.s2'",
+            ),
+            (
+                lambda r: dict(r, units=[dict(r["units"][0], memberships=["x", True])]),
+                "items of field 'memberships' must be float, got 'x'",
+            ),
+        ],
+        ids=["sentence_units", "membership_items"],
+    )
+    def test_wrong_shaped_sequence_exit_3(self, tmp_path, capsys, command, edit, message):
+        report = scored_report(tmp_path)
+        edit_first_line(report, edit)
+        capsys.readouterr()
+        if command == "eval":
+            args = ["eval", "--reports", str(report.parent), "--out", str(tmp_path / "t.csv")]
+        else:
+            args = ["inspect", "--report", str(report), "--sentence", "0"]
+        assert main(args) == 3
+        assert f"{report}:1: {message}" in capsys.readouterr().err
+
     def test_inspect_invalid_utf8_exit_3(self, tmp_path, capsys):
         report = scored_report(tmp_path)
         report.write_bytes(b"\xff" + report.read_bytes())

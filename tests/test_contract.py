@@ -1,14 +1,16 @@
 """Names that code outside the package binds to.
 
 The traced benchmark run (perfbench/tracing.py) replaces the functions
-below where their callers look them up, and perfbench reads the report
-attributes below. A refactor that renames one, or calls around the name
-it is looked up by, would leave those metrics silently empty; these tests
-fail instead.
+below where their callers look them up, perfbench imports names from the
+package, and it reads the report and summary attributes below. A refactor
+that renames one, or calls around the name it is looked up by, would leave
+those metrics silently empty or the benchmark broken; these tests fail
+instead.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -61,7 +63,8 @@ HOOK_TARGETS = (
 )
 
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -198,6 +201,40 @@ def test_report_attributes_read_by_the_benchmark():
         assert isinstance(unit.uncertainty, float)
         assert isinstance(unit.sentence_index, int)
         assert isinstance(unit.text, str)
+
+
+def test_summary_attributes_read_by_the_benchmark(tmp_path):
+    # perfbench/workload.py counts the failed prompts of each run_corpus pass.
+    config = dataclasses.replace(
+        apply_variant(default_config(), "agsc"),
+        timing="off",
+        workers=1,
+        report_dir=str(tmp_path),
+    )
+    samples = [marker_sample("p", ["alpha", "theta"])]
+    reports, summary = run_corpus(samples, config, marker_providers())
+    assert [r.prompt_id for r in reports] == ["p"]
+    assert summary.n_failed == 0
+
+
+def _benchmark_imports() -> list[tuple[str, str | None]]:
+    """(module, imported name or None) for each agsc import in perfbench/*.py."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "agsc":
+                found += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "agsc"]
+    return found
+
+
+def test_names_the_benchmark_imports_resolve():
+    imports = _benchmark_imports()
+    assert {"agsc", "agsc.pipeline", "agsc.providers"} <= {module for module, _ in imports}
+    for module, name in imports:
+        owner = importlib.import_module(module)
+        assert name is None or hasattr(owner, name), f"{module} has no {name}"
 
 
 def test_config_methods_called_by_the_benchmark():

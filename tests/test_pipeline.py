@@ -33,6 +33,7 @@ from agsc.config import PipelineConfig
 from agsc.corpus import segment_sentences
 from agsc.evaluation import apply_variant
 from agsc.pipeline import (
+    CorpusSummary,
     PromptFailure,
     PromptReport,
     ProviderBundle,
@@ -141,6 +142,37 @@ class TestRunPrompt:
         line = json.loads(json.dumps(report_to_dict(report, sample)))
         (line[key] if key else line)[field] = value
         with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            report_from_dict(line)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line.update(units="r0.s2"), "field 'units' must be an array"),
+            (
+                lambda line: line["sentences"][0].update(units="r0.s2"),
+                "field 'units' must be an array",
+            ),
+            (
+                lambda line: line["sentences"][0].update(units=[7]),
+                "items of field 'units' must be str",
+            ),
+            (
+                lambda line: line["units"][0].update(memberships=["x", True]),
+                "items of field 'memberships' must be float",
+            ),
+            (
+                lambda line: line["units"][0].update(memberships=[0.5, True]),
+                "items of field 'memberships' must be float",
+            ),
+        ],
+        ids=["units", "sentence_units", "sentence_unit_item", "membership_str", "membership_bool"],
+    )
+    def test_report_from_dict_rejects_wrong_shaped_sequences(self, edit, message):
+        sample, config = golden_inputs()
+        report = run_prompt(sample, config, marker_providers())
+        line = json.loads(json.dumps(report_to_dict(report, sample)))
+        edit(line)
+        with pytest.raises(ValueError, match=message):
             report_from_dict(line)
 
     def test_wall_timing_totals_dominate_components(self):
@@ -367,6 +399,29 @@ class TestRunCorpus:
         assert [r.prompt_id for r in reports] == ["p0", "p2"]
         lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_summary_json_is_the_corpus_summary_in_field_order(self, agsc_config, tmp_path):
+        class DownForHarbor:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def embed_batch(self, texts):
+                if any("harbor" in t for t in texts):
+                    raise ProviderError("embedder down", attempts=2)
+                return self.inner.embed_batch(texts)
+
+        providers = ProviderBundle(
+            nli=ScriptedNliProvider(default=marker_nli_rule),
+            embedder=DownForHarbor(HashEmbeddingProvider(dim=32)),
+            decomposer=ScriptedDecomposerProvider(default=marker_decomposer_rule),
+        )
+        config = dataclasses.replace(agsc_config, report_dir=str(tmp_path / "out"))
+        _, summary = run_corpus(self._samples(), config, providers)  # p1 is "harbor"
+        data = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert list(data) == [f.name for f in dataclasses.fields(CorpusSummary)]
+        assert data["failures"] == [{"prompt_id": "p1", "error": "embedder down"}]
+        assert data["variant"] == "agsc"
+        assert data == dataclasses.asdict(summary)
 
     def test_determinism_byte_identical_directories(self, tmp_path):
         config_a = self._mock_config(tmp_path / "a")
