@@ -2,16 +2,17 @@
 
 Cluster mass is accumulated responsibility; each cluster's uncertainty is
 the mass-normalized average of the anchor-unit uncertainties it holds;
-cluster weights are normalized masses. Two mass domains are supported:
+cluster weights are normalized masses. Two mass domains are supported, and
+both run the one mass-weighted core:
 
-  literal -- masses over anchor units only. Algebraically this always
-             collapses to the plain mean of the unit uncertainties
-             (weights and normalizers cancel), so it doubles as a
-             regression anchor.
   global  -- masses over all clustered units (anchor plus references),
              while uncertainties still come from anchor units only.
              Themes prominent across the whole sample set then genuinely
              reweight the anchor's units.
+  literal -- the global core run on the anchor rows alone. Algebraically
+             this always collapses to the plain mean of the unit
+             uncertainties (weights and normalizers cancel), so the
+             telescoping identity pins the arithmetic `agsc` itself runs.
 
 A uniform mode (no clustering) and a fallback for fully-skipped anchors
 round out the surface. Only the two mass-weighted modes import numpy, at
@@ -21,7 +22,7 @@ their first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -75,9 +76,11 @@ def aggregate_literal(
 ) -> tuple[FinalScore, list[ClusterSummary]]:
     """Mass-weighted aggregation with masses over anchor units only.
 
-    Clusters with mass below 1e-12 are dropped before weighting. By the
-    telescoping of mass, weight, and normalization this equals the
-    unweighted mean of the uncertainties (up to float error).
+    The global core with the anchor rows as all rows. Clusters with mass
+    below 1e-12 are dropped before weighting; if none is left, it raises
+    DegenerateClusteringError. By the telescoping of mass, weight, and
+    normalization this equals the unweighted mean of the uncertainties
+    (up to float error).
     """
     import numpy as np
 
@@ -85,14 +88,7 @@ def aggregate_literal(
     u = np.asarray(uncertainties, dtype=np.float64)
     if gamma.ndim != 2 or gamma.shape[0] != len(u) or len(u) == 0:
         raise ValueError("need one responsibility row per anchor unit")
-    mass = gamma.sum(axis=0)
-    retained = mass >= LITERAL_MASS_FLOOR
-    weights_r = mass[retained] / mass[retained].sum()
-    u_k = (gamma[:, retained] * u[:, None]).sum(axis=0) / mass[retained]
-    u_final = _clip01(float(weights_r @ u_k))
-
-    summaries = _summaries(mass, retained, u_k, weights_r)
-    return FinalScore(u_final=u_final, aggregation_mode=MODE_LITERAL), summaries
+    return _mass_weighted(gamma, gamma, u, LITERAL_MASS_FLOOR, MODE_LITERAL)
 
 
 def aggregate_global(
@@ -116,17 +112,26 @@ def aggregate_global(
         raise ValueError("need one responsibility row per clustered unit")
     if mask.sum() != len(u) or len(u) == 0:
         raise ValueError("need one uncertainty per anchor unit")
+    return _mass_weighted(gamma, gamma[mask], u, ANCHOR_MASS_FLOOR, MODE_GLOBAL)
+
+
+def _mass_weighted(
+    gamma: np.ndarray, anchor: np.ndarray, u: np.ndarray, floor: float, mode: str
+) -> tuple[FinalScore, list[ClusterSummary]]:
+    """Cluster masses sum the rows of `gamma`; cluster uncertainties
+    average `u` over the rows of `anchor`, normalized by the anchor mass.
+    Clusters whose anchor mass falls below `floor` are excluded."""
     mass = gamma.sum(axis=0)
-    anchor_mass = gamma[mask].sum(axis=0)
-    retained = anchor_mass >= ANCHOR_MASS_FLOOR
+    anchor_mass = anchor.sum(axis=0)
+    retained = anchor_mass >= floor
     if not retained.any():
         raise DegenerateClusteringError("no cluster retains anchor mass")
     weights_r = mass[retained] / mass[retained].sum()
-    u_k = (gamma[mask][:, retained] * u[:, None]).sum(axis=0) / anchor_mass[retained]
+    u_k = (anchor[:, retained] * u[:, None]).sum(axis=0) / anchor_mass[retained]
     u_final = _clip01(float(weights_r @ u_k))
 
     summaries = _summaries(mass, retained, u_k, weights_r)
-    return FinalScore(u_final=u_final, aggregation_mode=MODE_GLOBAL), summaries
+    return FinalScore(u_final=u_final, aggregation_mode=mode), summaries
 
 
 def aggregate_uniform(uncertainties: Sequence[float]) -> FinalScore:
@@ -138,17 +143,11 @@ def aggregate_uniform(uncertainties: Sequence[float]) -> FinalScore:
 
 
 def all_skip_fallback(sentence_uncertainties: Sequence[float]) -> FinalScore:
-    """Score for an anchor whose every sentence was skipped.
-
-    Falls back to the unweighted mean of the pre-skip sentence-level
-    uncertainties, flagged so reports show the degradation.
+    """Score for an anchor whose every sentence was skipped: the uniform
+    mean of the pre-skip sentence-level uncertainties, flagged so reports
+    show the degradation.
     """
-    if len(sentence_uncertainties) == 0:
-        raise ValueError("anchor has no sentences")
-    u_final = _clip01(
-        math.fsum(sentence_uncertainties) / len(sentence_uncertainties)
-    )
-    return FinalScore(u_final=u_final, aggregation_mode=MODE_UNIFORM, fallback_used=True)
+    return replace(aggregate_uniform(sentence_uncertainties), fallback_used=True)
 
 
 def _summaries(

@@ -150,15 +150,6 @@ def default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-
-
 def _parse_int(raw: str, key: str) -> int:
     try:
         return int(raw)
@@ -191,7 +182,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], str]] = {
     "scoring.chunk_budget_chars": (("scoring", "chunk_budget_chars"), "int"),
     "scoring.chunk_stride_chars": (("scoring", "chunk_stride_chars"), "int"),
     "granularity.tau": (("granularity", "tau"), "float"),
-    "granularity.collapse_decomposed": (("granularity", "collapse_decomposed"), "bool"),
 }
 
 for _prov in ("nli", "embed", "decompose"):
@@ -212,7 +202,7 @@ _KEYS["providers.nli.mock_seed"] = (("nli", "mock_seed"), "int")
 _KEYS["providers.embed.mock_dim"] = (("embed", "mock_dim"), "int")
 _KEYS["providers.decompose.mock_latency_ms"] = (("decompose", "mock_latency_ms"), "float")
 
-_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}
+_PARSERS = {"int": _parse_int, "float": _parse_float}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:

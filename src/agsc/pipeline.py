@@ -408,15 +408,14 @@ def _embedding_matrix(vectors, n_texts: int) -> np.ndarray:
 def _aggregate(method, uncertainties, sentence_uncertainties, gamma):
     """The final score, cluster summaries and anchor memberships."""
     n_anchor = len(uncertainties)
-    anchor_mask = [True] * n_anchor + [False] * (len(gamma) - n_anchor)
-    if method.aggregation_mode == MODE_LITERAL:
-        final, summaries = aggregate_literal(gamma[:n_anchor], uncertainties)
-    else:
-        try:
+    try:
+        if method.aggregation_mode == MODE_LITERAL:
+            final, summaries = aggregate_literal(gamma[:n_anchor], uncertainties)
+        else:
+            anchor_mask = [True] * n_anchor + [False] * (len(gamma) - n_anchor)
             final, summaries = aggregate_global(gamma, anchor_mask, uncertainties)
-        except DegenerateClusteringError:
-            final = all_skip_fallback(sentence_uncertainties)
-            summaries = []
+    except DegenerateClusteringError:
+        final, summaries = all_skip_fallback(sentence_uncertainties), []
 
     memberships = [tuple(float(g) for g in row) for row in gamma[:n_anchor]]
     return final, summaries, memberships
@@ -496,9 +495,20 @@ def _check(what: str, spec, value) -> None:
         raise ValueError(f"{what} must be {label}, got {value!r}")
 
 
-def _from_json(cls: type, data: dict):
-    """Inverse of _to_json; a value of the wrong JSON type raises ValueError."""
+def _object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _from_json(cls: type, data, what: str = "report line"):
+    """Inverse of _to_json; a missing field or a value of the wrong JSON
+    type raises ValueError naming the field. `what` names `data` itself."""
     names, _, sequences, records, scalars = _fields(cls)
+    _object(what, data)
+    for name in names:
+        if name not in data:
+            raise ValueError(f"field '{name}' is missing")
     kwargs = {name: data[name] for name in names}
     for name, spec in scalars:
         _check(f"field '{name}'", spec, kwargs[name])
@@ -509,9 +519,11 @@ def _from_json(cls: type, data: dict):
         if item is not None:
             for value in items:
                 _check(f"items of field '{name}'", item, value)
-        kwargs[name] = tuple(_from_json(sub, v) for v in items) if sub else tuple(items)
+        if sub:
+            items = [_from_json(sub, v, f"items of field '{name}'") for v in items]
+        kwargs[name] = tuple(items)
     for name, sub in records:
-        kwargs[name] = _from_json(sub, kwargs[name])
+        kwargs[name] = _from_json(sub, kwargs[name], f"field '{name}'")
     return cls(**kwargs)
 
 
@@ -537,7 +549,10 @@ def report_to_dict(report: PromptReport, sample: SampleSet) -> dict:
 def report_from_dict(line: dict) -> PromptReport:
     """Inverse of report_to_dict (the sample fields ride along untouched)."""
     # report_to_dict flattens the FinalScore fields into the line: read them there.
-    return _from_json(PromptReport, dict(line, final=line, meta=list(line["meta"].items())))
+    fields = dict(line, final=line)
+    if "meta" in line:
+        fields["meta"] = list(_object("field 'meta'", line["meta"]).items())
+    return _from_json(PromptReport, fields)
 
 
 # -- corpus runs --

@@ -51,10 +51,11 @@ _RETRYABLE_4XX = (408, 429)
 
 @contextmanager
 def _malformed(what: str):
-    """Turn a parse or validation failure of a response into ProtocolError."""
+    """Turn a parse or validation failure of a response, or a number too
+    large for a float, into ProtocolError."""
     try:
         yield
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ProtocolError(f"{what} response malformed: {e}") from e
 
 

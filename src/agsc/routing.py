@@ -39,16 +39,13 @@ class GranularityConfig:
 
     tau is the entailment-contradiction gap threshold separating
     irrelevance (skip) from uncertainty (decompose) among
-    neutral-dominated sentences. With collapse_decomposed, a decomposed
-    sentence enters aggregation as one unit carrying its facts' mean
-    uncertainty instead of the individual facts.
+    neutral-dominated sentences.
 
     The routing mode is not a setting: it belongs to the method variant
     (agsc.config.VARIANTS) and is an argument of route_sentences.
     """
 
     tau: float = 0.1
-    collapse_decomposed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
@@ -101,8 +98,8 @@ class RoutedSentence:
 
     `dominant` and `gap` are what `route` read. `units` are what the
     sentence brings to aggregation: none when skipped, the sentence when
-    kept or collapsed, else one per fact; `unit_uncertainties` holds one
-    uncertainty per unit. `uncertainty` is a kept sentence's; a decomposed
+    kept, else one per fact; `unit_uncertainties` holds one uncertainty per
+    unit. `uncertainty` is a kept sentence's; a decomposed
     sentence's is the mean over its facts. apply_granularity fills in both
     for a decomposed sentence; a skipped one has neither.
     """
@@ -130,7 +127,6 @@ class Routing:
     decisions: tuple[RoutedSentence, ...]
     sentence_uncertainties: tuple[float, ...]
     neutral_weight: float | None
-    collapse_decomposed: bool
 
     @property
     def units(self) -> list[TextUnit]:
@@ -188,7 +184,7 @@ def route_sentences(
             facts, used_fallback = next(decompositions)
             d = dataclasses.replace(
                 d,
-                units=_decomposed_units(d.sentence, facts, config),
+                units=_decomposed_units(d.sentence, facts),
                 facts=tuple(facts),
                 used_fallback=used_fallback,
             )
@@ -197,7 +193,6 @@ def route_sentences(
         decisions=tuple(decisions),
         sentence_uncertainties=tuple(score.uncertainty for score in scores),
         neutral_weight=neutral_weight,
-        collapse_decomposed=config.collapse_decomposed,
     )
 
 
@@ -205,9 +200,9 @@ def apply_granularity(routing: Routing, refset: ReferenceSet) -> Routing:
     """Score all of routing's facts in one score_units call and fill in
     the decomposed sentences' uncertainties.
 
-    A decomposed sentence's unit uncertainties are its facts' (or, when
-    collapsed, their mean), and its own uncertainty is their mean. Kept and
-    skipped sentences come back as they went in.
+    A decomposed sentence's unit uncertainties are its facts', and its own
+    uncertainty is their mean. Kept and skipped sentences come back as they
+    went in.
     """
     fact_scores = refset.score_units(
         routing.facts, neutral_weight=routing.neutral_weight
@@ -218,11 +213,7 @@ def apply_granularity(routing: Routing, refset: ReferenceSet) -> Routing:
         if d.kind == DECOMPOSE:
             unit_us = tuple(next(fact_us) for _ in d.facts)
             mean = math.fsum(unit_us) / len(unit_us)
-            d = dataclasses.replace(
-                d,
-                uncertainty=mean,
-                unit_uncertainties=(mean,) if routing.collapse_decomposed else unit_us,
-            )
+            d = dataclasses.replace(d, uncertainty=mean, unit_uncertainties=unit_us)
         decisions.append(d)
     return dataclasses.replace(routing, decisions=tuple(decisions))
 
@@ -236,11 +227,7 @@ def _sentence_unit(sentence: Sentence) -> TextUnit:
     )
 
 
-def _decomposed_units(
-    sentence: Sentence, facts: list[str], config: GranularityConfig
-) -> tuple[TextUnit, ...]:
-    if config.collapse_decomposed:
-        return (_sentence_unit(sentence),)
+def _decomposed_units(sentence: Sentence, facts: list[str]) -> tuple[TextUnit, ...]:
     return tuple(
         TextUnit(
             unit_id=(

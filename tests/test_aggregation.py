@@ -57,6 +57,40 @@ class TestLiteral:
         with pytest.raises(ValueError):
             aggregate_literal(np.zeros((0, 2)), [])
 
+    def test_no_mass_raises(self):
+        with pytest.raises(DegenerateClusteringError):
+            aggregate_literal(np.zeros((3, 2)), [0.2, 0.4, 0.6])
+
+    def test_is_global_over_anchor_rows_only(self):
+        """Outside the band where only the two floors disagree, the literal
+        score is the global core's on the anchor rows, bit for bit."""
+        rng = np.random.default_rng(25)
+        compared = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 10))
+            k = int(rng.integers(1, 7))
+            gamma = rng.uniform(0.0, 1.0, size=(n, k))
+            for j in range(k):
+                if rng.random() < 0.4:  # a near-empty cluster, at any scale
+                    gamma[:, j] *= 10.0 ** rng.uniform(-16.0, -2.0)
+            if rng.random() < 0.5:
+                gamma /= gamma.sum(axis=1, keepdims=True)
+            mass = gamma.sum(axis=0)
+            if ((mass >= 1e-12) & (mass < 1e-6)).any():
+                continue
+            u = rng.uniform(0.0, 1.0, size=n)
+            try:
+                literal = aggregate_literal(gamma, u)
+            except DegenerateClusteringError:
+                with pytest.raises(DegenerateClusteringError):
+                    aggregate_global(gamma, [True] * n, u)
+                continue
+            final, summaries = aggregate_global(gamma, [True] * n, u)
+            assert literal[0].u_final == final.u_final
+            assert literal[1] == summaries
+            compared += 1
+        assert compared > 1000
+
 
 class TestGlobal:
     def test_worked_example(self):

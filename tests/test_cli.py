@@ -464,8 +464,9 @@ class TestInspect:
                 lambda r: dict(r, units=[dict(r["units"][0], memberships=["x", True])]),
                 "items of field 'memberships' must be float, got 'x'",
             ),
+            (lambda r: dict(r, timing=[1]), "field 'timing' must be an object, got [1]"),
         ],
-        ids=["sentence_units", "membership_items"],
+        ids=["sentence_units", "membership_items", "timing_object"],
     )
     def test_wrong_shaped_sequence_exit_3(self, tmp_path, capsys, command, edit, message):
         report = scored_report(tmp_path)

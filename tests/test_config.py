@@ -27,8 +27,6 @@ def config_to_text(config: PipelineConfig) -> str:
         obj = config
         for attr in path:
             obj = getattr(obj, attr)
-        if isinstance(obj, bool):
-            obj = "true" if obj else "false"
         lines.append(f"{key} = {obj}")
     return "\n".join(lines) + "\n"
 
@@ -65,7 +63,6 @@ def test_config_keys_are_pinned():
         "clustering.em_tol",
         "clustering.k_limit",
         "clustering.target_dim",
-        "granularity.collapse_decomposed",
         "granularity.tau",
         "providers.decompose.auth_env_var",
         "providers.decompose.endpoint",
@@ -202,6 +199,7 @@ class TestProviderKeys:
             "scoring.routing_chunk_agg",
             "scoring.nli_direction",
             "report_dir",
+            "granularity.collapse_decomposed",
         ],
     )
     def test_keys_no_code_reads_are_rejected(self, key):
@@ -247,9 +245,7 @@ class TestProviderKeys:
 
 class TestRoundTrip:
     def test_render_and_reparse(self):
-        cfg = parse_config_text(
-            "seed = 3\ntiming = off\ngranularity.collapse_decomposed = true\n"
-        )
+        cfg = parse_config_text("seed = 3\ntiming = off\ngranularity.tau = 0.2\n")
         again = parse_config_text(config_to_text(cfg))
         assert again == cfg
 

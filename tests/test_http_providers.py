@@ -16,6 +16,7 @@ from agsc.config import parse_config_text
 from agsc.evaluation import apply_variant
 from agsc.pipeline import PromptFailure, PromptReport, build_providers, run_many
 from agsc.providers import (
+    HashEmbeddingProvider,
     HttpDecomposerProvider,
     HttpEmbeddingProvider,
     HttpNliProvider,
@@ -211,6 +212,7 @@ class TestHttpNli:
             b'{"logits": [[NaN, 0.0, 0.0]]}',
             b'{"logits": [["high", 0.0, 0.0]]}',
             b'{"logits": [[null, 0.0, 0.0]]}',
+            pytest.param(b'{"logits": [[1' + b"0" * 400 + b', 0.0, 0.0]]}', id="huge_int"),
         ],
     )
     def test_bad_payload_is_protocol_error(self, server, closing, body):
@@ -365,6 +367,7 @@ class TestHttpEmbedding:
             b'{"vectors": [[1.0, NaN, 0.0]], "dim": 3}',
             b'{"vectors": [[1.0, "x", 0.0]], "dim": 3}',
             b'{"vectors": [7], "dim": 1}',
+            pytest.param(b'{"vectors": [[1' + b"0" * 400 + b', 0.0]], "dim": 2}', id="huge_int"),
         ],
     )
     def test_bad_vector_is_protocol_error(self, server, closing, body):
@@ -392,26 +395,38 @@ class TestHttpDecomposer:
             client.decompose("Sentence.", "topic")
 
 
-def test_bad_response_fails_one_prompt_not_the_run(server, closing):
-    """A NaN logit for one prompt's pairs yields a PromptFailure for that
-    prompt only; the other prompt is still scored."""
+@pytest.mark.parametrize(
+    "service,poison",
+    [("nli", float("nan")), ("nli", 10**400), ("embed", 10**400)],
+    ids=["nan_logit", "huge_logit", "huge_vector"],
+)
+def test_bad_response_fails_one_prompt_not_the_run(server, closing, service, poison):
+    """A NaN, or an integer too large for a float, in the answer for one
+    prompt's texts yields a PromptFailure for that prompt only; the other
+    prompt is still scored."""
+    hashed = HashEmbeddingProvider(dim=8)
 
     def respond(path, body):
-        rows = []
-        for pair in body["pairs"]:
-            if "poisoned" in pair["premise"] + pair["hypothesis"]:
-                rows.append([float("nan"), 0.0, 0.0])
-            else:
-                rows.append(list(marker_nli_rule(pair["premise"], pair["hypothesis"])))
-        return {"logits": rows}
+        if path.endswith("/nli"):
+            return {"logits": [
+                [poison, 0.0, 0.0] if "poisoned" in pair["premise"] + pair["hypothesis"]
+                else list(marker_nli_rule(pair["premise"], pair["hypothesis"]))
+                for pair in body["pairs"]
+            ]}
+        return {"vectors": [
+            [poison] * 8 if "poisoned" in text else list(vector.values)
+            for text, vector in zip(body["texts"], hashed.embed_batch(body["texts"]))
+        ]}
 
     server.state["respond"] = respond
     good = marker_sample("good", ["alpha", "omega"])
     bad = marker_sample("bad", ["alpha", "poisoned alpha"], topic_index=1)
     providers = marker_providers()
-    providers.nli = closing(HttpNliProvider(_config(server)))
-    config = apply_variant(default_config(), "luq_sentence")
-    results = run_many([good, bad], config, providers)
+    if service == "nli":
+        providers.nli = closing(HttpNliProvider(_config(server)))
+    else:
+        providers.embedder = closing(HttpEmbeddingProvider(_config(server)))
+    results = run_many([good, bad], apply_variant(default_config(), "agsc"), providers)
     assert isinstance(results[0], PromptReport)
     assert isinstance(results[1], PromptFailure)
     assert results[1].prompt_id == "bad"

@@ -164,8 +164,21 @@ class TestRunPrompt:
                 lambda line: line["units"][0].update(memberships=[0.5, True]),
                 "items of field 'memberships' must be float",
             ),
+            (lambda line: line.update(timing=[1]), r"field 'timing' must be an object, got \[1\]"),
+            (lambda line: line.update(meta=[1]), r"field 'meta' must be an object, got \[1\]"),
+            (lambda line: line.update(sentences=[1]), "items of field 'sentences' must be an object"),
+            (lambda line: line.update(units=["r0.s0"]), "items of field 'units' must be an object"),
+            (lambda line: line.update(clusters=[[]]), "items of field 'clusters' must be an object"),
+            (lambda line: line.pop("timing"), "field 'timing' is missing"),
+            (lambda line: line.pop("meta"), "field 'meta' is missing"),
+            (lambda line: line["timing"].pop("t_nli_ms"), "field 't_nli_ms' is missing"),
+            (lambda line: line["units"][0].pop("text"), "field 'text' is missing"),
         ],
-        ids=["units", "sentence_units", "sentence_unit_item", "membership_str", "membership_bool"],
+        ids=[
+            "units", "sentence_units", "sentence_unit_item", "membership_str", "membership_bool",
+            "timing_list", "meta_list", "sentence_item", "unit_item", "cluster_item",
+            "no_timing", "no_meta", "no_timing_field", "no_unit_field",
+        ],
     )
     def test_report_from_dict_rejects_wrong_shaped_sequences(self, edit, message):
         sample, config = golden_inputs()
@@ -685,14 +698,9 @@ class TestTurn:
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
-        adaptive = apply_variant(base_config, "agsc")
-        collapsed = dataclasses.replace(
-            adaptive,
-            granularity=dataclasses.replace(adaptive.granularity, collapse_decomposed=True),
-        )
-        configs = [adaptive, collapsed] + [
+        configs = [
             apply_variant(base_config, v)
-            for v in ("luq_atomic", "ablate_kmeans", "agsc_literal")
+            for v in ("agsc", "luq_atomic", "ablate_kmeans", "agsc_literal")
         ]
         try:
             for config in configs:
@@ -710,7 +718,7 @@ class TestTurn:
                     ]
                     for w in (1, 2, 0)
                 ]
-                assert runs[0] == runs[1] == runs[2], (config.variant, config.granularity)
+                assert runs[0] == runs[1] == runs[2], config.variant
         finally:
             sys.setswitchinterval(interval)
 

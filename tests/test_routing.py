@@ -249,17 +249,6 @@ class TestApplyGranularity:
         assert decomposer_calls(result) == 3
         assert all(unit.role == "atomic_fact" for unit in result.units)
 
-    def test_collapse_decomposed_mode(self):
-        sentences, refset, decomposer = _world(["theta", "alpha"])
-        result = granularity(
-            sentences, refset, decomposer,
-            GranularityConfig(collapse_decomposed=True),
-        )
-        assert len(result.units) == 2
-        collapsed, collapsed_u = scored(result)[0]
-        assert collapsed.role == "sentence"
-        assert abs(collapsed_u - 0.5) < 1e-3
-
     def test_fallback_recorded(self):
         class Failing:
             def decompose(self, sentence, prompt_context):
@@ -308,10 +297,9 @@ class TestDecompositionRound:
         assert decomposer_calls(result) == 3
         assert overlap.peak == 2
 
-    @pytest.mark.parametrize("collapse", [False, True])
-    def test_round_matches_one_call_at_a_time(self, collapse):
+    def test_round_matches_one_call_at_a_time(self):
         sentences, refset, _ = _world(self.KINDS)
-        config = GranularityConfig(collapse_decomposed=collapse)
+        config = GranularityConfig()
         primary = ScriptedDecomposerProvider(default=marker_decomposer_rule)
         serial = granularity(
             sentences, refset, ResilientDecomposer(primary, max_in_flight=1), config
