@@ -32,9 +32,12 @@ class ProtocolError(ProviderError):
     """The provider answered, but the response violates the wire contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NliLogits:
-    """Raw three-class NLI scores: entailment, contradiction, neutral."""
+    """Raw three-class NLI scores: entailment, contradiction, neutral.
+
+    Each must be a finite number; a boolean is not one.
+    """
 
     entail: float
     contradict: float
@@ -42,8 +45,8 @@ class NliLogits:
 
     def __post_init__(self) -> None:
         for v in (self.entail, self.contradict, self.neutral):
-            if not math.isfinite(v):
-                raise ValueError(f"NLI logits must be finite, got {v!r}")
+            if type(v) is bool or not math.isfinite(v):
+                raise ValueError(f"NLI logits must be finite numbers, got {v!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.entail, self.contradict, self.neutral)

@@ -5,6 +5,14 @@ Caching is transparent: wrapped providers return exactly what the inner
 provider would, they just skip repeated calls. A file whose last line was
 torn by a kill mid-append still loads: the fragment is skipped, logged,
 and cut off before the next record is appended.
+
+In memory a cache is keyed by the raw 32-byte SHA-256 digest of a
+request's content (content_key, pair_keys); on disk each line's "k" is
+that digest's hex string. Each wrapper sets how its cache holds records,
+in the form a hit needs: CachedNli holds the validated NliLogits it
+serves, CachedEmbedding a packed float64 array per vector, and
+CachedDecomposer the list as parsed. A record that fails validation is
+held as parsed and fails only the lookups that find it.
 """
 
 from __future__ import annotations
@@ -32,13 +40,13 @@ class CacheCorruptError(ValueError):
     """A cache file is unreadable or holds a line that is not {"k": str, "v": ...}."""
 
 
-def content_key(*parts: str) -> str:
-    """Hash of NFC-canonicalized text parts; the cache lookup key."""
+def content_key(*parts: str) -> bytes:
+    """SHA-256 digest of NFC-canonicalized text parts; the cache lookup key."""
     joined = _SEP.join(unicodedata.normalize("NFC", p) for p in parts)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    return hashlib.sha256(joined.encode("utf-8")).digest()
 
 
-def pair_keys(kind: str, pairs: Sequence[tuple[str, str]]) -> list[str]:
+def pair_keys(kind: str, pairs: Sequence[tuple[str, str]]) -> list[bytes]:
     """[content_key(kind, a, b) for a, b in pairs], key for key.
 
     Each distinct text is normalized once, and the hash of each distinct
@@ -59,7 +67,7 @@ def pair_keys(kind: str, pairs: Sequence[tuple[str, str]]) -> list[str]:
             tail = seconds[b] = unicodedata.normalize("NFC", b).encode("utf-8")
         h = prefix.copy()
         h.update(tail)
-        keys.append(h.hexdigest())
+        keys.append(h.digest())
     return keys
 
 
@@ -74,32 +82,43 @@ def _json_text(line: bytes) -> str:
     return line.decode(json.detect_encoding(line), "surrogatepass")
 
 
-def packed_floats(value):
-    """A list of numbers as one packed float64 array('d'); any other value as is.
+def packed_floats(value) -> array:
+    """A record's list of numbers as one packed float64 array('d').
 
     Held in memory, a list of n floats costs 56 + 32n bytes (the list and
-    its float objects) and the array 64 + 8n. A value that does not pack
-    (not a list, or a list holding an item that is not a float-sized
-    number) is returned unchanged, for the wrapper's decoder to reject.
+    its float objects) and the array 64 + 8n. A value that is not a list
+    of numbers raises TypeError, or OverflowError for a number too large
+    for a float; a boolean is not a number, though array('d') would take it.
     """
-    if type(value) is list:
-        try:
-            return array("d", value)
-        except (TypeError, OverflowError):
-            pass
-    return value
+    if type(value) is not list or bool in map(type, value):
+        raise TypeError("embedding record is not a list of numbers")
+    return array("d", value)
+
+
+def _vector(held) -> EmbeddingVector:
+    """The vector a held embedding record serves. A record held as parsed
+    (one packed_floats rejected) is packed here, which raises for it."""
+    return EmbeddingVector(tuple(held if type(held) is array else packed_floats(held)))
+
+
+def _logits(value) -> NliLogits:
+    """An NLI record's three numbers as the NliLogits it serves."""
+    return NliLogits(*value)
 
 
 class ResponseCache:
     """Persistent key -> value store backed by an append-only JSON-lines file.
 
-    Each record is one line {"k": key, "v": value}, written from the value
-    put() was given. In memory a value is held as parsed, or as
-    hold(value) when `hold` is set before the first get() or put(): the
-    one conversion applied to the records put() stores and to those the
-    parse reads, and the form get() returns. CachedEmbedding sets it to
-    packed_floats, so each vector is held as a float64 array while its line
-    keeps the JSON list.
+    Keys are bytes, the digests content_key and pair_keys make. Each record
+    is one line {"k": key.hex(), "v": value}, written from the value put()
+    was given. In memory the store is keyed by the bytes again: a line's
+    "k" is read back with bytes.fromhex, and one that is not hex is kept
+    as read, which no lookup matches. get() returns a record's held form.
+    put() holds the `held` form its caller passes, else the value itself.
+    The parse holds each value as hold(value) when `hold` is set before
+    the first get() or put(); a value hold rejects (TypeError, ValueError
+    or OverflowError), or every value when hold is None, is held as
+    parsed, so that a malformed record fails only the lookups that find it.
 
     The path is checked when the cache is made; the file is parsed at the
     first get() or put(). A kill during put() can leave the file ending in
@@ -116,9 +135,9 @@ class ResponseCache:
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self.hold = None  # how values are held in memory; None holds them as parsed
+        self.hold = None  # how parsed values are held in memory; None holds them as parsed
         self._lock = threading.Lock()
-        self._data: dict[str, object] | None = None  # the records, once parsed
+        self._data: dict[bytes, object] | None = None  # the records, once parsed
         self._failed: str | None = None  # why parsing failed, if it did
         self._file = None  # the append handle, once a record is written
         self._torn_at: int | None = None  # byte offset of a torn last line
@@ -143,9 +162,9 @@ class ResponseCache:
             self._failed = f"{self._path}: unreadable ({e})"
             raise CacheCorruptError(self._failed) from e
 
-    def _parse(self) -> dict[str, object]:
+    def _parse(self) -> dict[bytes, object]:
         """The file's records; also sets the torn-line state put() reads."""
-        data: dict[str, object] = {}
+        data: dict[bytes, object] = {}
         hold = self.hold
         bad: tuple[int, ValueError] | None = None
         line, end = b"\n", 0
@@ -169,24 +188,38 @@ class ResponseCache:
                         f"{self._path}:{lineno}: not a cache record"
                         " (expected an object with a string 'k' and a 'v')"
                     )
-                data[rec["k"]] = rec["v"] if hold is None else hold(rec["v"])
+                key, value = rec["k"], rec["v"]
+                try:
+                    key = bytes.fromhex(key)
+                except ValueError:
+                    pass
+                if hold is not None:
+                    try:
+                        value = hold(value)
+                    except (TypeError, ValueError, OverflowError):
+                        pass
+                data[key] = value
         if bad is not None:
             logger.warning("%s: skipped unparsable last line (%s)", self._path, bad[1])
         else:
             self._unterminated = not line.endswith(b"\n")
         return data
 
-    def get(self, key: str):
-        with self._lock:
-            if self._data is None:
-                self._load()
-            return self._data.get(key)
+    def get(self, key: bytes):
+        # Once parsed, a lookup takes no lock: put() adds a record to the
+        # dict only after flushing its line, and a dict lookup is atomic.
+        data = self._data
+        if data is None:
+            with self._lock:
+                if self._data is None:
+                    self._load()
+                data = self._data
+        return data.get(key)
 
-    def put(self, key: str, value) -> None:
-        """Store a record; it is flushed to the file before put() returns."""
-        line = json.dumps({"k": key, "v": value}, ensure_ascii=False)
-        if self.hold is not None:
-            value = self.hold(value)
+    def put(self, key: bytes, value, held=None) -> None:
+        """Store a record, held in memory as `held` if given, else as
+        `value`; it is flushed to the file before put() returns."""
+        line = json.dumps({"k": key.hex(), "v": value}, ensure_ascii=False)
         with self._lock:
             if self._data is None:
                 self._load()
@@ -201,7 +234,7 @@ class ResponseCache:
                 self._torn_at, self._unterminated = None, False
             self._file.write(line + "\n")
             self._file.flush()
-            self._data[key] = value
+            self._data[key] = value if held is None else held
 
     def close(self) -> None:
         with self._lock:
@@ -223,47 +256,55 @@ class _CachedProvider:
         self._inner = inner
         self._cache = cache
 
-    def _through(self, keys: Sequence[str], fetch, encode, decode) -> list:
+    def _through(self, keys: Sequence[bytes], fetch, encode, decode, served=None) -> list:
         """Results for `keys`, in order.
 
-        Each key is looked up once; fetch(indices) returns the inner
-        provider's results for the missed indices in one call, and each is
-        stored as encode(result). A result that encode rejects (ValueError)
-        is returned but not stored, so a later call asks again. An answer
-        of the wrong length raises ProtocolError before anything is
-        stored. Hits are rebuilt with decode(value); a record that decode
-        rejects (TypeError, ValueError, or OverflowError for an integer
-        too large for a float) raises ProtocolError naming the cache file.
+        Each position is looked up once. A hit held as a `served` instance
+        is returned as held; any other hit is rebuilt with decode(hit), and
+        a record that decode rejects (TypeError, ValueError, or
+        OverflowError for an integer too large for a float) raises
+        ProtocolError naming the cache file. fetch(indices) returns the
+        inner provider's results for the first position of each distinct
+        missed key, in one call, and each result fills every position of
+        its key. An answer of the wrong length raises ProtocolError before
+        anything is stored. Each result is stored as encode(result), a
+        (record, held) pair for put(); a result that encode rejects
+        (ValueError) is returned but not stored, so a later call asks again.
         """
         results: list = [None] * len(keys)
-        missing: list[int] = []
+        missing: dict[bytes, list[int]] = {}  # missed key -> its positions
+        get = self._cache.get
         with computing():
             for i, key in enumerate(keys):
-                hit = self._cache.get(key)
+                hit = get(key)
                 if hit is None:
-                    missing.append(i)
-                    continue
-                try:
-                    results[i] = decode(hit)
-                except (TypeError, ValueError, OverflowError) as e:
-                    raise ProtocolError(
-                        f"{self._cache._path}: cache record malformed: {e}"
-                    ) from e
+                    missing.setdefault(key, []).append(i)
+                elif type(hit) is served:
+                    results[i] = hit
+                else:
+                    try:
+                        results[i] = decode(hit)
+                    except (TypeError, ValueError, OverflowError) as e:
+                        raise ProtocolError(
+                            f"{self._cache._path}: cache record malformed: {e}"
+                        ) from e
             if missing:
+                firsts = [positions[0] for positions in missing.values()]
                 with waiting():
-                    fetched = fetch(missing)
-                if len(fetched) != len(missing):
+                    fetched = fetch(firsts)
+                if len(fetched) != len(firsts):
                     raise ProtocolError(
                         f"provider behind {self._cache._path} returned"
-                        f" {len(fetched)} results for {len(missing)} requests"
+                        f" {len(fetched)} results for {len(firsts)} requests"
                     )
-                for i, value in zip(missing, fetched):
-                    results[i] = value
+                for (key, positions), value in zip(missing.items(), fetched):
+                    for i in positions:
+                        results[i] = value
                     try:
-                        record = encode(value)
+                        record, held = encode(value)
                     except ValueError:
                         continue
-                    self._cache.put(keys[i], record)
+                    self._cache.put(key, record, held)
         return results
 
     def close(self) -> None:
@@ -275,14 +316,23 @@ class _CachedProvider:
 
 
 class CachedNli(_CachedProvider):
-    """NLI provider wrapper that serves repeated pairs from the cache."""
+    """NLI provider wrapper that serves repeated pairs from the cache.
+
+    Its cache holds each record as the NliLogits a hit returns, built once
+    when its line is parsed or taken as fetched.
+    """
+
+    def __init__(self, inner, cache: ResponseCache):
+        super().__init__(inner, cache)
+        cache.hold = _logits
 
     def nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[NliLogits]:
         return self._through(
             pair_keys("nli", pairs),
             lambda missing: self._inner.nli_batch([pairs[i] for i in missing]),
-            lambda logits: list(logits.as_tuple()),
-            lambda hit: NliLogits(*hit),
+            lambda logits: (list(logits.as_tuple()), logits),
+            _logits,
+            NliLogits,
         )
 
 
@@ -301,8 +351,8 @@ class CachedEmbedding(_CachedProvider):
         return self._through(
             [content_key("embed", t) for t in texts],
             lambda missing: self._inner.embed_batch([texts[i] for i in missing]),
-            lambda vec: list(vec.values),
-            lambda hit: EmbeddingVector(tuple(hit)),
+            lambda vec: (list(vec.values), array("d", vec.values)),
+            _vector,
         )
 
 
@@ -317,7 +367,7 @@ class CachedDecomposer(_CachedProvider):
         (facts,) = self._through(
             [content_key("decompose", sentence, prompt_context)],
             lambda missing: [self._inner.decompose(sentence, prompt_context)],
-            checked_facts,
+            lambda answer: (checked_facts(answer), None),
             checked_facts,
         )
         return facts

@@ -12,8 +12,9 @@ Wire contract (all bodies UTF-8 JSON):
 Transport failures and 5xx, 408 and 429 responses are retried with
 exponential backoff; after max_attempts the call raises ProviderError
 carrying the attempt count. Any other 4xx fails at once, since a retry
-cannot fix it. A 2xx body that is not a JSON object, or whose fields do
-not parse into finite numbers of the right shape, raises ProtocolError,
+cannot fix it. A 2xx body that is not a JSON object, or whose fields are
+not finite JSON numbers of the right shape (a string or a boolean is not a
+number), raises ProtocolError,
 so one bad response fails one prompt, never a corpus run. Requests are
 chunked to batch_size and at most max_in_flight chunks are posted
 concurrently; outputs are reassembled in request order.
@@ -57,6 +58,14 @@ def _malformed(what: str):
         yield
     except (TypeError, ValueError, OverflowError) as e:
         raise ProtocolError(f"{what} response malformed: {e}") from e
+
+
+def _number(value) -> float:
+    """A JSON number in an answer as a float; any other value, a string
+    or a boolean included, raises TypeError."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 class _HttpClient:
@@ -176,7 +185,7 @@ class HttpNliProvider(_HttpClient):
             if not isinstance(row, list) or len(row) != 3:
                 raise ProtocolError(f"NLI logits row malformed: {row!r}")
             with _malformed("NLI"):
-                out.append(NliLogits(float(row[0]), float(row[1]), float(row[2])))
+                out.append(NliLogits(*map(_number, row)))
         return out
 
 
@@ -208,7 +217,7 @@ class HttpEmbeddingProvider(_HttpClient):
                     raise ProtocolError(
                         f"embedding vector length {len(vec)} != reported dim {dim}"
                     )
-                out.append(EmbeddingVector(tuple(float(v) for v in vec)))
+                out.append(EmbeddingVector(tuple(map(_number, vec))))
         # Only a valid answer sets the dimension the later ones must match.
         with self._dim_lock:
             if self._dim is None:

@@ -242,7 +242,7 @@ class TestScore:
         assert main(args + ["--out", str(tmp_path / "first")]) == 0
         # Cut the embedding of a sentence only p0's references hold to one entry.
         embed = cache / "embed.jsonl"
-        key = content_key("embed", "Subject 0 lives in a big city.")
+        key = content_key("embed", "Subject 0 lives in a big city.").hex()
         records = [json.loads(line) for line in embed.read_text(encoding="utf-8").splitlines()]
         assert key in [r["k"] for r in records]
         embed.write_text(

@@ -212,6 +212,8 @@ class TestHttpNli:
             b'{"logits": [[NaN, 0.0, 0.0]]}',
             b'{"logits": [["high", 0.0, 0.0]]}',
             b'{"logits": [[null, 0.0, 0.0]]}',
+            b'{"logits": [["8", 0.0, 0.0]]}',  # a numeric string is not a number
+            b'{"logits": [[true, 0.0, 0.0]]}',  # nor is a boolean
             pytest.param(b'{"logits": [[1' + b"0" * 400 + b', 0.0, 0.0]]}', id="huge_int"),
         ],
     )
@@ -366,6 +368,8 @@ class TestHttpEmbedding:
         [
             b'{"vectors": [[1.0, NaN, 0.0]], "dim": 3}',
             b'{"vectors": [[1.0, "x", 0.0]], "dim": 3}',
+            b'{"vectors": [[1.0, "0.5", 0.0]], "dim": 3}',
+            b'{"vectors": [[1.0, true, 0.0]], "dim": 3}',
             b'{"vectors": [7], "dim": 1}',
             pytest.param(b'{"vectors": [[1' + b"0" * 400 + b', 0.0]], "dim": 2}', id="huge_int"),
         ],
@@ -397,13 +401,15 @@ class TestHttpDecomposer:
 
 @pytest.mark.parametrize(
     "service,poison",
-    [("nli", float("nan")), ("nli", 10**400), ("embed", 10**400)],
-    ids=["nan_logit", "huge_logit", "huge_vector"],
+    [("nli", float("nan")), ("nli", 10**400), ("nli", "-1e1"), ("nli", True),
+     ("embed", 10**400), ("embed", "0.5"), ("embed", True)],
+    ids=["nan_logit", "huge_logit", "string_logit", "bool_logit",
+         "huge_vector", "string_vector", "bool_vector"],
 )
 def test_bad_response_fails_one_prompt_not_the_run(server, closing, service, poison):
-    """A NaN, or an integer too large for a float, in the answer for one
-    prompt's texts yields a PromptFailure for that prompt only; the other
-    prompt is still scored."""
+    """A NaN, an integer too large for a float, a string or a boolean in
+    the answer for one prompt's texts yields a PromptFailure for that
+    prompt only; the other prompt is still scored."""
     hashed = HashEmbeddingProvider(dim=8)
 
     def respond(path, body):

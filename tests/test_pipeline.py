@@ -1197,12 +1197,12 @@ class TestMalformedAnswers:
         cache = ResponseCache(tmp_path / f"{service}.jsonl")
         if service == "nli":
             inner = SimpleNamespace(nli_batch=wrong_length_for_harbor(
-                providers.nli.nli_batch, lambda pair: content_key("nli", *pair)
+                providers.nli.nli_batch, lambda pair: content_key("nli", *pair).hex()
             ))
             providers.nli = CachedNli(inner, cache)
         else:
             inner = SimpleNamespace(embed_batch=wrong_length_for_harbor(
-                providers.embedder.embed_batch, lambda text: content_key("embed", text)
+                providers.embedder.embed_batch, lambda text: content_key("embed", text).hex()
             ))
             providers.embedder = CachedEmbedding(inner, cache)
         config = dataclasses.replace(agsc_config, workers=workers)

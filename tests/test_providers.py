@@ -5,12 +5,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import unicodedata
 from array import array
 from pathlib import Path
 
@@ -152,6 +154,11 @@ def new_cache(tmp_path):
         cache.close()
 
 
+def key_of(name: str) -> bytes:
+    """A cache key as the wrappers make them: the digest of one text."""
+    return cache_module.content_key(name)
+
+
 class TestCache:
     def test_nli_cache_hit_skips_inner(self, new_cache):
         inner = CountingNli(ScriptedNliProvider(default=(1.0, 2.0, 3.0)))
@@ -245,34 +252,66 @@ class TestCache:
         )
         assert whole == parts == mock.nli_batch(pairs)
 
+    def test_each_distinct_miss_is_fetched_once(self, new_cache):
+        nli = CountingNli(ScriptedNliProvider(default=lambda p, h: (len(p), 0.0, 0.0)))
+        cached = CachedNli(nli, new_cache("nli.jsonl"))
+        out = cached.nli_batch([("p", "h"), ("p", "h"), ("qq", "h")])
+        assert (nli.calls, nli.pairs_seen) == (1, 2)
+        assert [o.entail for o in out] == [1.0, 1.0, 2.0]
+        embedder = CountingEmbedder(HashEmbeddingProvider(dim=8))
+        vectors = CachedEmbedding(embedder, new_cache("embed.jsonl")).embed_batch(["a", "b", "a"])
+        assert embedder.texts_seen == 2
+        assert vectors[0] == vectors[2] != vectors[1]
+
+    def test_a_cold_batch_equals_its_warm_rerun(self, new_cache):
+        class Drifting:
+            """Answers each pair differently every time it is asked."""
+
+            asked = 0
+
+            def nli_batch(self, pairs):
+                self.asked += len(pairs)
+                return [NliLogits(float(self.asked + i), 0.0, 0.0) for i in range(len(pairs))]
+
+        pairs = [("p", "h"), ("q", "h"), ("p", "h"), ("p", "h")]
+        cold = CachedNli(Drifting(), new_cache("nli.jsonl"))
+        first = cold.nli_batch(pairs)
+        cold.close()
+        warm = CachedNli(Drifting(), new_cache("nli.jsonl")).nli_batch(pairs)
+        assert first == warm
+        assert first[0] == first[2] == first[3] != first[1]
+
     def test_torn_last_line_skipped_then_cut_before_next_put(
         self, tmp_path, new_cache, caplog
     ):
         path = tmp_path / "nli.jsonl"
         writer = new_cache("nli.jsonl")
-        writer.put("old", [1.0, 2.0, 3.0])
+        writer.put(key_of("old"), [1.0, 2.0, 3.0])
         writer.close()
         with open(path, "a", encoding="utf-8") as f:
-            f.write('{"k": "torn", "v": [4.0, 5')  # killed mid-append
+            f.write('{"k": "%s", "v": [4.0, 5' % key_of("torn").hex())  # killed mid-append
         cache = new_cache("nli.jsonl")
         with caplog.at_level("WARNING"):
-            assert cache.get("old") == [1.0, 2.0, 3.0]
+            assert cache.get(key_of("old")) == [1.0, 2.0, 3.0]
         assert "unparsable last line" in caplog.text
-        assert cache.get("torn") is None
-        cache.put("new", [6.0])
+        assert cache.get(key_of("torn")) is None
+        cache.put(key_of("new"), [6.0])
         reopened = new_cache("nli.jsonl")
-        assert reopened.get("old") == [1.0, 2.0, 3.0]
-        assert reopened.get("new") == [6.0]
-        assert [json.loads(l)["k"] for l in path.read_text().splitlines()] == ["old", "new"]
+        assert reopened.get(key_of("old")) == [1.0, 2.0, 3.0]
+        assert reopened.get(key_of("new")) == [6.0]
+        assert [json.loads(l)["k"] for l in path.read_text().splitlines()] == [
+            key_of("old").hex(), key_of("new").hex()
+        ]
 
     def test_unterminated_last_record_kept(self, tmp_path, new_cache):
         path = tmp_path / "nli.jsonl"
-        path.write_text('{"k": "old", "v": 1}', encoding="utf-8")  # newline never written
+        path.write_text('{"k": "%s", "v": 1}' % key_of("old").hex(),  # newline never written
+                        encoding="utf-8")
         cache = new_cache("nli.jsonl")
-        assert cache.get("old") == 1
-        cache.put("new", 2)
+        assert cache.get(key_of("old")) == 1
+        cache.put(key_of("new"), 2)
         reopened = new_cache("nli.jsonl")
-        assert (reopened.get("old"), reopened.get("new")) == (1, 2)
+        assert (reopened.get(key_of("old")), reopened.get(key_of("new"))) == (1, 2)
 
     def test_unparsable_middle_line_raises(self, tmp_path):
         path = tmp_path / "nli.jsonl"
@@ -310,22 +349,22 @@ class TestCache:
         cache = ResponseCache(tmp_path / "nli.jsonl")
         assert opened == []  # nothing to load, and no handle before a put
         for i in range(5):
-            cache.put(f"k{i}", [float(i)])
+            cache.put(key_of(f"k{i}"), [float(i)])
         assert opened == ["a"]
         cache.close()
         cache.close()
-        cache.put("k5", [5.0])  # a put after close() opens the handle again
+        cache.put(key_of("k5"), [5.0])  # a put after close() opens the handle again
         assert opened == ["a", "a"]
         cache.close()
         reopened = ResponseCache(tmp_path / "nli.jsonl")
-        assert [reopened.get(f"k{i}") for i in range(6)] == [[float(i)] for i in range(6)]
+        assert [reopened.get(key_of(f"k{i}")) for i in range(6)] == [[float(i)] for i in range(6)]
 
     def test_fetched_batch_is_on_disk_when_returned(self, tmp_path, new_cache):
         cached = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
         cached.nli_batch([("p1", "h"), ("p2", "h"), ("p1", "h")])
         # Read through another handle without closing the cache's own.
         lines = (tmp_path / "nli.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        keys = [cache_module.content_key("nli", p, "h") for p in ("p1", "p2")]
+        keys = [cache_module.content_key("nli", p, "h").hex() for p in ("p1", "p2")]
         assert lines == [
             json.dumps({"k": k, "v": [1.0, 0.0, 0.5]}, ensure_ascii=False) + "\n"
             for k in keys
@@ -341,8 +380,8 @@ class TestCache:
         first_put, b_checked = threading.Event(), threading.Event()
         real_put = cache.put
 
-        def put(key, value):
-            real_put(key, value)
+        def put(key, value, held=None):
+            real_put(key, value, held)
             if not first_put.is_set():
                 first_put.set()
                 b_checked.wait(timeout=10)
@@ -354,7 +393,7 @@ class TestCache:
             def nli_batch(self, pairs):
                 served = [k for k in keys if cache.get(k) is not None]
                 on_disk = path.read_text(encoding="utf-8") if path.exists() else ""
-                seen.append((served, [k for k in served if k not in on_disk]))
+                seen.append((served, [k for k in served if k.hex() not in on_disk]))
                 return [NliLogits(1.0, 0.0, 0.0)] * len(pairs)
 
         cached = CachedNli(Checking(), cache)
@@ -373,7 +412,10 @@ class TestCache:
         assert all(reopened.get(k) == [1.0, 0.0, 0.0] for k in keys)
 
 
-    @pytest.mark.parametrize("value", [[1.0, 2.0], "abc", 5, [1.0, "x", 2.0]])
+    @pytest.mark.parametrize(
+        "value",
+        [[1.0, 2.0], "abc", 5, [1.0, "x", 2.0], [True, False, True], ["8", 0.0, 0.0]],
+    )
     def test_wrong_shaped_nli_record_is_a_protocol_error(self, new_cache, value):
         cache = new_cache("nli.jsonl")
         cache.put(cache_module.content_key("nli", "p", "h"), value)
@@ -431,7 +473,7 @@ def bits(values) -> bytes:
 
 class TestPackedEmbeddings:
     """CachedEmbedding's cache holds each vector as a packed float64 array;
-    the file keeps the JSON list, and the other caches hold what they parse."""
+    the file keeps the JSON list."""
 
     VECTORS = {
         "signed_zero": (-0.0, 0.0, 1.0),
@@ -454,7 +496,7 @@ class TestPackedEmbeddings:
         cached = CachedEmbedding(FixedEmbedder(values), new_cache("embed.jsonl"))
         (first,) = cached.embed_batch(["t"])
         (hit,) = cached.embed_batch(["t"])
-        key = cache_module.content_key("embed", "t")
+        key = cache_module.content_key("embed", "t").hex()
         line = json.dumps({"k": key, "v": list(values)}, ensure_ascii=False) + "\n"
         assert (tmp_path / "embed.jsonl").read_text(encoding="utf-8") == line
         assert hit == first == EmbeddingVector(values)
@@ -476,29 +518,10 @@ class TestPackedEmbeddings:
         for text in texts:
             assert type(cache.get(cache_module.content_key("embed", text))) is array
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_nli_and_decomposer_records_are_held_as_parsed(self, new_cache, warm):
-        nli = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
-        dec = CachedDecomposer(
-            ScriptedDecomposerProvider(script={"s": ["f1", "f2"]}), new_cache("dec.jsonl")
-        )
-        nli.nli_batch([("p", "h")])
-        dec.decompose("s", "ctx")
-        if warm:
-            nli.close()
-            dec.close()
-            nli = CachedNli(None, new_cache("nli.jsonl"))
-            dec = CachedDecomposer(None, new_cache("dec.jsonl"))
-        held = [
-            nli._cache.get(cache_module.content_key("nli", "p", "h")),
-            dec._cache.get(cache_module.content_key("decompose", "s", "ctx")),
-        ]
-        assert held == [[1.0, 0.0, 0.5], ["f1", "f2"]]
-        assert [type(h) for h in held] == [list, list]
-
     @pytest.mark.parametrize(
         "value",
-        [[1.0, None], [1.0, "x"], [[1.0, 2.0]], [], {"v": [1.0]}, "1.0", 5, [1.0, 10**400]],
+        [[1.0, None], [1.0, "x"], [[1.0, 2.0]], [], {"v": [1.0]}, "1.0", 5, [1.0, 10**400],
+         [True, False], ["0.5", 1.0]],
     )
     @pytest.mark.parametrize("warm", [False, True])
     def test_malformed_embedding_record_is_a_protocol_error(self, new_cache, value, warm):
@@ -531,6 +554,126 @@ class TestPackedEmbeddings:
         finally:
             tracemalloc.stop()
         assert held / len(texts) < 4096
+
+
+def hex_key(*parts: str) -> str:
+    """The "k" of a cache line: the hex SHA-256 of the NFC-normalized parts
+    joined by 0x1f, computed here independently of content_key."""
+    joined = "\x1f".join(unicodedata.normalize("NFC", p) for p in parts)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+
+def hex_line(parts: tuple, value) -> str:
+    """A cache line as json.dumps writes a {"k": hex key, "v": list} record."""
+    return json.dumps({"k": hex_key(*parts), "v": value}, ensure_ascii=False) + "\n"
+
+
+class TestHeldRecords:
+    """Caches are keyed by digests in memory and by their hex on disk; NLI
+    records are held as the NliLogits a hit returns."""
+
+    LOGITS = {
+        ("nli", "Caf\u00e9 premise", "h"): [0.1, -0.0, 0.30000000000000004],
+        ("nli", "p", "Cafe\u0301 \U0001f642"): [5e-324, -5e-324, 1e308],
+        ("nli", "q\x1fr", "h"): [1, -2, 3],
+    }
+    FACTS = {("decompose", "a and b", "ctx"): ["a", "b"]}
+
+    def write_hex_keyed(self, path: Path, records: dict) -> None:
+        path.write_text("".join(hex_line(k, v) for k, v in records.items()), encoding="utf-8")
+
+    def test_hex_keyed_files_serve_the_same_bits(self, tmp_path, new_cache):
+        self.write_hex_keyed(tmp_path / "nli.jsonl", self.LOGITS)
+        vectors = {("embed", name): list(v) for name, v in TestPackedEmbeddings.VECTORS.items()}
+        self.write_hex_keyed(tmp_path / "embed.jsonl", vectors)
+        self.write_hex_keyed(tmp_path / "dec.jsonl", self.FACTS)
+        nli = CountingNli(ScriptedNliProvider(default=(9.0, 9.0, 9.0)))
+        logits = CachedNli(nli, new_cache("nli.jsonl")).nli_batch([k[1:] for k in self.LOGITS])
+        embedder = CountingEmbedder(HashEmbeddingProvider(dim=3))
+        vecs = CachedEmbedding(embedder, new_cache("embed.jsonl")).embed_batch(
+            [k[1] for k in vectors]
+        )
+        decomposer = CountingDecomposer(ScriptedDecomposerProvider(script={}))
+        facts = CachedDecomposer(decomposer, new_cache("dec.jsonl")).decompose("a and b", "ctx")
+        assert (nli.calls, embedder.texts_seen, decomposer.calls) == (0, 0, 0)
+        assert [bits(l.as_tuple()) for l in logits] == [bits(v) for v in self.LOGITS.values()]
+        assert [bits(v.values) for v in vecs] == [bits(v) for v in vectors.values()]
+        assert facts == ["a", "b"]
+
+    def test_stored_lines_are_the_hex_keyed_lines(self, tmp_path, new_cache):
+        script = {k[1:]: tuple(v) for k, v in self.LOGITS.items()}
+        nli = CachedNli(ScriptedNliProvider(script=script), new_cache("nli.jsonl"))
+        nli.nli_batch(list(script))
+        values = TestPackedEmbeddings.VECTORS
+        embedder = CachedEmbedding(FixedEmbedder(values["tenth"]), new_cache("embed.jsonl"))
+        embedder.embed_batch(["x \U0001f642"])
+        decomposer = CachedDecomposer(
+            ScriptedDecomposerProvider(script={"a and b": ["a", "b"]}), new_cache("dec.jsonl")
+        )
+        decomposer.decompose("a and b", "ctx")
+        assert (tmp_path / "nli.jsonl").read_bytes() == "".join(
+            hex_line(k, v) for k, v in self.LOGITS.items()
+        ).encode("utf-8")
+        assert (tmp_path / "embed.jsonl").read_bytes() == hex_line(
+            ("embed", "x \U0001f642"), list(values["tenth"])
+        ).encode("utf-8")
+        assert (tmp_path / "dec.jsonl").read_bytes() == hex_line(
+            ("decompose", "a and b", "ctx"), ["a", "b"]
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_an_nli_hit_returns_the_held_object(self, new_cache, warm):
+        cached = CachedNli(ScriptedNliProvider(default=(1.0, 0.0, 0.5)), new_cache("nli.jsonl"))
+        (fetched,) = cached.nli_batch([("p", "h")])
+        if warm:
+            cached.close()
+            cached = CachedNli(None, new_cache("nli.jsonl"))
+        held = cached._cache.get(cache_module.content_key("nli", "p", "h"))
+        assert type(held) is NliLogits and held == NliLogits(1.0, 0.0, 0.5)
+        assert (held is fetched) is not warm
+        (hit,) = cached.nli_batch([("p", "h")])
+        assert hit is held
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_decomposer_records_are_held_as_parsed(self, new_cache, warm):
+        dec = CachedDecomposer(
+            ScriptedDecomposerProvider(script={"s": ["f1", "f2"]}), new_cache("dec.jsonl")
+        )
+        dec.decompose("s", "ctx")
+        if warm:
+            dec.close()
+            dec = CachedDecomposer(None, new_cache("dec.jsonl"))
+        held = dec._cache.get(cache_module.content_key("decompose", "s", "ctx"))
+        assert type(held) is list and held == ["f1", "f2"]
+        served = dec.decompose("s", "ctx")
+        assert served == held and served is not held  # a caller cannot change the record
+
+    @pytest.mark.parametrize(
+        "value", [[1.0, 2.0], [True, False, True], ["8", 0.0, 0.0], [1.0, 0.0, 10**400]]
+    )
+    def test_a_malformed_nli_record_fails_only_the_lookups_that_find_it(
+        self, tmp_path, new_cache, value
+    ):
+        good, bad = ("nli", "p", "h"), ("nli", "q", "h")
+        self.write_hex_keyed(tmp_path / "nli.jsonl", {good: [1.0, 0.0, 0.5], bad: value})
+        inner = CountingNli(ScriptedNliProvider(default=(9.0, 9.0, 9.0)))
+        cache = new_cache("nli.jsonl")
+        cached = CachedNli(inner, cache)
+        assert cached.nli_batch([good[1:]]) == [NliLogits(1.0, 0.0, 0.5)]
+        assert cache.get(cache_module.content_key(*bad)) == value  # kept as parsed
+        with pytest.raises(ProtocolError, match=r"nli\.jsonl: cache record malformed"):
+            cached.nli_batch([good[1:], bad[1:]])
+        assert cached.nli_batch([good[1:]]) == [NliLogits(1.0, 0.0, 0.5)]
+        assert inner.calls == 0
+
+    def test_a_line_whose_key_is_not_hex_is_kept_but_never_found(self, tmp_path, new_cache):
+        path = tmp_path / "nli.jsonl"
+        path.write_text('{"k": "plain", "v": [1.0, 0.0, 0.0]}\n', encoding="utf-8")
+        cache = new_cache("nli.jsonl")
+        inner = CountingNli(ScriptedNliProvider(default=(2.0, 0.0, 0.0)))
+        (out,) = CachedNli(inner, cache).nli_batch([("p", "h")])
+        assert (out, inner.calls) == (NliLogits(2.0, 0.0, 0.0), 1)
+        assert cache.get("plain") == NliLogits(1.0, 0.0, 0.0)
 
 
 def corpus(n: int = 4) -> list:
@@ -640,7 +783,7 @@ class TestCacheFirstUse:
         before = path.read_bytes()
         read = spy_on_reads(monkeypatch)
         cache = ResponseCache(path)
-        for call in (lambda: cache.get("a"), lambda: cache.get("b"), lambda: cache.put("c", 3)):
+        for call in (lambda: cache.get("a"), lambda: cache.get("b"), lambda: cache.put(key_of("c"), 3)):
             with pytest.raises(CacheCorruptError) as caught:
                 call()
             assert str(caught.value).startswith(f"{path}:2: unparsable cache record (")
