@@ -1,10 +1,12 @@
 """End-to-end orchestration: score one prompt or a whole corpus.
 
-Stages per prompt: segment -> NLI-score sentences -> route granularity
+Stages per prompt: segment -> NLI-score sentences (and meanwhile, for a
+variant that clusters, embed the reference sentences) -> route granularity
 (keep / skip / decompose) -> decompose -> NLI-score the atomic facts, and
-meanwhile embed and cluster the units -> aggregate. Per-stage wall time is
-attributed to the stage issuing the provider call, so the facts' NLI time
-overlaps the embed and cluster times; with timing disabled all durations
+meanwhile embed the units and cluster them with the references ->
+aggregate. Per-stage wall time is attributed to the stage issuing the
+provider call, so the embed time overlaps the NLI and atom times and the
+cluster time the facts' NLI time; with timing disabled all durations
 are zero and reports become byte-reproducible given the same seed,
 config, and providers.
 
@@ -180,11 +182,14 @@ class _Meter:
     decompose_all in place of the bundle. Stage totals stay zero when
     timing is off; the counts are kept either way.
 
-    While a prompt's facts are scored alongside its clustering, two
-    threads use the meter at once. The fact-scoring branch touches only
-    the "nli" stage and nli_pairs, the clustering branch only the "embed"
-    and "cluster" stages and embed_calls, so neither updates what the
-    other does and no lock is needed.
+    Two threads use the meter at once in a prompt that clusters: while
+    its anchor sentences are routed, the reference sentences are
+    embedded, and while its facts are scored, its units are embedded and
+    clustered. Routing touches only the "nli" and "atom" stages and
+    nli_pairs, and so does fact scoring; the reference call and the
+    clustering branch touch only the "embed" and "cluster" stages and
+    embed_calls. So neither thread of a pair updates what the other does,
+    and no lock is needed.
     """
 
     def __init__(self, providers: ProviderBundle, config: PipelineConfig):
@@ -300,24 +305,37 @@ def run_prompt(
     if not anchor_sentences:
         raise PipelineError(f"prompt {sample.prompt_id!r}: anchor has no sentences")
     refset = ReferenceSet(ref_sentences, config.scoring, meter)
-    routing = route_sentences(
+    steps = [functools.partial(
+        route_sentences,
         anchor_sentences,
         refset,
         meter,
         config.granularity,
         method.granularity_mode,
         sample.prompt,
-    )
+    )]
+    # Clustering embeds the reference sentences as well as the units. The
+    # references are known now, so they are embedded while the anchor
+    # sentences are scored, once that call waits. An error of that call is
+    # held and raised where the units are embedded, so a prompt ends as it
+    # would with the calls made one after the other. The units are final
+    # once the decomposition round is back, so they are embedded and
+    # clustered while the facts are scored, once the fact scoring waits.
+    clusters = method.clustering_mode != CLUSTER_NONE
+    ref_texts = [s.text for sents in ref_sentences for s in sents] if clusters else []
+    if ref_texts:
+        steps.append(functools.partial(_held, meter.embed_batch, ref_texts))
+    routing, *early = share_turn(_call, steps, 2)
+    ref_vectors = early[0] if early else []
 
     units = routing.units
-    # Clustering needs only the units' texts, so the units are embedded and
-    # clustered while the facts are scored, once the fact scoring waits.
     branches = [functools.partial(apply_granularity, routing, refset)]
-    if units and method.clustering_mode != CLUSTER_NONE:
+    if units and clusters:
         branches.append(functools.partial(
-            _embed_and_cluster, sample, config, method, meter, units, ref_sentences
+            _embed_and_cluster, sample, config, method, meter, units,
+            ref_texts, ref_vectors,
         ))
-    routed, *clustered = share_turn(lambda branch: branch(), branches, 2)
+    routed, *clustered = share_turn(_call, branches, 2)
 
     unit_us = [u for d in routed.decisions for u in d.unit_uncertainties]
     memberships: list[tuple[float, ...]] = [() for _ in units]
@@ -368,19 +386,36 @@ def run_prompt(
     )
 
 
-def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
-    """Embed the prompt's units and reference sentences and cluster them.
+def _call(step):
+    return step()
+
+
+def _held(fn, *args):
+    """fn(*args), or the Exception it raised, returned in its place."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e
+
+
+def _embed_and_cluster(sample, config, method, meter, units, ref_texts, ref_vectors):
+    """Embed the prompt's units and cluster them with its reference
+    sentences, whose vectors (or the error of their call) run_prompt got
+    while routing.
 
     Returns the responsibilities (anchor units first, in order) and K.
     """
-    texts = [u.text for u in units] + [s.text for sents in ref_sentences for s in sents]
-    vectors = meter.embed_batch(texts)
+    if isinstance(ref_vectors, Exception):
+        raise ref_vectors
+    _check_count(ref_vectors, len(ref_texts))
+    unit_vectors = meter.embed_batch([u.text for u in units])
+    _check_count(unit_vectors, len(units))
     seed = prompt_seed(config.seed, sample.prompt_id)
     with meter.stage("cluster"):
         # The first clustering of a process imports numpy here and scipy's
         # LAPACK wrapper (not scipy.linalg) in select_k, so this prompt's
         # t_cluster_ms carries both loads.
-        data = _embedding_matrix(vectors, len(texts))
+        data = _embedding_matrix([*unit_vectors, *ref_vectors])
         reduced = reduce_embeddings(data, config.clustering.target_dim)
         selection = select_k(reduced, config.clustering, seed)
         k = selection.fit.params.n_components
@@ -389,14 +424,19 @@ def _embed_and_cluster(sample, config, method, meter, units, ref_sentences):
         return selection.fit.responsibilities, k
 
 
-def _embedding_matrix(vectors, n_texts: int) -> np.ndarray:
-    """The embedder's answer as an (n_texts, dim) array, or ProtocolError."""
-    import numpy as np
-
+def _check_count(vectors, n_texts: int) -> None:
+    """ProtocolError unless the embedder answered one vector per text."""
     if len(vectors) != n_texts:
         raise ProtocolError(
             f"embedding provider returned {len(vectors)} vectors for {n_texts} texts"
         )
+
+
+def _embedding_matrix(vectors) -> np.ndarray:
+    """The vectors as one (len(vectors), dim) array, or ProtocolError if
+    their dimensions differ."""
+    import numpy as np
+
     dims = {v.dim for v in vectors}
     if len(dims) > 1:
         raise ProtocolError(

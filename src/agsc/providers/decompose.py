@@ -93,10 +93,17 @@ def split_facts_rule_based(sentence: str) -> list[str]:
 
 def checked_facts(answer) -> list[str]:
     """A decomposer's answer as a list of facts: it must be a non-empty
-    list of strings that are not blank, or ValueError is raised."""
+    list of strings that are not blank, or ValueError is raised. Each fact
+    must encode as UTF-8, as dataset text must: a JSON escape can name a
+    lone surrogate, which no cache or report line can carry."""
     if not (isinstance(answer, list) and answer
             and all(isinstance(f, str) and f.strip() for f in answer)):
         raise ValueError(f"expected a non-empty list of non-blank strings, got {answer!r}")
+    for fact in answer:
+        try:
+            fact.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"fact {fact!r} is not valid Unicode ({e.reason})") from None
     return list(answer)
 
 

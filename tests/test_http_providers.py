@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -13,9 +14,11 @@ import pytest
 from conftest import marker_nli_rule, marker_providers, marker_sample
 from agsc import default_config
 from agsc.config import parse_config_text
+from agsc.corpus import segment_sentences
 from agsc.evaluation import apply_variant
-from agsc.pipeline import PromptFailure, PromptReport, build_providers, run_many
+from agsc.pipeline import PromptFailure, PromptReport, build_providers, run_corpus, run_many
 from agsc.providers import (
+    CachedDecomposer,
     HashEmbeddingProvider,
     HttpDecomposerProvider,
     HttpEmbeddingProvider,
@@ -23,7 +26,9 @@ from agsc.providers import (
     ProtocolError,
     ProviderConfig,
     ProviderError,
+    ResponseCache,
     RetryPolicy,
+    content_key,
 )
 
 
@@ -437,3 +442,52 @@ def test_bad_response_fails_one_prompt_not_the_run(server, closing, service, poi
     assert isinstance(results[1], PromptFailure)
     assert results[1].prompt_id == "bad"
     assert "malformed" in results[1].error
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+def test_a_lone_surrogate_in_a_fact_falls_back_and_the_run_finishes(
+    server, closing, tmp_path, cached
+):
+    """A /chat answer whose fact holds a lone surrogate (a JSON escape no
+    UTF-8 line can carry) gets the rule-based fallback: the run writes its
+    reports, and the answer is not cached."""
+
+    def respond(path, body):
+        sentence = body["messages"][-1]["content"]
+        return {"text": "- fact \ud800" if "harbor" in sentence else "- fact one\n- fact two"}
+
+    server.state["respond"] = respond
+    cache_path = tmp_path / "cache" / "decompose.jsonl"
+    decomposer = closing(HttpDecomposerProvider(_config(server)))
+    providers = marker_providers()
+    providers.decomposer = (
+        CachedDecomposer(decomposer, ResponseCache(cache_path)) if cached else decomposer
+    )
+    samples = [
+        marker_sample("good", ["alpha", "theta"]),
+        marker_sample("bad", ["alpha", "theta"], topic_index=1),
+    ]
+    config = dataclasses.replace(
+        apply_variant(default_config(), "agsc"), report_dir=str(tmp_path / "out")
+    )
+    try:
+        reports, summary = run_corpus(samples, config, providers)
+    finally:
+        providers.close()
+    assert summary.n_failed == 0
+    assert [(r.prompt_id, r.decomposer_fallback) for r in reports] == [
+        ("good", False), ("bad", True)
+    ]
+    lines = (tmp_path / "out" / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["decomposer_fallback"] for line in lines] == [False, True]
+    if cached:
+        keys = {
+            json.loads(line)["k"]
+            for line in cache_path.read_text(encoding="utf-8").splitlines()
+        }
+
+        def key(sample):
+            theta = segment_sentences(sample.responses[0])[1].text
+            return content_key("decompose", theta, sample.prompt).hex()
+
+        assert keys == {key(samples[0])}

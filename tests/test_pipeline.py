@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -23,6 +24,7 @@ from conftest import (
     marker_nli_rule,
     marker_providers,
     marker_sample,
+    segmented,
 )
 from agsc import SampleSet, default_config
 import agsc.corpus
@@ -51,6 +53,7 @@ from agsc.providers import (
     EmbeddingVector,
     FixedLatencyDecomposer,
     HashEmbeddingProvider,
+    ProtocolError,
     ProviderError,
     ResponseCache,
     ScriptedDecomposerProvider,
@@ -923,6 +926,9 @@ class TestTurn:
 
     # The signal comes from prompt t2's NLI call, while the run is still
     # starting prompts, or from its embedding call, once all four run.
+    # prompt.id is set on prompt threads only, so the embedding call that
+    # signals is the units' one, which a prompt with no facts makes on its
+    # own thread; its reference call runs on a helper thread.
     @pytest.mark.parametrize("call", ["nli_batch", "embed_batch"])
     def test_an_interrupt_lets_the_running_prompts_finish(
         self, agsc_config, tmp_path, monkeypatch, call
@@ -1013,7 +1019,8 @@ class TestFactsScoredWhileClustering:
 
         class Embedder:
             def embed_batch(self, texts):
-                if seen is not None:
+                # Units, not references, are marker sentences: "... detail j ...".
+                if seen is not None and all("detail" in t for t in texts):
                     nli.open.wait(1.0)  # the latch: wait for the fact call
                     seen.append(("embed", nli.open.is_set()))
                 time.sleep(embed_ms / 1000.0)
@@ -1070,13 +1077,13 @@ class TestFactsScoredWhileClustering:
     @pytest.mark.parametrize(
         ("variant", "kinds", "threads"),
         [
-            ("agsc", ("alpha", "omega", "zeta", "alpha"), 0),
+            ("agsc", ("alpha", "omega", "zeta", "alpha"), 1),
             ("ablate_no_cluster", TestTurn.ONE_THETA, 0),
-            ("agsc", TestTurn.ONE_THETA, 1),
+            ("agsc", TestTurn.ONE_THETA, 2),
         ],
         ids=["no-facts", "no-clustering", "facts-and-clustering"],
     )
-    def test_only_a_prompt_with_facts_and_clustering_starts_a_thread(
+    def test_clustering_starts_a_thread_for_the_references_and_facts_one_more(
         self, base_config, monkeypatch, variant, kinds, threads
     ):
         started = []
@@ -1091,6 +1098,135 @@ class TestFactsScoredWhileClustering:
         report = run_prompt(marker_sample("t", list(kinds)), config, marker_providers())
         assert isinstance(report, PromptReport)
         assert len(started) == threads, started
+
+
+class _SentenceNli:
+    """Scripted NLI whose sentence batch (the one with the theta sentence)
+    takes `sentence_ms`; `open` is set while that call runs."""
+
+    inner = ScriptedNliProvider(default=marker_nli_rule)
+
+    def __init__(self, sentence_ms: float = 0.0):
+        self.sentence_ms = sentence_ms
+        self.open = threading.Event()
+
+    def nli_batch(self, pairs):
+        if not any("theta" in hypothesis for _, hypothesis in pairs):
+            return self.inner.nli_batch(pairs)
+        self.open.set()
+        try:
+            time.sleep(self.sentence_ms / 1000.0)
+            return self.inner.nli_batch(pairs)
+        finally:
+            self.open.clear()
+
+
+class TestReferencesEmbeddedWhileRouting:
+    """A clustering variant embeds a prompt's reference sentences while its
+    anchor sentences are scored, and its units once they are final."""
+
+    @staticmethod
+    def _embedder(calls, references_fail: BaseException | None = None, latch=None):
+        """Records each call's texts and, given a latch, whether its call
+        was open when the embedder was called; the reference call (no
+        text is a marker sentence, "... detail j ...") waits for the latch
+        and may raise `references_fail`."""
+        inner = HashEmbeddingProvider(dim=32)
+        lock = threading.Lock()
+
+        class Recording:
+            def embed_batch(self, texts):
+                references = not any("detail" in t for t in texts)
+                if references and latch is not None:
+                    latch.open.wait(1.0)
+                with lock:
+                    calls.append((list(texts), latch is not None and latch.open.is_set()))
+                if references and references_fail is not None:
+                    raise references_fail
+                return inner.embed_batch(texts)
+
+        return Recording()
+
+    def test_the_reference_call_is_made_while_the_sentence_call_is_open(self, agsc_config):
+        nli, calls = _SentenceNli(sentence_ms=30.0), []
+        providers = marker_providers()
+        providers.nli, providers.embedder = nli, self._embedder(calls, latch=nli)
+        report = run_prompt(marker_sample("r", list(TestTurn.ONE_THETA)), agsc_config, providers)
+        assert report.timing.decomposer_calls == 1
+        assert [was_open for _, was_open in calls] == [True, False]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_references_then_units_are_embedded(self, agsc_config, workers):
+        calls = []
+        providers = marker_providers()
+        providers.embedder = self._embedder(calls)
+        sample = marker_sample("o", list(TestTurn.ONE_THETA), topic_index=2)
+        config = dataclasses.replace(agsc_config, workers=workers)
+        (report,) = run_many([sample], config, providers)
+        references = [s.text for sents in segmented(sample.responses[1:]) for s in sents]
+        assert [texts for texts, _ in calls] == [references, [u.text for u in report.units]]
+        assert report.timing.embed_calls == len(references) + len(report.units)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_failed_reference_call_fails_only_a_prompt_with_units(
+        self, agsc_config, workers
+    ):
+        calls = []
+        providers = marker_providers()
+        providers.embedder = self._embedder(calls, ProviderError("embedder down"))
+        samples = [
+            marker_sample("units", list(TestTurn.ONE_THETA)),
+            marker_sample("all-skip", ["zeta", "zeta"], topic_index=1),
+        ]
+        config = dataclasses.replace(agsc_config, workers=workers)
+        failed, skipped = run_many(samples, config, providers)
+        assert failed == PromptFailure(prompt_id="units", error="embedder down")
+        # The all-skip prompt's fallback report does not need the references.
+        assert skipped.fallback_used
+        assert skipped == run_prompt(samples[1], agsc_config, marker_providers())
+        # The failed prompt's units were never embedded.
+        assert all(not any("detail" in t for t in texts) for texts, _ in calls)
+
+    # A malformed answer to the reference call is the case of
+    # TestMalformedAnswers::test_embedding_answer_malformed, whose fault
+    # reaches that call first.
+    @pytest.mark.parametrize(
+        ("fault", "message"),
+        [("one-short", "vectors for"), ("other-dimension", "dimensions [16, 32]")],
+        ids=["one-short", "other-dimension"],
+    )
+    def test_a_malformed_answer_of_the_unit_call_fails_the_prompt(
+        self, agsc_config, fault, message
+    ):
+        inner, other = HashEmbeddingProvider(dim=32), HashEmbeddingProvider(dim=16)
+
+        class Malformed:
+            def embed_batch(self, texts):
+                if not any("detail" in t for t in texts):
+                    return inner.embed_batch(texts)
+                if fault == "one-short":
+                    return inner.embed_batch(texts)[:-1]
+                return other.embed_batch(texts)
+
+        providers = marker_providers()
+        providers.embedder = Malformed()
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            run_prompt(marker_sample("m", list(TestTurn.ONE_THETA)), agsc_config, providers)
+
+    def test_an_interrupt_of_the_reference_call_is_not_held(self, agsc_config):
+        providers = marker_providers()
+        providers.embedder = self._embedder([], KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_prompt(marker_sample("s", ["zeta", "zeta"]), agsc_config, providers)
+
+    @pytest.mark.parametrize("variant", ["luq_sentence", "luq_atomic", "ablate_no_cluster"])
+    def test_a_variant_without_clustering_makes_no_embedding_call(self, base_config, variant):
+        calls = []
+        providers = marker_providers()
+        providers.embedder = self._embedder(calls)
+        config = apply_variant(base_config, variant)
+        report = run_prompt(marker_sample("n", list(TestTurn.ONE_THETA)), config, providers)
+        assert (calls, report.timing.embed_calls) == ([], 0)
 
 
 class TestMalformedAnswers:

@@ -46,6 +46,7 @@ from agsc.providers import (
     split_facts_rule_based,
 )
 from agsc.providers.base import share_turn, taking_turn, waiting
+from agsc.providers.decompose import checked_facts
 from agsc.providers.mocks import _token_bucket
 
 
@@ -982,6 +983,15 @@ class TestDecomposition:
         facts, fallback = ResilientDecomposer(Empty()).decompose("Solo fact.", "ctx")
         assert fallback is True
         assert facts == ["Solo fact."]
+
+    @pytest.mark.parametrize(
+        "answer",
+        [[], "a fact", ["a fact", 2], ["a fact", " "], ["a fact", "lone \ud800 half"]],
+        ids=["empty", "not-a-list", "non-string", "blank", "lone-surrogate"],
+    )
+    def test_checked_facts_rejects(self, answer):
+        with pytest.raises(ValueError):
+            checked_facts(answer)
 
     def test_rule_based_decomposer_provider(self):
         assert RuleBasedDecomposer().decompose("A and B ran.", "ctx") == ["A", "B ran."]
