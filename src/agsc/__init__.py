@@ -18,18 +18,18 @@ thread pool only spins. The pin works only if numpy is not yet imported
 when `agsc` is. `OMP_NUM_THREADS` belongs to the host process and is left
 alone.
 
-Importing the package loads none of numpy, scipy and requests. numpy
-loads at a run's first clustering, and scipy's compiled LAPACK wrapper
-(with scipy's own OpenBLAS) at the first mixture fit; the scipy.linalg
-package is never imported. So the clustered variants load both and
-`agsc eval` loads numpy for its correlations, while `luq_sentence`,
-`luq_atomic`, `ablate_no_cluster` and `agsc inspect` load neither.
-requests loads with the first HTTP client. On 2 vCPUs the import takes
-0.07 s at 21 MB peak RSS; a run that clusters pays about 0.05 s for numpy
-and 0.01 s for LAPACK inside its first prompt's clustering, while that
-prompt holds the turn. The pin reaches both OpenBLAS copies, because the
-variables are set before either loads. A host that wants the numpy import
-paid up front can `import numpy` after `import agsc`; the pin still holds.
+Importing the package loads neither numpy nor requests, and the library
+never imports scipy. numpy loads at a run's first clustering; the first
+mixture fit then binds LAPACK's triangular solve from the OpenBLAS numpy
+already links. So the clustered variants load numpy and `agsc eval` loads
+it for its correlations, while `luq_sentence`, `luq_atomic`,
+`ablate_no_cluster` and `agsc inspect` load neither. requests loads with
+the first HTTP client. On 2 vCPUs the import takes 0.07 s at 21 MB peak
+RSS; a run that clusters pays about 0.05 s for numpy inside its first
+prompt's clustering, while that prompt holds the turn. The pin reaches
+numpy's OpenBLAS, because the variables are set before it loads. A host
+that wants the numpy import paid up front can `import numpy` after
+`import agsc`; the pin still holds.
 """
 
 import os

@@ -12,7 +12,9 @@ seeds, and all reductions run through fixed-order numpy sums.
 
 numpy is imported inside the functions that compute with it, so importing
 this module (for ClusteringConfig or NumericalError) does not load it; the
-first reduction or fit does.
+first reduction or fit does. The E-step's triangular solve is LAPACK's
+dtrtrs, called through ctypes from the LAPACK that numpy.linalg links, so
+no scipy module is needed.
 """
 
 from __future__ import annotations
@@ -30,40 +32,47 @@ N_INIT = 3  # EM restarts per K >= 2, best final log-likelihood kept
 EM_MAX_ITER = 200
 
 
-_FLAPACK = "scipy.linalg._flapack"
+# dtrtrs as the LAPACK linked by numpy.linalg may export it: numpy 2.x PyPI
+# wheels' OpenBLAS with 64-bit integers, other builds plain or 32-bit.
+_TRTRS_SYMBOLS = (
+    ("scipy_dtrtrs_64_", "int64"),
+    ("dtrtrs_64_", "int64"),
+    ("scipy_dtrtrs_", "int32"),
+    ("dtrtrs_", "int32"),
+)
+
+
+def _bind_trtrs(path: str):
+    """LAPACK's triangular solve from the shared library at `path`.
+
+    Returns the ctypes function and the numpy dtype of its integers. The
+    library is opened with PyDLL, so each call holds the GIL: a solve takes
+    some 20 us, and dropping and retaking the GIL around it costs more than
+    the solve whenever another thread wants the interpreter.
+    """
+    import ctypes
+
+    library = ctypes.PyDLL(path)
+    for symbol, index_dtype in _TRTRS_SYMBOLS:
+        try:
+            dtrtrs = getattr(library, symbol)
+        except AttributeError:
+            continue
+        # UPLO, TRANS, DIAG, then the addresses of N, NRHS, A, LDA, B, LDB and
+        # INFO, then the three hidden lengths a gfortran-built LAPACK reads.
+        dtrtrs.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_size_t] * 3
+        dtrtrs.restype = None
+        return dtrtrs, index_dtype
+    tried = ", ".join(symbol for symbol, _ in _TRTRS_SYMBOLS)
+    raise ImportError(f"no LAPACK dtrtrs in {path}: tried {tried}", path=path)
 
 
 @functools.cache
 def _load_trtrs():
-    """LAPACK's triangular solve, called without solve_triangular's checks.
+    """The dtrtrs of the LAPACK numpy.linalg links, bound at the first fit."""
+    from numpy.linalg import _umath_linalg
 
-    Fetched at the first mixture fit, not at import. Only scipy's compiled
-    LAPACK wrapper is loaded, with scipy's own OpenBLAS behind it: about
-    0.01 s and 4 MB, where importing scipy.linalg took 0.14 s and 23 MB.
-    The wrapper is registered under its own name, so an `import
-    scipy.linalg` before or after reuses it and every caller gets one
-    `dtrtrs`.
-    """
-    import importlib.util
-    import sys
-    from importlib.machinery import PathFinder
-
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        # Imports the scipy package (its DLL set-up on Windows included) but
-        # not scipy.linalg's __init__.
-        linalg = importlib.util.find_spec("scipy.linalg")
-        spec = PathFinder.find_spec(_FLAPACK, linalg.submodule_search_locations)
-        if spec is None:
-            import scipy
-
-            raise ImportError(
-                f"{_FLAPACK} not found in scipy {scipy.__version__}", name=_FLAPACK
-            )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module = sys.modules.setdefault(_FLAPACK, module)
-    return module.dtrtrs
+    return _bind_trtrs(_umath_linalg.__file__)
 
 
 class NumericalError(Exception):
@@ -182,6 +191,42 @@ def kmeanspp_init(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
+def _solve_lower_in_place(factors: np.ndarray, sols: np.ndarray) -> None:
+    """Replace each row x of every (N, D) block of `sols` by L^-1 x.
+
+    factors holds the lower factors L, shape (..., D, D), and sols the
+    matching blocks, shape (..., N, D), a C-ordered float64 array.
+    """
+    import numpy as np
+
+    n, dim = sols.shape[-2:]
+    factors = np.ascontiguousarray(factors, dtype=np.float64)
+    # LAPACK writes through raw addresses, so the layout is checked first.
+    shaped = factors.shape == (*sols.shape[:-2], dim, dim)
+    if not (shaped and sols.dtype == np.float64 and sols.flags.c_contiguous):
+        raise ValueError("need C-ordered float64 blocks (..., N, D), factors (..., D, D)")
+    dtrtrs, index_dtype = _load_trtrs()
+    scalars = np.array([dim, n, 0], dtype=index_dtype)  # N = LDA = LDB, NRHS, INFO
+    n_at = scalars.__array_interface__["data"][0]
+    nrhs_at, info_at = n_at + scalars.itemsize, n_at + 2 * scalars.itemsize
+    factors_at = factors.__array_interface__["data"][0]
+    sols_at = sols.__array_interface__["data"][0]
+    # LAPACK reads Fortran order: a C-ordered lower factor is its upper
+    # transpose, solved with TRANS = T, and each C-ordered (N, D) block is
+    # the (D, N) right-hand side, solved in place. These are the arguments
+    # scipy's solve_triangular passes. A factor from a successful Cholesky
+    # has a positive diagonal, so the solve cannot fail; fit_gmm and
+    # select_k reject non-finite data at entry. With D = 0 there is
+    # nothing to solve (LAPACK would reject the empty factor's leading
+    # dimension) and every distance is 0.
+    factor_bytes, block_bytes = dim * dim * factors.itemsize, n * dim * sols.itemsize
+    for i in range(math.prod(sols.shape[:-2]) if dim else 0):
+        dtrtrs(
+            b"U", b"T", b"N", n_at, nrhs_at, factors_at + i * factor_bytes, n_at,
+            sols_at + i * block_bytes, n_at, info_at, 1, 1, 1,
+        )
+
+
 def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """log N(x | mu_k, Sigma_k) for every restart, point and component.
 
@@ -193,7 +238,7 @@ def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    n_restarts, k, n, dim = devs.shape
+    _, k, _, dim = devs.shape
     try:
         chol = np.linalg.cholesky(covariances)
     except np.linalg.LinAlgError:
@@ -206,18 +251,7 @@ def _stacked_log_prob(devs: np.ndarray, covariances: np.ndarray) -> np.ndarray:
         raise
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=2, axis2=3)).sum(axis=2)
     sols = np.ascontiguousarray(devs, dtype=np.float64)
-    trtrs = _load_trtrs()
-    # With D = 0 there is nothing to solve (LAPACK would reject the empty
-    # factor's leading dimension) and every distance is 0.
-    for a in range(n_restarts if dim else 0):
-        for j in range(k):
-            # LAPACK wants Fortran order: the C-ordered lower factor's
-            # transpose is its upper transpose, solved with trans=1, and
-            # sols[a, j].T is solved in place. These are the arguments
-            # solve_triangular would pass. A factor from a successful
-            # Cholesky has a positive diagonal, so the solve cannot fail;
-            # fit_gmm and select_k reject non-finite data at entry.
-            trtrs(chol[a, j].T, sols[a, j].T, lower=0, trans=1, overwrite_b=1)
+    _solve_lower_in_place(chol, sols)
     maha = np.square(sols, out=sols).sum(axis=3)  # (A, K, N)
     const = dim * math.log(2.0 * math.pi)
     log_prob = -0.5 * (const + log_det[:, :, None] + maha)

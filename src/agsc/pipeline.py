@@ -412,9 +412,9 @@ def _embed_and_cluster(sample, config, method, meter, units, ref_texts, ref_vect
     _check_count(unit_vectors, len(units))
     seed = prompt_seed(config.seed, sample.prompt_id)
     with meter.stage("cluster"):
-        # The first clustering of a process imports numpy here and scipy's
-        # LAPACK wrapper (not scipy.linalg) in select_k, so this prompt's
-        # t_cluster_ms carries both loads.
+        # The first clustering of a process imports numpy here and binds
+        # numpy's own LAPACK dtrtrs in select_k, so this prompt's
+        # t_cluster_ms carries both.
         data = _embedding_matrix([*unit_vectors, *ref_vectors])
         reduced = reduce_embeddings(data, config.clustering.target_dim)
         selection = select_k(reduced, config.clustering, seed)
